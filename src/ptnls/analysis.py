@@ -137,16 +137,21 @@ def default_scan_config(case_id: CaseId) -> SolverConfig:
     return SolverConfig(case_id=case_id, initial=Gaussian(1.0, 1.0, 0.5))
 
 
+def _member(cfg: SolverConfig, case_id: CaseId, kind: Kind, form: str,
+            sample_every: int) -> DriftMember:
+    traj = run(cfg, sample_every=sample_every)
+    ts = density_timeseries(traj, case_id, kind, form)
+    drift_abs, drift_rel = drift_from_timeseries(ts)
+    return DriftMember(cfg.params.eps, float(ts.values[0]), drift_abs, drift_rel)
+
+
 def _run_member(args) -> DriftMember:
-    cfg, case_id, kind, form, sample_every = args
-    eps = cfg.params.eps
+    """One eps > 0 member; a numerical failure is recorded on the member as
+    text (the exception types do not survive the pickle back from a worker)."""
     try:
-        traj = run(cfg, sample_every=sample_every)
-        ts = density_timeseries(traj, case_id, kind, form)
-        drift_abs, drift_rel = drift_from_timeseries(ts)
-        return DriftMember(eps, float(ts.values[0]), drift_abs, drift_rel)
+        return _member(*args)
     except (BlowUpError, BoundaryContaminationError, FloatingPointError) as exc:
-        return DriftMember(eps, failed=True, error=str(exc))
+        return DriftMember(args[0].params.eps, failed=True, error=str(exc))
 
 
 def _qualifying(members: Sequence[DriftMember], floor: float) -> list[DriftMember]:
@@ -173,19 +178,16 @@ def drift_scan(case_id: CaseId, kind: Kind, eps_list: Sequence[float],
     if cfg.case_id is not case_id:
         raise ValueError("cfg.case_id does not match the scanned case")
 
-    tasks = [(replace(cfg, params=cfg.params.replace(eps=e)), case_id, kind,
-              form, sample_every) for e in [0.0] + eps_list]
+    floor_task, *tasks = [(replace(cfg, params=cfg.params.replace(eps=e)), case_id,
+                           kind, form, sample_every) for e in [0.0] + eps_list]
+    # without a floor there is no scan: its failure propagates as raised
+    members = [_member(*floor_task)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            members = list(pool.map(_run_member, tasks))
+            members += pool.map(_run_member, tasks)
     else:
-        members = [_run_member(t) for t in tasks]
-
-    floor_member = members[0]
-    if floor_member.failed:
-        raise BlowUpError(0.0) if "blew up" in floor_member.error else RuntimeError(
-            f"eps = 0 floor run failed: {floor_member.error}")
-    floor = floor_member.drift_rel
+        members += [_run_member(t) for t in tasks]
+    floor = members[0].drift_rel
 
     fit = _qualifying(members, floor)
     slope = intercept = residual = None

@@ -25,13 +25,11 @@ from importlib import resources
 from typing import Optional
 
 from .jetexpr import (Expr, ExprError, ParamValues, Var, as_expr, collect_coords,
-                      parse_expr, substitute, to_text)
+                      nodes, parse_expr, substitute)
 
 __all__ = [
     "CaseId", "Kind", "CaseSpec", "PdeSystem", "Multiplier", "ConservedVector",
     "EulerResidualTarget", "CatalogRecord", "Catalog", "load_catalog",
-    "build_system", "multiplier", "conserved_vector", "residual_target",
-    "derived_residual",
 ]
 
 
@@ -73,7 +71,7 @@ class CaseSpec:
     id: CaseId
     a: Expr
     b: Expr
-    nonlinearity_coeff: Expr  # 2*sigma*exp(-alpha*x^2); mu^2 enters in build_system
+    nonlinearity_coeff: Expr  # 2*sigma*exp(-alpha*x^2); E1/E2 carry the mu^2
 
 
 @dataclass(frozen=True)
@@ -141,11 +139,6 @@ _AVAILABLE = {
     ("case2", "charge"): {"Tt", "Tx", "PhiT", "Ru", "Rv"},
 }
 
-_SYSTEM_TEMPLATE = (
-    "u_t + 1/2*v_xx - eps*({b})*u - ({a})*v + 2*mu^2*sigma*exp(-alpha*x^2)*(u^2 + v^2)*v",
-    "-v_t + 1/2*u_xx - ({a})*u + eps*({b})*v + 2*mu^2*sigma*exp(-alpha*x^2)*(u^2 + v^2)*u",
-)
-
 
 def _read_records(filename: str, strict: bool) -> list[CatalogRecord]:
     body = resources.files(__package__).joinpath(f"data/{filename}").read_text("utf-8")
@@ -173,25 +166,6 @@ def _read_records(filename: str, strict: bool) -> list[CatalogRecord]:
     return out
 
 
-def _free_vars(e: Expr) -> set[str]:
-    seen: set[int] = set()
-    names: set[str] = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        if isinstance(n, Var):
-            names.add(n.name)
-        elif hasattr(n, "arg"):
-            stack.append(n.arg)
-        elif hasattr(n, "lhs"):
-            stack.append(n.lhs)
-            stack.append(n.rhs)
-    return names
-
-
 class Catalog:
     """Indexed view over the two data files; read-only after construction."""
 
@@ -207,7 +181,7 @@ class Catalog:
             for name, e in (("a", a), ("b", b)):
                 if collect_coords(e):
                     raise ValueError(f"{cid.value}: {name} must not contain jet coordinates")
-                if "t" in _free_vars(e):
+                if Var("t") in nodes(e):
                     raise ValueError(f"{cid.value}: {name} must not depend on t")
             self._cases[cid] = CaseSpec(cid, a, b, parse_expr("2*sigma*exp(-alpha*x^2)"))
 
@@ -234,20 +208,19 @@ class Catalog:
         q2 = self._by_key[("all", kind.value, "Q2")].expr
         return Multiplier(kind, q1, q2)
 
-    def build_system(self, case, params: Optional[ParamValues] = None) -> PdeSystem:
-        """The split system for a case.  With `params` given, the five model
-        parameters are substituted numerically (eps=0 removes the b-terms
-        outright, since they fold away with the zero factor)."""
-        spec = case if isinstance(case, CaseSpec) else self.case(case)
-        a_text, b_text = to_text(spec.a), to_text(spec.b)
-        e1 = parse_expr(_SYSTEM_TEMPLATE[0].format(a=a_text, b=b_text))
-        e2 = parse_expr(_SYSTEM_TEMPLATE[1].format(a=a_text, b=b_text))
+    def build_system(self, case_id: CaseId, params: Optional[ParamValues] = None) -> PdeSystem:
+        """The split system of a case, as stored in its E1/E2 records.  With
+        `params` given, the five model parameters are substituted numerically
+        (eps=0 removes the b-terms outright, since they fold away with the
+        zero factor)."""
+        e1 = self._by_key[(case_id.value, None, "E1")].expr
+        e2 = self._by_key[(case_id.value, None, "E2")].expr
         if params is not None:
             binds = {name: as_expr(params.get(name))
                      for name in ("eps", "mu", "sigma", "alpha", "g")}
             e1 = substitute(e1, binds)
             e2 = substitute(e2, binds)
-        return PdeSystem(spec.id, e1, e2)
+        return PdeSystem(case_id, e1, e2)
 
     def conserved_vector(self, case_id: CaseId, kind: Kind) -> Optional[ConservedVector]:
         available = _AVAILABLE[(case_id.value, kind.value)]
@@ -285,23 +258,3 @@ class Catalog:
 @lru_cache(maxsize=1)
 def load_catalog() -> Catalog:
     return Catalog()
-
-
-def build_system(case, params: Optional[ParamValues] = None) -> PdeSystem:
-    return load_catalog().build_system(case, params)
-
-
-def multiplier(kind: Kind) -> Multiplier:
-    return load_catalog().multiplier(kind)
-
-
-def conserved_vector(case_id: CaseId, kind: Kind) -> Optional[ConservedVector]:
-    return load_catalog().conserved_vector(case_id, kind)
-
-
-def residual_target(case_id: CaseId, kind: Kind) -> Optional[EulerResidualTarget]:
-    return load_catalog().residual_target(case_id, kind)
-
-
-def derived_residual(case_id: CaseId, kind: Kind) -> Optional[EulerResidualTarget]:
-    return load_catalog().derived_residual(case_id, kind)

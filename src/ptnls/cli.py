@@ -149,6 +149,14 @@ def _solver_config(settings: Settings, case_id: CaseId) -> SolverConfig:
                         grid=grid, initial=initial)
 
 
+def _print_raw_notes(comparisons) -> None:
+    for rc in comparisons:
+        if rc.matches_corrected is False:
+            print(f"  note: raw {rc.slot} differs from the corrected reading; {rc.note}")
+        elif not rc.parses:
+            print(f"  note: raw {rc.slot} does not parse ({rc.error})")
+
+
 def cmd_verify_euler(settings: Settings) -> int:
     seed = settings.seed()
     n = settings.get("n", 100)
@@ -161,11 +169,7 @@ def cmd_verify_euler(settings: Settings) -> int:
         tag = " (derived target)" if rep.target_derived else ""
         print(f"[{status}] euler residual {case_id.value}/{kind.value}: "
               f"worst {rep.worst_rel_error:.3e}, eps-slope {rep.epsilon_slope:.3f}{tag}")
-        for rc in rep.raw_comparisons:
-            if rc.matches_corrected is False:
-                print(f"  note: raw {rc.slot} differs from the corrected reading; {rc.note}")
-            elif not rc.parses:
-                print(f"  note: raw {rc.slot} does not parse ({rc.error})")
+        _print_raw_notes(rep.raw_comparisons)
         ok = ok and rep.match
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -191,11 +195,7 @@ def cmd_verify_divergence(settings: Settings) -> int:
         print(f"[{status}] divergence {case_id.value}/{kind.value}: "
               f"D_t Tt + D_x Tx = {sign}Q.E at eps=0 (worst {rep.worst_rel_error:.3e}, "
               f"leading order {rep.leading_order:.3f})")
-        for rc in rep.raw_comparisons:
-            if rc.matches_corrected is False:
-                print(f"  note: raw {rc.slot} differs from the corrected reading; {rc.note}")
-            elif not rc.parses:
-                print(f"  note: raw {rc.slot} does not parse ({rc.error})")
+        _print_raw_notes(rep.raw_comparisons)
         ok = ok and rep.zero_at_eps0
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

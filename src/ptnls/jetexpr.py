@@ -1,10 +1,17 @@
 """Exact symbolic expressions on the jet space of two independent variables
 (t, x) and two dependent variables (u, v).
 
-Expressions are immutable trees over rational/float constants, the model
+Expressions are immutable DAGs over rational/float constants, the model
 parameters (eps, mu, sigma, alpha, g), pi, the independent variables, and jet
 coordinates such as u_t, v_xx, u_tx (derivative suffixes are written with all
-t's before all x's).  The module provides
+t's before all x's).  Nodes are interned (hash-consed): a constructor returns
+the live node with the same class and fields if there is one, so structurally
+equal expressions are one object, `==` and `hash` are identity, and a shared
+subexpression is evaluated or differentiated once.  Constants are keyed by
+type and sign as well as value: Const(1) (rational) and Const(1.0) are
+distinct nodes, as are 0.0 and -0.0.  Every traversal goes through `nodes`,
+an iterative post-order walk, so deep expressions need no recursion limit.
+The module provides
 
   * a line-oriented text grammar (`parse_expr` / `to_text`) with byte-offset
     error reporting,
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 import math
 import re
-import sys
+import weakref
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Union
@@ -41,7 +48,7 @@ __all__ = [
     "const", "jet", "add", "sub", "mul", "div", "neg", "pow_", "exp", "erf", "sqrt",
     "parse_expr", "to_text", "eval_expr", "partial", "total_derivative",
     "euler_operator", "substitute", "collect_coords", "contains_t_derivative",
-    "expr_equiv", "EquivResult", "JetPoint", "JetBatch", "JetSampler",
+    "nodes", "expr_equiv", "EquivResult", "JetPoint", "JetBatch", "JetSampler",
     "ParamValues", "random_polynomial",
 ]
 
@@ -49,10 +56,6 @@ DEFAULT_MAX_JET_ORDER = 4
 DEPENDENTS = ("u", "v")
 PARAMETERS = ("eps", "mu", "sigma", "alpha", "g", "pi")
 INDEPENDENTS = ("t", "x")
-
-# Derivative trees produced by repeated total derivatives nest deeply; the
-# default CPython limit is too tight for the longest transcribed densities.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 Number = Union[int, float, Fraction]
 
@@ -126,12 +129,15 @@ def coord_from_name(name: str) -> Optional[JetCoord]:
 
 
 class Expr:
-    """Immutable expression node.  `order` is the syntactic jet order."""
+    """Immutable, interned expression node.  `order` is the syntactic jet
+    order.  Constructors return the existing node for an equal key, so
+    structurally equal expressions are one object and `==` is identity."""
 
-    __slots__ = ("_h", "order")
+    __slots__ = ("order", "__weakref__")
 
-    def __hash__(self):
-        return self._h
+    def __reduce__(self):
+        # pickling and copying go back through the interning constructor
+        return type(self), tuple(getattr(self, s) for s in type(self).__slots__)
 
     # arithmetic sugar; all routes go through the folding constructors
     def __add__(self, other):
@@ -171,70 +177,62 @@ class Expr:
         return to_text(self)
 
 
+# Every live node, keyed by its class and fields; children are keyed by
+# identity, which interning makes the same as structure.
+_NODES: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+
+
+def _interned(key: tuple, order: int, **fields) -> Expr:
+    """The live node for `key` (whose first item is the node's class), or a
+    new one with the given fields."""
+    node = _NODES.get(key)
+    if node is None:
+        node = object.__new__(key[0])
+        node.order = order
+        for name, value in fields.items():
+            setattr(node, name, value)
+        _NODES[key] = node
+    return node
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: Number):
+    def __new__(cls, value: Number):
         if isinstance(value, bool):
             raise TypeError("bool is not a valid constant")
         if isinstance(value, int):
             value = Fraction(value)
         elif not isinstance(value, (float, Fraction)):
             raise TypeError(f"constant must be rational or float, got {type(value)}")
-        self.value = value
-        self.order = 0
-        self._h = hash(("Const", value))
-
-    def __eq__(self, other):
-        return type(other) is Const and self.value == other.value
-
-    __hash__ = Expr.__hash__
+        # 1 and 1.0, or 0.0 and -0.0, compare equal but print differently
+        key = (cls, type(value), value, math.copysign(1.0, value))
+        return _interned(key, 0, value=value)
 
 
 class Sym(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if name not in PARAMETERS:
             raise ValueError(f"unknown parameter {name!r}")
-        self.name = name
-        self.order = 0
-        self._h = hash(("Sym", name))
-
-    def __eq__(self, other):
-        return type(other) is Sym and self.name == other.name
-
-    __hash__ = Expr.__hash__
+        return _interned((cls, name), 0, name=name)
 
 
 class Var(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if name not in INDEPENDENTS:
             raise ValueError(f"independent variable must be 't' or 'x', got {name!r}")
-        self.name = name
-        self.order = 0
-        self._h = hash(("Var", name))
-
-    def __eq__(self, other):
-        return type(other) is Var and self.name == other.name
-
-    __hash__ = Expr.__hash__
+        return _interned((cls, name), 0, name=name)
 
 
 class Jet(Expr):
     __slots__ = ("coord",)
 
-    def __init__(self, coord: JetCoord):
-        self.coord = coord
-        self.order = coord.order
-        self._h = hash(("Jet", coord))
-
-    def __eq__(self, other):
-        return type(other) is Jet and self.coord == other.coord
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, coord: JetCoord):
+        return _interned((cls, coord), coord.order, coord=coord)
 
 
 _UNARY_OPS = ("neg", "exp", "erf", "sqrt")
@@ -244,38 +242,44 @@ _BINARY_OPS = ("+", "-", "*", "/", "^")
 class Unary(Expr):
     __slots__ = ("op", "arg")
 
-    def __init__(self, op: str, arg: Expr):
+    def __new__(cls, op: str, arg: Expr):
         if op not in _UNARY_OPS:
             raise ValueError(f"unknown unary op {op!r}")
-        self.op = op
-        self.arg = arg
-        self.order = arg.order
-        self._h = hash(("Unary", op, arg._h))
-
-    def __eq__(self, other):
-        return (type(other) is Unary and self.op == other.op
-                and self._h == other._h and self.arg == other.arg)
-
-    __hash__ = Expr.__hash__
+        return _interned((cls, op, arg), arg.order, op=op, arg=arg)
 
 
 class Binary(Expr):
     __slots__ = ("op", "lhs", "rhs")
 
-    def __init__(self, op: str, lhs: Expr, rhs: Expr):
+    def __new__(cls, op: str, lhs: Expr, rhs: Expr):
         if op not in _BINARY_OPS:
             raise ValueError(f"unknown binary op {op!r}")
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
-        self.order = max(lhs.order, rhs.order)
-        self._h = hash(("Binary", op, lhs._h, rhs._h))
+        return _interned((cls, op, lhs, rhs), max(lhs.order, rhs.order),
+                         op=op, lhs=lhs, rhs=rhs)
 
-    def __eq__(self, other):
-        return (type(other) is Binary and self.op == other.op and self._h == other._h
-                and self.lhs == other.lhs and self.rhs == other.rhs)
 
-    __hash__ = Expr.__hash__
+def nodes(*roots: Expr) -> list[Expr]:
+    """The distinct nodes reachable from `roots`, each listed after its
+    children (left operand first).  Iterative, so depth is unbounded."""
+    out: list[Expr] = []
+    seen: set[Expr] = set()
+    stack: list[tuple[Expr, bool]] = [(r, False) for r in reversed(roots)]
+    while stack:
+        n, expanded = stack.pop()
+        if expanded:
+            out.append(n)
+            continue
+        if n in seen:
+            continue
+        seen.add(n)
+        stack.append((n, True))
+        t = type(n)
+        if t is Binary:
+            stack.append((n.rhs, False))
+            stack.append((n.lhs, False))
+        elif t is Unary:
+            stack.append((n.arg, False))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +406,9 @@ def sqrt(a: Expr) -> Expr:
 
 T = Var("t")
 X = Var("x")
+
+_UNARY_FNS = {"neg": neg, "exp": exp, "erf": erf, "sqrt": sqrt}
+_BINARY_FNS = {"+": add, "-": sub, "*": mul, "/": div, "^": pow_}
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +548,7 @@ class _Parser:
             self.expect_op("(")
             arg = self.expr()
             self.expect_op(")")
-            return {"exp": exp, "erf": erf, "sqrt": sqrt}[name](arg)
+            return _UNARY_FNS[name](arg)
         hint = ""
         if re.fullmatch(r"[uv]_[tx]+", name):
             hint = " (derivative suffixes are written with all t's before all x's)"
@@ -581,37 +588,36 @@ def _fmt_const(value) -> str:
         if value.denominator == 1:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
+    if math.isinf(value):  # folding can overflow; this literal parses back to inf
+        return "1e999" if value > 0 else "-1e999"
     return repr(value)
 
 
 def to_text(e: Expr) -> str:
-    return _fmt(e, 0)
+    text: dict[Expr, str] = {}
 
+    def part(child: Expr, ctx: int) -> str:
+        # the parent's context decides whether the child needs parentheses
+        return f"({text[child]})" if _prec(child) < ctx else text[child]
 
-def _fmt(e: Expr, ctx: int) -> str:
-    p = _prec(e)
-    if type(e) is Const:
-        s = _fmt_const(e.value)
-    elif type(e) is Sym or type(e) is Var:
-        s = e.name
-    elif type(e) is Jet:
-        s = e.coord.name()
-    elif type(e) is Unary:
-        if e.op == "neg":
-            s = "-" + _fmt(e.arg, 21)
+    for n in nodes(e):
+        t = type(n)
+        if t is Const:
+            s = _fmt_const(n.value)
+        elif t is Sym or t is Var:
+            s = n.name
+        elif t is Jet:
+            s = n.coord.name()
+        elif t is Unary:
+            s = "-" + part(n.arg, 21) if n.op == "neg" else f"{n.op}({part(n.arg, 0)})"
+        elif n.op in "+-":
+            s = f"{part(n.lhs, 10)} {n.op} {part(n.rhs, 11)}"
+        elif n.op in "*/":
+            s = f"{part(n.lhs, 20)}{n.op}{part(n.rhs, 21)}"
         else:
-            s = f"{e.op}({_fmt(e.arg, 0)})"
-    else:
-        op = e.op
-        if op in "+-":
-            s = f"{_fmt(e.lhs, 10)} {op} {_fmt(e.rhs, 11)}"
-        elif op in "*/":
-            s = f"{_fmt(e.lhs, 20)}{op}{_fmt(e.rhs, 21)}"
-        else:
-            s = f"{_fmt(e.lhs, 31)}^{_fmt(e.rhs, 40)}"
-    if p < ctx:
-        return f"({s})"
-    return s
+            s = f"{part(n.lhs, 31)}^{part(n.rhs, 40)}"
+        text[n] = s
+    return text[e]
 
 
 # ---------------------------------------------------------------------------
@@ -704,61 +710,55 @@ def eval_expr(e: Expr, point=None, params: Optional[ParamValues] = None):
     powers of negative values all raise EvalError."""
     if params is None:
         params = ParamValues()
-    memo: dict[int, object] = {}
-
-    def ev(n: Expr):
-        key = id(n)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    val: dict[Expr, object] = {}
+    for n in nodes(e):
         t = type(n)
         if t is Const:
-            val = float(n.value)
+            v = float(n.value)
         elif t is Sym:
-            val = math.pi if n.name == "pi" else float(params.get(n.name))
+            v = math.pi if n.name == "pi" else float(params.get(n.name))
         elif t is Var:
             if point is None:
                 raise EvalError(f"expression references {n.name!r} but no point was given")
-            val = point.t if n.name == "t" else point.x
+            v = point.t if n.name == "t" else point.x
         elif t is Jet:
             if point is None:
                 raise EvalError(f"expression references {n.coord.name()!r} but no point was given")
             try:
-                val = point.values[n.coord]
+                v = point.values[n.coord]
             except KeyError:
                 raise EvalError(f"jet point carries no value for {n.coord.name()!r}") from None
         elif t is Unary:
-            a = ev(n.arg)
+            a = val[n.arg]
             if n.op == "neg":
-                val = -a
+                v = -a
             elif n.op == "exp":
-                val = np.exp(a)
+                v = np.exp(a)
             elif n.op == "erf":
-                val = _np_erf(a)
+                v = _np_erf(a)
             else:
                 if np.any(np.asarray(a) < 0):
                     raise EvalError("sqrt of a negative value")
-                val = np.sqrt(a)
+                v = np.sqrt(a)
         else:
-            l = ev(n.lhs)
+            l = val[n.lhs]
             if n.op == "^":
-                val = _eval_pow(l, n.rhs.value)
+                v = _eval_pow(l, n.rhs.value)
             else:
-                r = ev(n.rhs)
+                r = val[n.rhs]
                 if n.op == "+":
-                    val = l + r
+                    v = l + r
                 elif n.op == "-":
-                    val = l - r
+                    v = l - r
                 elif n.op == "*":
-                    val = l * r
+                    v = l * r
                 else:
                     if np.any(np.asarray(r) == 0):
                         raise EvalError("division by zero")
-                    val = l / r
-        memo[key] = val
-        return val
+                    v = l / r
+        val[n] = v
 
-    out = ev(e)
+    out = val[e]
     if isinstance(out, np.ndarray) and out.ndim:
         return out
     return float(out)
@@ -808,18 +808,11 @@ _TWO_OVER_SQRT_PI = div(Const(2), sqrt(Sym("pi")))
 
 def _differentiate(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
     """Shared chain-rule walk; `leaf` supplies derivatives of terminals."""
-    memo: dict[int, Expr] = {}
-
-    def d(n: Expr) -> Expr:
-        key = id(n)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    d: dict[Expr, Expr] = {}
+    for n in nodes(e):
         t = type(n)
-        if t in (Const, Sym, Var, Jet):
-            out = leaf(n)
-        elif t is Unary:
-            da = d(n.arg)
+        if t is Unary:
+            da = d[n.arg]
             if n.op == "neg":
                 out = neg(da)
             elif n.op == "exp":
@@ -828,26 +821,26 @@ def _differentiate(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
                 out = mul(da, mul(_TWO_OVER_SQRT_PI, exp(neg(pow_(n.arg, 2)))))
             else:
                 out = div(da, mul(Const(2), n))
-        else:
+        elif t is Binary:
+            dl, dr = d[n.lhs], d[n.rhs]
             if n.op == "+":
-                out = add(d(n.lhs), d(n.rhs))
+                out = add(dl, dr)
             elif n.op == "-":
-                out = sub(d(n.lhs), d(n.rhs))
+                out = sub(dl, dr)
             elif n.op == "*":
-                out = add(mul(d(n.lhs), n.rhs), mul(n.lhs, d(n.rhs)))
+                out = add(mul(dl, n.rhs), mul(n.lhs, dr))
             elif n.op == "/":
-                dr = d(n.rhs)
                 if _is_const(dr, 0):
-                    out = div(d(n.lhs), n.rhs)
+                    out = div(dl, n.rhs)
                 else:
-                    out = div(sub(mul(d(n.lhs), n.rhs), mul(n.lhs, dr)), pow_(n.rhs, 2))
+                    out = div(sub(mul(dl, n.rhs), mul(n.lhs, dr)), pow_(n.rhs, 2))
             else:
                 c = n.rhs.value
-                out = mul(mul(Const(c), pow_(n.lhs, c - 1)), d(n.lhs))
-        memo[key] = out
-        return out
-
-    return d(e)
+                out = mul(mul(Const(c), pow_(n.lhs, c - 1)), dl)
+        else:
+            out = leaf(n)
+        d[n] = out
+    return d[e]
 
 
 def partial(e: Expr, wrt) -> Expr:
@@ -887,23 +880,7 @@ def total_derivative(e: Expr, direction, max_order: int = DEFAULT_MAX_JET_ORDER)
 
 
 def collect_coords(e: Expr) -> frozenset[JetCoord]:
-    seen: set[int] = set()
-    coords: set[JetCoord] = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        t = type(n)
-        if t is Jet:
-            coords.add(n.coord)
-        elif t is Unary:
-            stack.append(n.arg)
-        elif t is Binary:
-            stack.append(n.lhs)
-            stack.append(n.rhs)
-    return frozenset(coords)
+    return frozenset(n.coord for n in nodes(e) if type(n) is Jet)
 
 
 def contains_t_derivative(e: Expr) -> bool:
@@ -952,31 +929,7 @@ def substitute(e: Expr, bindings: Mapping, max_order: int = DEFAULT_MAX_JET_ORDE
         table[_norm_wrt(k)] = as_expr(val)
 
     def refs(v: Expr) -> set[tuple]:
-        found = set()
-        seen: set[int] = set()
-        stack = [v]
-        while stack:
-            n = stack.pop()
-            if id(n) in seen:
-                continue
-            seen.add(id(n))
-            t = type(n)
-            if t is Jet:
-                key = ("jet", n.coord)
-            elif t is Var:
-                key = ("var", n.name)
-            elif t is Sym:
-                key = ("sym", n.name)
-            else:
-                if t is Unary:
-                    stack.append(n.arg)
-                elif t is Binary:
-                    stack.append(n.lhs)
-                    stack.append(n.rhs)
-                continue
-            if key in table:
-                found.add(key)
-        return found
+        return {_norm_wrt(n) for n in nodes(v) if type(n) in (Sym, Var, Jet)} & table.keys()
 
     graph = {k: refs(v) for k, v in table.items()}
     state: dict[tuple, int] = {}
@@ -995,46 +948,22 @@ def substitute(e: Expr, bindings: Mapping, max_order: int = DEFAULT_MAX_JET_ORDE
     for k in graph:
         visit(k)
 
-    memo: dict[int, Expr] = {}
-
-    def walk(n: Expr) -> Expr:
-        key = id(n)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    out: dict[Expr, Expr] = {}
+    for n in nodes(e):
         t = type(n)
-        if t is Jet:
-            out = table.get(("jet", n.coord), n)
-        elif t is Var:
-            out = table.get(("var", n.name), n)
-        elif t is Sym:
-            out = table.get(("sym", n.name), n)
+        if t is Unary:
+            a = out[n.arg]
+            new = n if a is n.arg else _UNARY_FNS[n.op](a)
+        elif t is Binary:
+            l, r = out[n.lhs], out[n.rhs]
+            new = n if l is n.lhs and r is n.rhs else _BINARY_FNS[n.op](l, r)
         elif t is Const:
-            out = n
-        elif t is Unary:
-            a = walk(n.arg)
-            if a is n.arg:
-                out = n
-            else:
-                out = {"neg": neg, "exp": exp, "erf": erf, "sqrt": sqrt}[n.op](a)
+            new = n
         else:
-            l, r = walk(n.lhs), walk(n.rhs)
-            if l is n.lhs and r is n.rhs:
-                out = n
-            elif n.op == "+":
-                out = add(l, r)
-            elif n.op == "-":
-                out = sub(l, r)
-            elif n.op == "*":
-                out = mul(l, r)
-            elif n.op == "/":
-                out = div(l, r)
-            else:
-                out = pow_(l, r.value)
-        memo[key] = out
-        return out
+            new = table.get(_norm_wrt(n), n)
+        out[n] = new
 
-    result = walk(e)
+    result = out[e]
     if result.order > max_order:
         raise JetOrderError(
             f"substitution produced jet order {result.order} above the limit {max_order}")

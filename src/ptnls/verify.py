@@ -24,11 +24,12 @@ corrections stay visible in the reports they affect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
+from .analysis import fit_loglog_slope
 from .catalog import (CaseId, Catalog, EulerResidualTarget, Kind, Multiplier,
                       PdeSystem, load_catalog)
 from .jetexpr import (DEFAULT_MAX_JET_ORDER, EquivResult, Expr, JetBatch, JetCoord,
@@ -94,12 +95,7 @@ class ResidualReport:
             "epsilon_slope": self.epsilon_slope,
             "slope_fit_residual": self.slope_fit_residual,
             "target_derived": self.target_derived,
-            "raw_comparisons": [
-                {"slot": rc.slot, "parses": rc.parses, "error": rc.error,
-                 "matches_corrected": rc.matches_corrected,
-                 "worst_rel_error": rc.worst_rel_error, "note": rc.note}
-                for rc in self.raw_comparisons
-            ],
+            "raw_comparisons": [asdict(rc) for rc in self.raw_comparisons],
         }
 
 
@@ -131,12 +127,7 @@ class DivergenceReport:
             "slope_fit_residual": self.slope_fit_residual,
             "discrepancies": [{"point": p.named(), "value": v}
                               for p, v in self.discrepancy_terms],
-            "raw_comparisons": [
-                {"slot": rc.slot, "parses": rc.parses, "error": rc.error,
-                 "matches_corrected": rc.matches_corrected,
-                 "worst_rel_error": rc.worst_rel_error, "note": rc.note}
-                for rc in self.raw_comparisons
-            ],
+            "raw_comparisons": [asdict(rc) for rc in self.raw_comparisons],
         }
 
 
@@ -153,13 +144,6 @@ def euler_residual(case, kind: Kind, params: Optional[ParamValues] = None,
 def _max_abs(e: Expr, batch: JetBatch, params: ParamValues) -> float:
     vals = np.asarray(eval_expr(e, batch, params), dtype=float)
     return float(np.max(np.abs(vals))) if vals.ndim else abs(float(vals))
-
-
-def _loglog_fit(xs, ys) -> tuple[float, float, float]:
-    lx, ly = np.log(np.asarray(xs)), np.log(np.asarray(ys))
-    coeffs, res = np.polyfit(lx, ly, 1, full=True)[:2]
-    rms = float(np.sqrt(res[0] / len(lx))) if len(res) else 0.0
-    return float(coeffs[0]), float(coeffs[1]), rms
 
 
 def _raw_target_comparisons(cat: Catalog, case_id: CaseId, kind: Kind,
@@ -223,7 +207,7 @@ def check_residual(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-10
     batch = sampler.batch(50, order)
     mags = [max(_max_abs(ru, batch, ParamValues(eps=float(e))),
                 _max_abs(rv, batch, ParamValues(eps=float(e)))) for e in EPS_GRID]
-    slope, _, fit_res = _loglog_fit(EPS_GRID, mags)
+    slope, _, fit_res = fit_loglog_slope(EPS_GRID, mags)
 
     return ResidualReport(
         case_id=case_id, kind=kind,
@@ -309,7 +293,7 @@ def check_divergence(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-
     residual = sub(divergence, qe) if orientation == 1 else add(divergence, qe)
     small = sampler.batch(50, order)
     mags = [_max_abs(residual, small, ParamValues(eps=float(e))) for e in EPS_GRID]
-    slope, _, fit_res = _loglog_fit(EPS_GRID, mags)
+    slope, _, fit_res = fit_loglog_slope(EPS_GRID, mags)
 
     return DivergenceReport(
         case_id=case_id, kind=kind, zero_at_eps0=zero_at_eps0,

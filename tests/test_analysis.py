@@ -14,8 +14,9 @@ from ptnls.analysis import (DRIFT_CSV_HEADER, SLOPE_CSV_HEADER,
                             write_timeseries_csv)
 from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import EvalError, JetBatch, ParamValues, eval_expr
-from ptnls.solver import (FieldState, Gaussian, Grid, GroundState,
-                          SolverConfig, Trajectory, jet_values, run)
+from ptnls.solver import (BlowUpError, BoundaryContaminationError, FieldState,
+                          Gaussian, Grid, GroundState, SolverConfig, Trajectory,
+                          jet_values, run)
 
 EPS_LIST = [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1]
 
@@ -148,6 +149,21 @@ def test_drift_grows_with_eps(charge_scan):
 def test_drop_one_slopes_are_stable(charge_scan):
     for s in charge_scan.drop_one_slopes():
         assert abs(s - charge_scan.slope) < 0.1
+
+
+def test_floor_boundary_failure_keeps_its_type():
+    cfg = _short_cfg(grid=Grid(L=3.0, N=64), T_final=0.01)
+    with pytest.raises(BoundaryContaminationError):
+        drift_scan(CaseId.CASE1A, Kind.CHARGE, EPS_LIST, cfg=cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_floor_blow_up_keeps_its_time():
+    cfg = _short_cfg(grid=Grid(N=128), dt=0.05, T_final=0.2,
+                     initial=Gaussian(6.0, 1.0, 0.5))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as exc:
+        drift_scan(CaseId.CASE1A, Kind.CHARGE, EPS_LIST, cfg=cfg, sample_every=1)
+    assert exc.value.t > 0
 
 
 def test_parallel_scan_matches_serial(charge_scan, tmp_path):

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from ptnls.catalog import (CaseId, Kind, build_system, conserved_vector,
-                           derived_residual, load_catalog, multiplier,
-                           residual_target)
+from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import (JetSampler, ParamValues, Var, collect_coords,
                            contains_t_derivative, eval_expr, expr_equiv,
                            parse_expr, to_text)
@@ -80,34 +78,45 @@ def test_case_potentials_match_known_forms():
 
 
 def test_multipliers():
-    en = multiplier(Kind.ENERGY)
-    ch = multiplier(Kind.CHARGE)
+    en = CAT.multiplier(Kind.ENERGY)
+    ch = CAT.multiplier(Kind.CHARGE)
     assert to_text(en.Q1) == "v_t" and to_text(en.Q2) == "u_t"
     assert to_text(ch.Q1) == "u" and to_text(ch.Q2) == "-v"
 
 
+# The split of i q_t + 1/2 q_xx - (a + i eps b) q - G |q|^2 q = 0 into real
+# components, with the case's own a and b substituted: the audit reference
+# for the stored E1/E2 records, which are what build_system returns.
+_SYSTEM_TEMPLATE = (
+    "u_t + 1/2*v_xx - eps*({b})*u - ({a})*v + 2*mu^2*sigma*exp(-alpha*x^2)*(u^2 + v^2)*v",
+    "-v_t + 1/2*u_xx - ({a})*u + eps*({b})*v + 2*mu^2*sigma*exp(-alpha*x^2)*(u^2 + v^2)*u",
+)
+
+
 @pytest.mark.parametrize("case_id", list(CaseId))
 def test_system_template_matches_stored_records(case_id):
-    system = build_system(case_id)
-    e1 = CAT.corrected_reading(case_id, None, "E1")
-    e2 = CAT.corrected_reading(case_id, None, "E2")
-    assert system.E1 == e1.expr
-    assert system.E2 == e2.expr
+    spec = CAT.case(case_id)
+    a, b = to_text(spec.a), to_text(spec.b)
+    system = CAT.build_system(case_id)
+    assert system.E1 is parse_expr(_SYSTEM_TEMPLATE[0].format(a=a, b=b))
+    assert system.E2 is parse_expr(_SYSTEM_TEMPLATE[1].format(a=a, b=b))
+    assert system.E1 is CAT.corrected_reading(case_id, None, "E1").expr
+    assert system.E2 is CAT.corrected_reading(case_id, None, "E2").expr
 
 
 def test_system_at_eps_zero_drops_gain_terms():
     for case_id in CaseId:
-        system = build_system(case_id, ParamValues(eps=0.0))
+        system = CAT.build_system(case_id, ParamValues(eps=0.0))
         assert "eps" not in to_text(system.E1)
         assert "eps" not in to_text(system.E2)
 
 
 def test_system_numeric_params_fold():
-    system = build_system(CaseId.CASE2, ParamValues(eps=0.0, g=0.0))
+    system = CAT.build_system(CaseId.CASE2, ParamValues(eps=0.0, g=0.0))
     # both wells vanish with g = 0, leaving the plain harmonic trap
     sampler = JetSampler(seed=1)
     batch = sampler.batch(20, 2)
-    ref = build_system(CaseId.CASE1A, ParamValues(eps=0.0))
+    ref = CAT.build_system(CaseId.CASE1A, ParamValues(eps=0.0))
     for lhs, rhs in ((system.E1, ref.E1), (system.E2, ref.E2)):
         a = eval_expr(lhs, batch, ParamValues(eps=0.0, g=0.0))
         b = eval_expr(rhs, batch, ParamValues(eps=0.0, g=0.0, alpha=0.5))
@@ -129,7 +138,7 @@ _AVAILABILITY = {
 @pytest.mark.parametrize("case_id,kind", ALL_BLOCKS)
 def test_conserved_vector_availability(case_id, kind):
     slots = _AVAILABILITY[(case_id, kind)]
-    cv = conserved_vector(case_id, kind)
+    cv = CAT.conserved_vector(case_id, kind)
     if not slots:
         assert cv is None
         return
@@ -140,14 +149,14 @@ def test_conserved_vector_availability(case_id, kind):
 
 @pytest.mark.parametrize("case_id,kind", ALL_BLOCKS)
 def test_residual_target_availability(case_id, kind):
-    printed = residual_target(case_id, kind)
+    printed = CAT.residual_target(case_id, kind)
     if (case_id, kind) == (CaseId.CASE1B, Kind.CHARGE):
         assert printed is None
-        tgt = derived_residual(case_id, kind)
+        tgt = CAT.derived_residual(case_id, kind)
         assert tgt is not None and tgt.derived
     else:
         assert printed is not None and not printed.derived
-        assert derived_residual(case_id, kind) is None
+        assert CAT.derived_residual(case_id, kind) is None
     tgt = CAT.any_residual_target(case_id, kind)
     assert tgt.Ru is not None and tgt.Rv is not None
 
@@ -168,7 +177,7 @@ def test_residual_targets_vanish_at_eps_zero(case_id, kind):
     (CaseId.CASE2, Kind.CHARGE),
 ])
 def test_complex_density_equals_Tt(case_id, kind):
-    cv = conserved_vector(case_id, kind)
+    cv = CAT.conserved_vector(case_id, kind)
     res = expr_equiv(cv.Tt, cv.complex_density, n=60, tol=1e-12)
     assert res, f"worst {res.worst_rel_error}"
 

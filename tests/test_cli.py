@@ -196,6 +196,13 @@ def test_drift_scan_end_to_end(tmp_path, capsys):
         assert (out_dir / name).read_bytes() == blob, name
 
 
+def test_drift_scan_floor_failure_is_exit_4(tmp_path, capsys):
+    code = main(["drift-scan", "--case", "1a", "--kind", "charge", "--L", "3",
+                 "--N", "64", "--t-final", "0.01", "--out-dir", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    assert "boundary amplitude" in capsys.readouterr().err
+
+
 def test_drift_scan_rejects_bad_eps_grid(tmp_path, capsys):
     base = ["drift-scan", "--out-dir", str(tmp_path)]
     assert main(base + ["--eps-grid", "1e-1:1e-3:4"]) == EXIT_CONFIG

@@ -1,7 +1,13 @@
 """Engine tests: grammar, printing, evaluation, derivatives, equivalence."""
 
+import copy
 import math
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +19,9 @@ from ptnls.jetexpr import (DEFAULT_MAX_JET_ORDER, Const, CyclicBindingError,
                            JetPoint, JetSampler, ParamValues, ParseError, Sym,
                            Var, add, collect_coords, const, contains_t_derivative,
                            coord_from_name, div, erf, euler_operator, eval_expr,
-                           exp, expr_equiv, jet, mul, neg, parse_expr, partial,
-                           pow_, random_polynomial, sqrt, sub, substitute,
-                           to_text, total_derivative)
+                           exp, expr_equiv, jet, mul, neg, nodes, parse_expr,
+                           partial, pow_, random_polynomial, sqrt, sub,
+                           substitute, to_text, total_derivative)
 
 U, V = jet("u"), jet("v")
 UX, VX = jet("u", 0, 1), jet("v", 0, 1)
@@ -416,3 +422,68 @@ def test_expr_equiv_scale_normalization():
     b = parse_expr("100000000.0001*u")
     assert expr_equiv(a, b, tol=1e-10)
     assert not expr_equiv(a, parse_expr("100000001*u"), tol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# interning and deep expressions
+
+
+def test_equal_expressions_are_one_object():
+    text = "u_t + 1/2*v_xx - eps*x*u + 2*mu^2*sigma*exp(-alpha*x^2)*(u^2 + v^2)*v"
+    e = parse_expr(text)
+    assert parse_expr(text) is e
+    assert add(U, V) is add(U, V) and add(U, V) is not add(V, U)
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert copy.deepcopy(e) is e
+
+
+def test_constants_keep_type_and_sign_of_zero():
+    assert Const(1) is Const(Fraction(1))
+    assert Const(1) is not Const(1.0)
+    zero = Const(0.0)
+    assert Const(-0.0) is not zero
+    assert to_text(zero) == "0.0"
+    assert to_text(Const(-0.0)) == "-0.0"
+
+
+def test_infinite_constants_roundtrip():
+    # constant folding overflows to inf, e.g. 4.0/5e-324
+    for e in (Const(math.inf), erf(neg(sqrt(Const(math.inf)))), Const(-math.inf)):
+        assert parse_expr(to_text(e)) is e
+
+
+def test_nodes_lists_each_node_once_after_its_children():
+    s = add(U, V)
+    e = add(mul(s, s), exp(U))
+    order = nodes(e)
+    assert order == [U, V, s, mul(s, s), exp(U), e]
+    assert nodes(e, s, U) == order
+
+
+def test_import_leaves_recursion_limit_alone():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; before = sys.getrecursionlimit(); import ptnls.cli; "
+            "print(before, sys.getrecursionlimit())")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, after = done.stdout.split()
+    assert before == after
+
+
+def test_deep_sum_needs_no_recursion():
+    terms = 5000
+    text = " + ".join(f"{k}*u_x" for k in range(1, terms + 1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        e = parse_expr(text)
+        assert parse_expr(to_text(e)) is e
+        batch = JetSampler(seed=0).batch(8, 1)
+        want = terms * (terms + 1) / 2 * batch.values[JetCoord("u", 0, 1)]
+        np.testing.assert_allclose(eval_expr(e, batch), want, rtol=1e-10)
+        assert collect_coords(total_derivative(e, "x")) == {JetCoord("u", 0, 2)}
+        assert collect_coords(substitute(e, {"u_x": V})) == {JetCoord("v", 0, 0)}
+    finally:
+        sys.setrecursionlimit(limit)
