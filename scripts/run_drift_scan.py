@@ -3,8 +3,8 @@
 charge for case 2, written as CSV tables and SVG charts.
 
 The full scan integrates to T = 5 on N = 512 at seven eps values per block
-(plus the eps = 0 floor run each) and takes a few minutes; --quick shrinks
-it to a smoke-test size.
+plus the eps = 0 floor run, all members of a block stepped together, and
+takes about 10 s on one core; --quick shrinks it to a smoke-test size.
 """
 
 import argparse
@@ -24,7 +24,6 @@ BLOCKS = [(CaseId.CASE1A, Kind.CHARGE), (CaseId.CASE1A, Kind.ENERGY),
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="results")
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--quick", action="store_true",
                     help="short runs on a coarse grid (smoke test)")
     args = ap.parse_args(argv)
@@ -35,7 +34,7 @@ def main(argv=None) -> int:
         cfg = default_scan_config(case_id)
         if args.quick:
             cfg = replace(cfg, T_final=0.5, dt=2e-3, grid=Grid(N=256))
-        rep = drift_scan(case_id, kind, eps_list, cfg=cfg, jobs=args.jobs)
+        rep = drift_scan(case_id, kind, eps_list, cfg=cfg)
         reports.append(rep)
         slope = f"{rep.slope:.3f}" if rep.slope_valid else "not fitted"
         print(f"{case_id.value}/{kind.value}: slope {slope} over "

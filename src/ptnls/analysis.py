@@ -13,8 +13,7 @@ the fit, and at least four must qualify for the slope to be reported.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 from xml.sax.saxutils import escape
 
@@ -23,9 +22,8 @@ import numpy as np
 from . import __version__
 from .catalog import CaseId, Kind, load_catalog
 from .jetexpr import Expr, JetBatch, eval_expr
-from .solver import (BlowUpError, BoundaryContaminationError, Gaussian, Grid,
-                     SolverConfig, Trajectory, _case_arrays, integrate,
-                     jet_values, run)
+from .solver import (Gaussian, MemberResult, SolverConfig, Trajectory, _case_arrays,
+                     _fmt as _g, integrate, jet_values, run_members)
 
 __all__ = [
     "DensityTimeseries", "DriftMember", "DriftReport",
@@ -99,7 +97,7 @@ class DriftMember:
     drift_abs: float = math.nan
     drift_rel: float = math.nan
     failed: bool = False
-    error: str = ""
+    error: str = ""  # text of the error that ended a failed member's run
 
 
 @dataclass
@@ -137,21 +135,15 @@ def default_scan_config(case_id: CaseId) -> SolverConfig:
     return SolverConfig(case_id=case_id, initial=Gaussian(1.0, 1.0, 0.5))
 
 
-def _member(cfg: SolverConfig, case_id: CaseId, kind: Kind, form: str,
-            sample_every: int) -> DriftMember:
-    traj = run(cfg, sample_every=sample_every)
-    ts = density_timeseries(traj, case_id, kind, form)
+def _run_member(eps: float, result: MemberResult, case_id: CaseId, kind: Kind,
+                form: str) -> DriftMember:
+    """The DriftMember of one member's run: its drift along the trajectory,
+    or, if its run failed, the error text."""
+    if isinstance(result, Exception):
+        return DriftMember(eps, failed=True, error=str(result))
+    ts = density_timeseries(result, case_id, kind, form)
     drift_abs, drift_rel = drift_from_timeseries(ts)
-    return DriftMember(cfg.params.eps, float(ts.values[0]), drift_abs, drift_rel)
-
-
-def _run_member(args) -> DriftMember:
-    """One eps > 0 member; a numerical failure is recorded on the member as
-    text (the exception types do not survive the pickle back from a worker)."""
-    try:
-        return _member(*args)
-    except (BlowUpError, BoundaryContaminationError, FloatingPointError) as exc:
-        return DriftMember(args[0].params.eps, failed=True, error=str(exc))
+    return DriftMember(eps, float(ts.values[0]), drift_abs, drift_rel)
 
 
 def _qualifying(members: Sequence[DriftMember], floor: float) -> list[DriftMember]:
@@ -163,9 +155,11 @@ def _qualifying(members: Sequence[DriftMember], floor: float) -> list[DriftMembe
 
 def drift_scan(case_id: CaseId, kind: Kind, eps_list: Sequence[float],
                cfg: Optional[SolverConfig] = None, form: str = "Tt",
-               sample_every: int = 50, jobs: int = 1) -> DriftReport:
-    """Run the solver at eps = 0 and at each eps in eps_list, then fit
-    log(drift) against log(eps) over the members above the noise floor."""
+               sample_every: int = 50) -> DriftReport:
+    """Run the solver at eps = 0 and at each eps in eps_list, all members
+    stepped together, then fit log(drift) against log(eps) over the members
+    above the noise floor.  A failed eps > 0 member is kept, marked failed;
+    a failed eps = 0 floor run raises its error."""
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < MIN_FIT_MEMBERS:
         raise ValueError(f"need at least {MIN_FIT_MEMBERS} eps values")
@@ -178,15 +172,12 @@ def drift_scan(case_id: CaseId, kind: Kind, eps_list: Sequence[float],
     if cfg.case_id is not case_id:
         raise ValueError("cfg.case_id does not match the scanned case")
 
-    floor_task, *tasks = [(replace(cfg, params=cfg.params.replace(eps=e)), case_id,
-                           kind, form, sample_every) for e in [0.0] + eps_list]
+    eps_all = [0.0] + eps_list
+    results = run_members(cfg, eps_all, sample_every)
     # without a floor there is no scan: its failure propagates as raised
-    members = [_member(*floor_task)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            members += pool.map(_run_member, tasks)
-    else:
-        members += [_run_member(t) for t in tasks]
+    if isinstance(results[0], Exception):
+        raise results[0]
+    members = [_run_member(e, r, case_id, kind, form) for e, r in zip(eps_all, results)]
     floor = members[0].drift_rel
 
     fit = _qualifying(members, floor)
@@ -218,10 +209,6 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, f
 # report emission
 
 
-def _g(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _config_lines(cfg: SolverConfig, extra: Sequence[str] = ()) -> list[str]:
     p = cfg.params
     return [
@@ -234,20 +221,25 @@ def _config_lines(cfg: SolverConfig, extra: Sequence[str] = ()) -> list[str]:
     ]
 
 
+def _write_comments(fh, reports: Sequence[DriftReport], header_lines: Sequence[str]) -> None:
+    for rep in reports:
+        for line in _config_lines(rep.cfg):
+            fh.write(f"# {line}\n")
+    for line in header_lines:
+        fh.write(f"# {line}\n")
+
+
 def write_drift_csv(reports: Sequence[DriftReport], path,
                     header_lines: Sequence[str] = ()) -> None:
+    """A failed member's row holds nan, after a `# failed` line with its error."""
     with open(path, "w") as fh:
-        for rep in reports:
-            for line in _config_lines(rep.cfg):
-                fh.write(f"# {line}\n")
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+        _write_comments(fh, reports, header_lines)
         fh.write(DRIFT_CSV_HEADER + "\n")
         for rep in reports:
             p = rep.cfg.params
             for m in rep.members:
                 if m.failed:
-                    continue
+                    fh.write(f"# failed eps={_g(m.eps)}: {m.error}\n")
                 fh.write(",".join([
                     rep.case_id.value, rep.kind.value, _g(m.eps), _g(p.mu),
                     _g(p.sigma), _g(p.alpha), _g(p.g), str(rep.cfg.grid.N),
@@ -258,11 +250,7 @@ def write_drift_csv(reports: Sequence[DriftReport], path,
 def write_slope_csv(reports: Sequence[DriftReport], path,
                     header_lines: Sequence[str] = ()) -> None:
     with open(path, "w") as fh:
-        for rep in reports:
-            for line in _config_lines(rep.cfg):
-                fh.write(f"# {line}\n")
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+        _write_comments(fh, reports, header_lines)
         fh.write(SLOPE_CSV_HEADER + "\n")
         for rep in reports:
             if rep.slope_valid:

@@ -127,18 +127,6 @@ class CatalogRecord:
 
 _SLOTS = ("a", "b", "E1", "E2", "Q1", "Q2", "Tt", "Tx", "PhiT", "Ru", "Rv")
 
-# Which symbolic slots each (case, kind) block ships.
-_AVAILABLE = {
-    ("case1a", "energy"): {"Tt", "Tx", "PhiT", "Ru", "Rv"},
-    ("case1a", "charge"): {"Tt", "Tx", "PhiT", "Ru", "Rv"},
-    ("case1b", "energy"): {"Tt", "Ru", "Rv"},
-    ("case1b", "charge"): {"Tt", "Ru", "Rv"},
-    ("case1c", "energy"): {"Ru", "Rv"},
-    ("case1c", "charge"): {"Ru", "Rv"},
-    ("case2", "energy"): {"Tt", "Tx", "Ru", "Rv"},
-    ("case2", "charge"): {"Tt", "Tx", "PhiT", "Ru", "Rv"},
-}
-
 
 def _read_records(filename: str, strict: bool) -> list[CatalogRecord]:
     body = resources.files(__package__).joinpath(f"data/{filename}").read_text("utf-8")
@@ -223,14 +211,12 @@ class Catalog:
         return PdeSystem(case_id, e1, e2)
 
     def conserved_vector(self, case_id: CaseId, kind: Kind) -> Optional[ConservedVector]:
-        available = _AVAILABLE[(case_id.value, kind.value)]
-        if "Tt" not in available:
+        """The block's Tt, Tx and PhiT records where shipped; None without Tt."""
+        tt, tx, phi = (self._by_key.get((case_id.value, kind.value, slot))
+                       for slot in ("Tt", "Tx", "PhiT"))
+        if tt is None:
             return None
-        get = lambda slot: self._by_key.get((case_id.value, kind.value, slot))
-        tt = get("Tt").expr
-        tx = get("Tx").expr if "Tx" in available else None
-        phi = get("PhiT").expr if "PhiT" in available else None
-        return ConservedVector(case_id, kind, tt, tx, phi)
+        return ConservedVector(case_id, kind, tt.expr, tx and tx.expr, phi and phi.expr)
 
     def residual_target(self, case_id: CaseId, kind: Kind) -> Optional[EulerResidualTarget]:
         """Transcribed residual targets only; the case-1b charge target is

@@ -24,15 +24,16 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .analysis import (default_scan_config, density_timeseries,
-                       drift_from_timeseries, drift_scan, emit_report)
+from .analysis import (density_timeseries, drift_from_timeseries, drift_scan,
+                       emit_report)
 from .catalog import CaseId, Kind, load_catalog
-from .jetexpr import (EvalError, ExprError, JetBatch, JetCoord, ParamValues,
-                      ParseError, coord_from_name, eval_expr, parse_expr, to_text)
+from .jetexpr import (EvalError, JetBatch, ParamValues, ParseError, coord_from_name,
+                      eval_expr, parse_expr, to_text)
 from .solver import (BlowUpError, BoundaryContaminationError, Gaussian, Grid,
                      GroundState, SolverConfig, run, write_trajectory_csv)
 from .verify import FluxUnavailableError, check_divergence, check_residual
@@ -73,7 +74,7 @@ class Settings:
         "eps": float, "mu": float, "sigma": float, "alpha": float, "g": float,
         "L": float, "dt": float, "t_final": float, "amplitude": float,
         "width": float, "center": float, "tol": float,
-        "N": int, "n": int, "seed": int, "jobs": int, "sample_every": int,
+        "N": int, "n": int, "seed": int, "sample_every": int,
         "eps_grid": str, "out_dir": str,
     }
 
@@ -253,13 +254,12 @@ def cmd_drift_scan(settings: Settings) -> int:
     kind = Kind.parse(settings.get("kind", "charge"))
     form = settings.get("form", "Tt")
     eps_list = _parse_eps_grid(settings.get("eps_grid", "1e-3:1e-1:7"))
-    jobs = settings.get("jobs", 1)
     out_dir = settings.get("out_dir", "out")
     sample_every = settings.get("sample_every", 50)
     cfg = _solver_config(settings, case_id)
 
     report = drift_scan(case_id, kind, eps_list, cfg=cfg, form=form,
-                        sample_every=sample_every, jobs=jobs)
+                        sample_every=sample_every)
     header = [f"{k}={v}" for k, v in settings.resolved.items()]
     paths = emit_report([report], "csv", out_dir, header_lines=header)
     paths += emit_report([report], "svg", out_dir, header_lines=header)
@@ -268,9 +268,7 @@ def cmd_drift_scan(settings: Settings) -> int:
            "form": form, "floor": report.floor, "slope": report.slope,
            "intercept": report.intercept, "fit_residual": report.fit_residual,
            "slope_valid": report.slope_valid, "fit_members": report.fit_members,
-           "members": [{"eps": m.eps, "Q0": m.Q0, "drift_abs": m.drift_abs,
-                        "drift_rel": m.drift_rel, "failed": m.failed,
-                        "error": m.error} for m in report.members]}, settings)
+           "members": [asdict(m) for m in report.members]}, settings)
     for m in report.members:
         if m.failed:
             print(f"[skip] eps={m.eps:g}: {m.error}")
@@ -382,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", choices=["Tt", "PhiT"], default=None)
     p.add_argument("--eps-grid", dest="eps_grid",
                    help="start:stop:count, log spaced (default 1e-3:1e-1:7)")
-    p.add_argument("--jobs", type=int, help="parallel member runs (default 1)")
 
     p = sub.add_parser("parse-expr", help="parse, print, optionally evaluate")
     common(p)

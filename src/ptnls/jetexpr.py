@@ -34,9 +34,9 @@ from __future__ import annotations
 import math
 import re
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 from scipy.special import erf as _np_erf

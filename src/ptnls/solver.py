@@ -11,6 +11,10 @@ pointwise flow has a closed form since |q|^2 evolves by the factor
 e^{2 eps b t}, but RK4 keeps the stepper uniform and is far below the
 splitting error at the default dt.)
 
+Every run steps an ensemble: members that differ only in eps are the rows
+of one (members, N) array, and a single run is an ensemble of one.  Each
+row's arithmetic is that of a run of its own, bit for bit.
+
 The grid is periodic on [-L, L) with nodes offset by half a cell so that
 x = 0 is never a node; several cataloged densities carry 1/x^k prefactors
 and stay finite only as limits there.
@@ -22,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .jetexpr import JetBatch, JetCoord, ParamValues, eval_expr
 __all__ = [
     "Grid", "FieldState", "Gaussian", "GroundState", "SolverConfig", "Stepper",
     "Trajectory", "BlowUpError", "BoundaryContaminationError",
-    "initial_condition", "make_stepper", "run", "integrate", "resample",
+    "initial_condition", "make_stepper", "run", "run_members", "integrate", "resample",
     "jet_values", "write_trajectory_csv",
 ]
 
@@ -91,9 +95,6 @@ class FieldState:
     t: float
     q: np.ndarray
     grid: Grid
-
-    def copy(self) -> "FieldState":
-        return FieldState(self.t, self.q.copy(), self.grid)
 
 
 @dataclass(frozen=True)
@@ -154,22 +155,22 @@ class Stepper:
     exact kinetic half.
 
     Built either from a case (arrays evaluated from the catalog) or from raw
-    arrays (a, b, nonlinear coefficient) for contrived test systems.
+    arrays (a, b, nonlinear coefficient) for contrived test systems.  With
+    a vector of M eps values the field is (M, N), one member per row.
     """
 
     def __init__(self, grid: Grid, dt: float, a: np.ndarray, b: np.ndarray,
-                 nl: np.ndarray, eps: float):
-        self.grid = grid
+                 nl: np.ndarray, eps):
         self.dt = dt
         self.a = np.broadcast_to(np.asarray(a, float), (grid.N,))
         self.b = np.broadcast_to(np.asarray(b, float), (grid.N,))
         self.nl = np.broadcast_to(np.asarray(nl, float), (grid.N,))
-        self.eps = float(eps)
+        self.gain = np.asarray(eps, float)[..., None] * self.b
         self.kinetic_half = np.exp(-0.25j * grid.k ** 2 * dt)
 
     def _local_rhs(self, q: np.ndarray) -> np.ndarray:
         return (-1j * (self.a + self.nl * (q.real ** 2 + q.imag ** 2))
-                + self.eps * self.b) * q
+                + self.gain) * q
 
     def step(self, state: FieldState) -> FieldState:
         q = np.fft.ifft(self.kinetic_half * np.fft.fft(state.q))
@@ -196,9 +197,10 @@ def _case_arrays(case_id: CaseId, params: ParamValues, grid: Grid):
     return a, b, nl
 
 
-def make_stepper(cfg: SolverConfig) -> Stepper:
+def make_stepper(cfg: SolverConfig, eps) -> Stepper:
+    """The stepper of `cfg` for one eps value, or for a vector of members."""
     a, b, nl = _case_arrays(cfg.case_id, cfg.params, cfg.grid)
-    return Stepper(cfg.grid, cfg.dt, a, b, nl, cfg.params.eps)
+    return Stepper(cfg.grid, cfg.dt, a, b, nl, eps)
 
 
 @dataclass
@@ -217,42 +219,73 @@ class Trajectory:
         return len(self.snapshots)
 
 
-def _check_health(state: FieldState, warned: list) -> None:
-    q = state.q
+def _check_health(t: float, q: np.ndarray, warned: list) -> Optional[Exception]:
+    """The error that ends the member whose field is q, if any; `warned` is its own."""
     if not np.all(np.isfinite(q.view(float))):
-        raise BlowUpError(state.t)
+        return BlowUpError(t)
     amax = float(np.max(np.abs(q)))
     if amax == 0.0:
-        return
+        return None
     edge = max(float(np.max(np.abs(q[:2]))), float(np.max(np.abs(q[-2:]))))
     level = edge / amax
     if level > BOUNDARY_ERROR:
-        raise BoundaryContaminationError(state.t, level)
+        return BoundaryContaminationError(t, level)
     if level > BOUNDARY_WARN and not warned:
-        warned.append(state.t)
+        warned.append(t)
         warnings.warn(
-            f"boundary amplitude at {level:.3e} of the field maximum at t = {state.t:.6g}",
-            RuntimeWarning, stacklevel=3)
+            f"boundary amplitude at {level:.3e} of the field maximum at t = {t:.6g}",
+            RuntimeWarning, stacklevel=4)
+    return None
+
+
+MemberResult = Union[Trajectory, BlowUpError, BoundaryContaminationError]
+
+
+def run_members(cfg: SolverConfig, eps_values: Sequence[float],
+                sample_every: int = 50) -> list[MemberResult]:
+    """Integrate `cfg` once per eps value, the members stepped together.
+    Each member's result is its Trajectory (a snapshot every `sample_every`
+    steps, plus the initial and final states), or the error that ended it
+    at the snapshot where its health check failed while the others went on.
+    All snapshots share one array; a trajectory's fields are row views."""
+    if sample_every < 1:
+        raise ValueError("sample_every must be at least 1")
+    grid, members = cfg.grid, len(eps_values)
+    stepper = make_stepper(cfg, eps_values)
+    state = FieldState(0.0, np.tile(initial_condition(cfg).q, (members, 1)), grid)
+    snapshots = np.empty((cfg.steps // sample_every + 2, members, grid.N), complex)
+    times: list[float] = []
+    alive = np.arange(members)  # the member of each row of state.q
+    errors: list = [None] * members
+    warned: list[list] = [[] for _ in range(members)]
+    for n in range(cfg.steps + 1):
+        if n:
+            state = stepper.step(state)
+            # walltime drift of repeated addition is avoided: t from the count
+            state.t = n * cfg.dt
+        if n % sample_every and n != cfg.steps:
+            continue
+        for row, m in enumerate(alive):
+            errors[m] = _check_health(state.t, state.q[row], warned[m])
+        keep = [row for row, m in enumerate(alive) if errors[m] is None]
+        if not keep:
+            break
+        alive, state.q, stepper.gain = alive[keep], state.q[keep], stepper.gain[keep]
+        snapshots[len(times), alive] = state.q
+        times.append(state.t)
+    return [errors[m] or Trajectory(replace(cfg, params=cfg.params.replace(eps=float(e))),
+                                        [FieldState(t, snapshots[k, m], grid)
+                                         for k, t in enumerate(times)])
+            for m, e in enumerate(eps_values)]
 
 
 def run(cfg: SolverConfig, sample_every: int = 50) -> Trajectory:
     """Integrate to T_final, keeping a snapshot every `sample_every` steps
-    (plus the initial and final states)."""
-    if sample_every < 1:
-        raise ValueError("sample_every must be at least 1")
-    stepper = make_stepper(cfg)
-    state = initial_condition(cfg)
-    warned: list = []
-    _check_health(state, warned)
-    snapshots = [state.copy()]
-    for n in range(1, cfg.steps + 1):
-        state = stepper.step(state)
-        # walltime drift of repeated addition is avoided: t from the count
-        state.t = n * cfg.dt
-        if n % sample_every == 0 or n == cfg.steps:
-            _check_health(state, warned)
-            snapshots.append(state.copy())
-    return Trajectory(cfg, snapshots)
+    (plus the initial and final states); an ensemble of one."""
+    (result,) = run_members(cfg, [cfg.params.eps], sample_every)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def integrate(grid: Grid, values: np.ndarray) -> float:

@@ -30,16 +30,14 @@ from typing import Optional
 import numpy as np
 
 from .analysis import fit_loglog_slope
-from .catalog import (CaseId, Catalog, EulerResidualTarget, Kind, Multiplier,
-                      PdeSystem, load_catalog)
-from .jetexpr import (DEFAULT_MAX_JET_ORDER, EquivResult, Expr, JetBatch, JetCoord,
-                      JetPoint, JetSampler, ParamValues, add, collect_coords,
-                      euler_operator, eval_expr, expr_equiv, mul, sub,
-                      total_derivative, to_text)
+from .catalog import CaseId, Catalog, Kind, load_catalog
+from .jetexpr import (Expr, JetBatch, JetCoord, JetPoint, JetSampler, ParamValues,
+                      add, euler_operator, eval_expr, expr_equiv, mul, sub,
+                      total_derivative)
 
 __all__ = [
     "FluxUnavailableError", "ResidualReport", "DivergenceReport", "RawComparison",
-    "OracleResult", "euler_residual", "check_residual", "check_all_residuals",
+    "OracleResult", "euler_residual", "check_residual",
     "divergence_residual", "check_divergence", "independent_variational_check",
     "EPS_GRID", "complete_point",
 ]
@@ -220,11 +218,6 @@ def check_residual(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-10
         residual_u=ru, residual_v=rv,
         raw_comparisons=tuple(_raw_target_comparisons(cat, case_id, kind, (ru, rv), n)),
     )
-
-
-def check_all_residuals(n: int = 100, tol: float = 1e-10, seed: int = 0) -> list[ResidualReport]:
-    return [check_residual(cid, kind, n=n, tol=tol, seed=seed)
-            for cid in CaseId for kind in Kind]
 
 
 def divergence_residual(case_id: CaseId, kind: Kind,

@@ -2,6 +2,7 @@
 and SVG emitters."""
 
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,15 +167,48 @@ def test_floor_blow_up_keeps_its_time():
     assert exc.value.t > 0
 
 
-def test_parallel_scan_matches_serial(charge_scan, tmp_path):
-    rep2 = drift_scan(CaseId.CASE1A, Kind.CHARGE, EPS_LIST, cfg=_short_cfg(),
-                      jobs=2)
-    assert rep2.members == charge_scan.members
-    assert rep2.slope == charge_scan.slope
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_drift_csv([charge_scan], a)
-    write_drift_csv([rep2], b)
-    assert a.read_bytes() == b.read_bytes()
+def _single_run(cfg, eps, kind=Kind.CHARGE):
+    """(Q0, drift_abs, drift_rel) of one member integrated on its own."""
+    traj = run(replace(cfg, params=cfg.params.replace(eps=eps)))
+    ts = density_timeseries(traj, cfg.case_id, kind)
+    return (float(ts.values[0]), *drift_from_timeseries(ts))
+
+
+def test_scan_members_match_single_runs(charge_scan):
+    # stepping the members together changes no bit of any member's numbers
+    cfg = _short_cfg()
+    assert [m.eps for m in charge_scan.members] == [0.0] + EPS_LIST
+    for m in charge_scan.members:
+        assert (m.Q0, m.drift_abs, m.drift_rel) == _single_run(cfg, m.eps)
+
+
+@pytest.mark.filterwarnings("ignore:boundary amplitude at:RuntimeWarning")
+def test_failed_member_is_kept_and_left_out_of_the_fit(tmp_path):
+    # in a small box only the largest gain carries mass past the boundary bound
+    cfg = _short_cfg(grid=Grid(L=6.0, N=128))
+    rep = drift_scan(CaseId.CASE1A, Kind.CHARGE, EPS_LIST[:-1] + [1.0], cfg=cfg)
+    *rest, failed = rep.members
+    assert failed.failed and failed.eps == 1.0
+    with pytest.raises(BoundaryContaminationError) as exc:
+        run(replace(cfg, params=cfg.params.replace(eps=1.0)))
+    assert failed.error == str(exc.value)
+
+    for m in rest:
+        assert not m.failed
+        assert (m.Q0, m.drift_abs, m.drift_rel) == _single_run(cfg, m.eps)
+    gained = rest[1:]
+    assert rep.slope_valid and rep.fit_members == len(gained) == 4
+    assert (rep.slope, rep.intercept, rep.fit_residual) == fit_loglog_slope(
+        [m.eps for m in gained], [m.drift_rel for m in gained])
+
+    path = tmp_path / "drift.csv"
+    write_drift_csv([rep], path)
+    lines = path.read_text().splitlines()
+    assert f"# failed eps=1: {failed.error}" in lines
+    data = [l for l in lines if not l.startswith("#")]
+    assert len(data) == 1 + len(rep.members)
+    row = data[-1].split(",")
+    assert row[:3] == ["case1a", "charge", "1"] and row[11:] == ["nan"] * 3
 
 
 # ---------------------------------------------------------------------------

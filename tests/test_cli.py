@@ -203,6 +203,14 @@ def test_drift_scan_floor_failure_is_exit_4(tmp_path, capsys):
     assert "boundary amplitude" in capsys.readouterr().err
 
 
+def test_drift_scan_has_no_jobs_option(tmp_path, capsys):
+    assert main(SCAN_ARGS + ["--jobs", "2", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("jobs=2\n")
+    assert main(SCAN_ARGS + ["--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "unknown config key 'jobs'" in capsys.readouterr().err
+
+
 def test_drift_scan_rejects_bad_eps_grid(tmp_path, capsys):
     base = ["drift-scan", "--out-dir", str(tmp_path)]
     assert main(base + ["--eps-grid", "1e-1:1e-3:4"]) == EXIT_CONFIG

@@ -2,6 +2,7 @@
 invariance, conservation/growth rates, and the health monitors."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from ptnls.jetexpr import JetCoord, ParamValues
 from ptnls.solver import (BlowUpError, BoundaryContaminationError, FieldState,
                           Gaussian, Grid, GroundState, SolverConfig, Stepper,
                           initial_condition, integrate, jet_values, resample,
-                          run, write_trajectory_csv)
+                          run, run_members, write_trajectory_csv)
 
 
 def _linear_cfg(**kw):
@@ -170,6 +171,25 @@ def test_boundary_contamination_is_an_error():
     cfg = _linear_cfg(T_final=0.0, initial=Gaussian(1.0, 1.0, 18.0))
     with pytest.raises(BoundaryContaminationError):
         run(cfg)
+
+
+@pytest.mark.filterwarnings("ignore:boundary amplitude at:RuntimeWarning")
+def test_failed_member_leaves_the_others_bit_identical():
+    # in a small box the largest gain reaches the boundary bound; its row sits
+    # between two members that finish, so the rows left behind must realign
+    cfg = SolverConfig(dt=1e-3, T_final=1.0, grid=Grid(L=6.0, N=128),
+                       initial=Gaussian(1.0, 1.0, 0.5))
+    eps = [0.01, 1.0, 0.0]
+    results = run_members(cfg, eps)
+    with pytest.raises(BoundaryContaminationError) as exc:
+        run(replace(cfg, params=cfg.params.replace(eps=1.0)))
+    assert isinstance(results[1], BoundaryContaminationError)
+    assert (results[1].t, str(results[1])) == (exc.value.t, str(exc.value))
+    for e, traj in zip(eps[::2], results[::2]):
+        alone = run(replace(cfg, params=cfg.params.replace(eps=e)))
+        assert traj.cfg == alone.cfg
+        assert [s.t for s in traj] == [s.t for s in alone]
+        assert all(np.array_equal(a.q, b.q) for a, b in zip(traj, alone))
 
 
 def test_boundary_proximity_warns_once():
