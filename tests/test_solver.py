@@ -87,6 +87,36 @@ def test_free_plane_wave_is_exact():
     assert np.max(np.abs(state.q - exact)) < 1e-12
 
 
+def test_uniform_field_follows_the_exact_pointwise_flow():
+    # only k = 0 is present, so the kinetic factor is 1 and each step is the
+    # exact flow of i q_t = (a + i g) q + nl |q|^2 q: rho0 e^{2 g t} and its phase
+    grid, dt, steps = Grid(L=10.0, N=64), 0.05, 40
+    a, b, nl, eps = 0.7, 0.3, -1.5, np.array([0.0, 0.1, -0.2])  # eps = 0: phi(0)
+    q0 = 0.8 - 0.6j
+    stepper = Stepper(grid, dt, a, b, nl, eps)
+    state = FieldState(0.0, np.full((eps.size, grid.N), q0), grid)
+    for _ in range(steps):
+        state = stepper.step(state)
+    t, g, rho0 = steps * dt, eps * b, abs(q0) ** 2
+    growth = np.array([t if gi == 0 else math.expm1(2 * gi * t) / (2 * gi) for gi in g])
+    rho = rho0 * np.exp(2 * g * t)
+    phase = np.angle(q0) - a * t - nl * rho0 * growth
+    exact = np.sqrt(rho) * np.exp(1j * phase)
+    assert np.max(np.abs(state.q / exact[:, None] - 1.0)) < 1e-12
+
+
+def test_norm_is_conserved_without_gain():
+    # at eps = 0 the nonlinear flow and the kinetic steps are both unitary, so
+    # only rounding moves the norm: at most about one ulp per FFT, 4 per step
+    # (5000 bare FFT round trips at N = 512 already drift it by ~3e-13).
+    # RK4 on the pointwise flow drifted 2.7e-9 on this run.
+    cfg = SolverConfig(case_id=CaseId.CASE2, params=ParamValues(eps=0.0), dt=4e-3,
+                       T_final=20.0, grid=Grid(N=512), initial=Gaussian(1.0, 1.0, 0.5))
+    norms = [integrate(cfg.grid, np.abs(s.q) ** 2) for s in run(cfg, sample_every=500)]
+    assert len(norms) == 11 and cfg.steps == 5000
+    assert max(abs(n / norms[0] - 1.0) for n in norms) < 4 * cfg.steps * np.finfo(float).eps
+
+
 def test_ground_state_is_stationary():
     cfg = _linear_cfg(T_final=1.0)
     traj = run(cfg)
@@ -167,6 +197,17 @@ def test_gain_blow_up_is_caught():
             run(cfg, sample_every=1)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blow_up_time_is_the_step_not_the_snapshot():
+    # |q|^2 overflows in the first step, three steps before the next snapshot
+    cfg = SolverConfig(params=ParamValues(eps=0.0), dt=1e-3, T_final=0.01,
+                       grid=Grid(N=256), initial=Gaussian(1e160, 1.0, 0.5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError) as exc:
+            run(cfg, sample_every=4)
+    assert exc.value.t == cfg.dt
+
+
 def test_boundary_contamination_is_an_error():
     cfg = _linear_cfg(T_final=0.0, initial=Gaussian(1.0, 1.0, 18.0))
     with pytest.raises(BoundaryContaminationError):
@@ -240,3 +281,32 @@ def test_trajectory_csv_round_trips(tmp_path):
     for (t, x, re, im), xj, qj in zip(rows[2 * 64:], state.grid.x, state.q):
         assert float(t) == state.t and float(x) == xj
         assert float(re) == qj.real and float(im) == qj.imag
+
+
+def _reference_trajectory_csv(traj, header_lines):
+    """The row-by-row writer, one format call per value."""
+    cfg, p, f = traj.cfg, traj.cfg.params, (lambda v: format(v, ".17g"))
+    out = [f"# {line}\n" for line in header_lines]
+    out.append(f"# case={cfg.case_id.value} N={cfg.grid.N} L={f(cfg.grid.L)}"
+               f" dt={f(cfg.dt)} T_final={f(cfg.T_final)}\n")
+    out.append(f"# eps={f(p.eps)} mu={f(p.mu)} sigma={f(p.sigma)}"
+               f" alpha={f(p.alpha)} g={f(p.g)}\n")
+    out.append("t,x,re_q,im_q\n")
+    for state in traj.snapshots:
+        for xj, qj in zip(state.grid.x, state.q):
+            out.append(f"{f(state.t)},{f(xj)},{f(qj.real)},{f(qj.imag)}\n")
+    return "".join(out)
+
+
+def test_trajectory_csv_matches_the_row_by_row_writer(tmp_path):
+    cfg = _linear_cfg(grid=Grid(L=7.5, N=64), params=ParamValues(eps=0.1 + 0.2),
+                      dt=1e-3, T_final=3e-3)
+    traj = run(cfg, sample_every=1)
+    odd = traj.snapshots[1].q.copy()
+    odd[:6] = [-0.0, complex(5e-324, -0.0), complex(1e300, -1e300),
+               complex(-2.2250738585072014e-308, 1 / 3), 1e-5j, complex(123456789.0, -1e22)]
+    traj.snapshots[1] = FieldState(0.1 + 0.2, odd, cfg.grid)
+    path = tmp_path / "traj.csv"
+    header = ["seed=0", "note=x,y 100%"]
+    write_trajectory_csv(traj, path, header_lines=header)
+    assert path.read_bytes() == _reference_trajectory_csv(traj, header).encode()
