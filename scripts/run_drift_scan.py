@@ -40,8 +40,7 @@ def main(argv=None) -> int:
         print(f"{case_id.value}/{kind.value}: slope {slope} over "
               f"{rep.fit_members} members, floor {rep.floor:.2e}")
 
-    paths = emit_report(reports, "csv", args.out_dir)
-    paths += emit_report(reports, "svg", args.out_dir)
+    paths = emit_report(reports, args.out_dir)
     print("wrote: " + ", ".join(paths))
     return 0 if all(r.slope_valid for r in reports) else 1
 

@@ -171,6 +171,7 @@ def drift_scan(case_id: CaseId, kind: Kind, eps_list: Sequence[float],
         cfg = default_scan_config(case_id)
     if cfg.case_id is not case_id:
         raise ValueError("cfg.case_id does not match the scanned case")
+    _density_expr(case_id, kind, form)  # a missing density fails before any stepping
 
     eps_all = [0.0] + eps_list
     results = run_members(cfg, eps_all, sample_every)
@@ -433,10 +434,10 @@ def write_timeseries_svg(series: Sequence[DensityTimeseries], path,
         fh.write("\n".join(parts) + "\n")
 
 
-def emit_report(reports: Sequence, fmt: str, out_dir, stem: str = "drift",
+def emit_report(reports: Sequence, out_dir, stem: str = "drift",
                 header_lines: Sequence[str] = ()) -> list[str]:
-    """Write DriftReports (csv: drift + slope tables; svg: one chart per
-    report) or DensityTimeseries (csv: long table; svg: one chart).
+    """Write DriftReports (drift + slope tables, one chart per report) or
+    DensityTimeseries (a long table and one chart) as CSV, then SVG.
     Returns the written paths."""
     import os
 
@@ -444,28 +445,23 @@ def emit_report(reports: Sequence, fmt: str, out_dir, stem: str = "drift",
     paths = []
     timeseries = [r for r in reports if isinstance(r, DensityTimeseries)]
     drifts = [r for r in reports if isinstance(r, DriftReport)]
-    if fmt == "csv":
-        if timeseries:
-            p = os.path.join(out_dir, f"{stem}_timeseries.csv")
-            write_timeseries_csv(timeseries, p, header_lines)
-            paths.append(p)
-        if drifts or not timeseries:
-            p = os.path.join(out_dir, f"{stem}.csv")
-            write_drift_csv(drifts, p, header_lines)
-            paths.append(p)
-            p = os.path.join(out_dir, f"{stem}_slopes.csv")
-            write_slope_csv(drifts, p, header_lines)
-            paths.append(p)
-    elif fmt == "svg":
-        if timeseries:
-            p = os.path.join(out_dir, f"{stem}_timeseries.svg")
-            write_timeseries_svg(timeseries, p, header_lines)
-            paths.append(p)
-        for rep in drifts:
-            p = os.path.join(out_dir,
-                             f"{stem}_{rep.case_id.value}_{rep.kind.value}.svg")
-            write_drift_svg(rep, p, header_lines)
-            paths.append(p)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    if timeseries:
+        p = os.path.join(out_dir, f"{stem}_timeseries.csv")
+        write_timeseries_csv(timeseries, p, header_lines)
+        paths.append(p)
+    if drifts or not timeseries:
+        p = os.path.join(out_dir, f"{stem}.csv")
+        write_drift_csv(drifts, p, header_lines)
+        paths.append(p)
+        p = os.path.join(out_dir, f"{stem}_slopes.csv")
+        write_slope_csv(drifts, p, header_lines)
+        paths.append(p)
+    if timeseries:
+        p = os.path.join(out_dir, f"{stem}_timeseries.svg")
+        write_timeseries_svg(timeseries, p, header_lines)
+        paths.append(p)
+    for rep in drifts:
+        p = os.path.join(out_dir, f"{stem}_{rep.case_id.value}_{rep.kind.value}.svg")
+        write_drift_svg(rep, p, header_lines)
+        paths.append(p)
     return paths

@@ -218,27 +218,16 @@ class Catalog:
             return None
         return ConservedVector(case_id, kind, tt.expr, tx and tx.expr, phi and phi.expr)
 
-    def residual_target(self, case_id: CaseId, kind: Kind) -> Optional[EulerResidualTarget]:
-        """Transcribed residual targets only; the case-1b charge target is
-        not displayed anywhere and lives behind derived_residual instead."""
-        rec = self._by_key.get((case_id.value, kind.value, "Ru"))
-        if rec is None or rec.anchor.startswith("derived:"):
-            return None
-        rv = self._by_key[(case_id.value, kind.value, "Rv")]
-        return EulerResidualTarget(case_id, kind, rec.expr, rv.expr, derived=False)
-
-    def derived_residual(self, case_id: CaseId, kind: Kind) -> Optional[EulerResidualTarget]:
-        rec = self._by_key.get((case_id.value, kind.value, "Ru"))
-        if rec is None or not rec.anchor.startswith("derived:"):
-            return None
-        rv = self._by_key[(case_id.value, kind.value, "Rv")]
-        return EulerResidualTarget(case_id, kind, rec.expr, rv.expr, derived=True)
-
-    def any_residual_target(self, case_id: CaseId, kind: Kind) -> EulerResidualTarget:
-        target = self.residual_target(case_id, kind) or self.derived_residual(case_id, kind)
-        if target is None:
+    def residual_target(self, case_id: CaseId, kind: Kind) -> EulerResidualTarget:
+        """The block's stated residual; `derived` when its anchor reads
+        `derived:` (the case-1b charge target is displayed nowhere and was
+        computed with the engine).  KeyError for a block without a target."""
+        ru = self._by_key.get((case_id.value, kind.value, "Ru"))
+        if ru is None:
             raise KeyError(f"no residual target for {case_id.value}/{kind.value}")
-        return target
+        rv = self._by_key[(case_id.value, kind.value, "Rv")]
+        return EulerResidualTarget(case_id, kind, ru.expr, rv.expr,
+                                   derived=ru.anchor.startswith("derived:"))
 
 
 @lru_cache(maxsize=1)

@@ -24,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -229,8 +229,7 @@ def cmd_simulate(settings: Settings) -> int:
               f"drift {drift_abs:.3e} (rel {drift_rel:.3e})")
     paths = [traj_path]
     if series:
-        paths += emit_report(series, "csv", out_dir, stem="density", header_lines=header)
-        paths += emit_report(series, "svg", out_dir, stem="density", header_lines=header)
+        paths += emit_report(series, out_dir, stem="density", header_lines=header)
     print("wrote: " + ", ".join(paths))
     return EXIT_OK
 
@@ -261,8 +260,7 @@ def cmd_drift_scan(settings: Settings) -> int:
     report = drift_scan(case_id, kind, eps_list, cfg=cfg, form=form,
                         sample_every=sample_every)
     header = [f"{k}={v}" for k, v in settings.resolved.items()]
-    paths = emit_report([report], "csv", out_dir, header_lines=header)
-    paths += emit_report([report], "svg", out_dir, header_lines=header)
+    paths = emit_report([report], out_dir, header_lines=header)
 
     _emit({"check": "drift-scan", "case": case_id.value, "kind": kind.value,
            "form": form, "floor": report.floor, "slope": report.slope,
@@ -313,7 +311,12 @@ def cmd_parse_expr(settings: Settings) -> int:
             raise ConfigError(f"--point: {name!r} is not a jet coordinate")
         values[coord] = value
     pvals = _parse_assignments(getattr(args, "params", "") or "", "--params")
-    params = ParamValues(**pvals) if pvals else ParamValues()
+    names = [f.name for f in fields(ParamValues)]
+    for name in pvals:
+        if name not in names:
+            raise ConfigError(f"--params: unknown parameter {name!r} "
+                              f"(expected one of: {', '.join(names)})")
+    params = ParamValues(**pvals)
     batch = JetBatch(np.array([args.t]), np.array([args.x]), e.order,
                      {c: np.array([v]) for c, v in values.items()})
     try:
@@ -337,19 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value file; flags override")
         p.add_argument("--seed", type=int, help="RNG seed (fallback: PTNLS_SEED, then 0)")
 
-    p = sub.add_parser("verify-euler", help="euler residuals vs cataloged targets")
-    common(p)
-    p.add_argument("--case", help="1a, 1b, 1c, 2 or all (default all)")
-    p.add_argument("--kind", choices=["energy", "charge", "both"], default=None)
-    p.add_argument("--n", type=int, help="sample count (default 100)")
-    p.add_argument("--tol", type=float, help="relative tolerance (default 1e-10)")
+    def verify_flags(p, tol: str):
+        common(p)
+        p.add_argument("--case", help="1a, 1b, 1c, 2 or all (default all)")
+        p.add_argument("--kind", choices=["energy", "charge", "both"], default=None)
+        p.add_argument("--n", type=int, help="sample count (default 100)")
+        p.add_argument("--tol", type=float, help=f"relative tolerance (default {tol})")
 
-    p = sub.add_parser("verify-divergence", help="D_t Tt + D_x Tx vs Q.E")
-    common(p)
-    p.add_argument("--case", help="1a, 1b, 1c, 2 or all (default all)")
-    p.add_argument("--kind", choices=["energy", "charge", "both"], default=None)
-    p.add_argument("--n", type=int, help="sample count (default 100)")
-    p.add_argument("--tol", type=float, help="relative tolerance (default 1e-9)")
+    verify_flags(sub.add_parser("verify-euler", help="euler residuals vs cataloged targets"),
+                 "1e-10")
+    verify_flags(sub.add_parser("verify-divergence", help="D_t Tt + D_x Tx vs Q.E"), "1e-9")
 
     def solver_flags(p):
         p.add_argument("--case", help="1a, 1b, 1c or 2")

@@ -49,7 +49,7 @@ __all__ = [
     "parse_expr", "to_text", "eval_expr", "partial", "total_derivative",
     "euler_operator", "substitute", "collect_coords", "contains_t_derivative",
     "nodes", "expr_equiv", "EquivResult", "JetPoint", "JetBatch", "JetSampler",
-    "ParamValues", "random_polynomial",
+    "ParamValues", "complete_coords", "random_polynomial",
 ]
 
 DEFAULT_MAX_JET_ORDER = 4
@@ -648,7 +648,9 @@ class ParamValues:
         return replace(self, **kw)
 
 
-def _complete_coords(order: int) -> list[JetCoord]:
+def complete_coords(order: int) -> list[JetCoord]:
+    """Every jet coordinate of both dependent variables up to `order`, in
+    (dep, t_order, x_order) order."""
     out = []
     for dep in DEPENDENTS:
         for i in range(order + 1):
@@ -669,7 +671,7 @@ class JetPoint:
     values: Mapping[JetCoord, float]
 
     def __post_init__(self):
-        missing = [c.name() for c in _complete_coords(self.order) if c not in self.values]
+        missing = [c.name() for c in complete_coords(self.order) if c not in self.values]
         if missing:
             raise ValueError(f"jet point is missing coordinates: {', '.join(missing)}")
 
@@ -781,25 +783,21 @@ def _eval_pow(base, expo: Fraction):
 # derivatives
 
 
-def _norm_wrt(wrt):
-    """Normalize a differentiation/substitution key to ('jet', coord),
-    ('var', name) or ('sym', name)."""
+def _norm_wrt(wrt) -> Expr:
+    """The interned Jet, Var or Sym leaf named by a differentiation or
+    substitution key (a node, a JetCoord or a name)."""
+    if isinstance(wrt, (Jet, Var, Sym)):
+        return wrt
     if isinstance(wrt, JetCoord):
-        return ("jet", wrt)
-    if isinstance(wrt, Jet):
-        return ("jet", wrt.coord)
-    if isinstance(wrt, Var):
-        return ("var", wrt.name)
-    if isinstance(wrt, Sym):
-        return ("sym", wrt.name)
+        return Jet(wrt)
     if isinstance(wrt, str):
         if wrt in INDEPENDENTS:
-            return ("var", wrt)
+            return Var(wrt)
         if wrt in PARAMETERS:
-            return ("sym", wrt)
+            return Sym(wrt)
         c = coord_from_name(wrt)
         if c is not None:
-            return ("jet", c)
+            return Jet(c)
     raise ValueError(f"cannot differentiate or substitute with respect to {wrt!r}")
 
 
@@ -845,25 +843,15 @@ def _differentiate(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
 
 def partial(e: Expr, wrt) -> Expr:
     """Partial derivative treating every other coordinate as independent."""
-    kind, target = _norm_wrt(wrt)
-
-    def leaf(n: Expr) -> Expr:
-        if kind == "jet" and type(n) is Jet and n.coord == target:
-            return ONE
-        if kind == "var" and type(n) is Var and n.name == target:
-            return ONE
-        if kind == "sym" and type(n) is Sym and n.name == target:
-            return ONE
-        return ZERO
-
-    return _differentiate(e, leaf)
+    target = _norm_wrt(wrt)
+    return _differentiate(e, lambda n: ONE if n is target else ZERO)
 
 
 def total_derivative(e: Expr, direction, max_order: int = DEFAULT_MAX_JET_ORDER) -> Expr:
     """Total derivative D_t or D_x: the explicit partial plus the jet chain
     u_J -> u_{J+direction} over every coordinate present."""
-    kind, target = _norm_wrt(direction)
-    if kind != "var":
+    target = _norm_wrt(direction)
+    if type(target) is not Var:
         raise ValueError(f"total derivative direction must be 't' or 'x', got {direction!r}")
     if e.order + 1 > max_order:
         raise JetOrderError(
@@ -871,8 +859,8 @@ def total_derivative(e: Expr, direction, max_order: int = DEFAULT_MAX_JET_ORDER)
 
     def leaf(n: Expr) -> Expr:
         if type(n) is Jet:
-            return Jet(n.coord.bumped(target))
-        if type(n) is Var and n.name == target:
+            return Jet(n.coord.bumped(target.name))
+        if n is target:
             return ONE
         return ZERO
 
@@ -924,22 +912,15 @@ def substitute(e: Expr, bindings: Mapping, max_order: int = DEFAULT_MAX_JET_ORDE
     """Simultaneous replacement of jet coordinates, parameters and
     independent variables.  Bindings must be acyclic; replacement is a single
     pass, results are never re-substituted."""
-    table: dict[tuple, Expr] = {}
-    for k, val in bindings.items():
-        table[_norm_wrt(k)] = as_expr(val)
-
-    def refs(v: Expr) -> set[tuple]:
-        return {_norm_wrt(n) for n in nodes(v) if type(n) in (Sym, Var, Jet)} & table.keys()
-
-    graph = {k: refs(v) for k, v in table.items()}
-    state: dict[tuple, int] = {}
+    table = {_norm_wrt(k): as_expr(val) for k, val in bindings.items()}
+    graph = {k: set(nodes(v)) & table.keys() for k, v in table.items()}
+    state: dict[Expr, int] = {}
 
     def visit(k):
         if state.get(k) == 2:
             return
         if state.get(k) == 1:
-            who = k[1].name() if isinstance(k[1], JetCoord) else k[1]
-            raise CyclicBindingError(f"cyclic binding involving {who!r}")
+            raise CyclicBindingError(f"cyclic binding involving {to_text(k)!r}")
         state[k] = 1
         for nxt in graph[k]:
             visit(nxt)
@@ -960,7 +941,7 @@ def substitute(e: Expr, bindings: Mapping, max_order: int = DEFAULT_MAX_JET_ORDE
         elif t is Const:
             new = n
         else:
-            new = table.get(_norm_wrt(n), n)
+            new = table.get(n, n)
         out[n] = new
 
     result = out[e]
@@ -990,7 +971,7 @@ class JetSampler:
         rng = np.random.default_rng(self.seed)
         t = rng.uniform(*self.t_range, size=n)
         x = rng.uniform(*self.x_magnitude, size=n) * rng.choice([-1.0, 1.0], size=n)
-        values = {c: rng.uniform(*self.jet_range, size=n) for c in _complete_coords(order)}
+        values = {c: rng.uniform(*self.jet_range, size=n) for c in complete_coords(order)}
         return JetBatch(t, x, order, values)
 
     def point(self, order: int) -> JetPoint:
@@ -1041,7 +1022,7 @@ def random_polynomial(rng: np.random.Generator, jet_order: int = 2,
                       allow_exp: bool = True, allow_tx: bool = True) -> Expr:
     """Random polynomial in jet coordinates, optionally times t, x or
     exp(-x^2) factors, with small rational coefficients."""
-    coords = _complete_coords(jet_order)
+    coords = complete_coords(jet_order)
     expr: Expr = ZERO
     n_terms = int(rng.integers(1, max_terms + 1))
     for _ in range(n_terms):

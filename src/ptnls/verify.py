@@ -30,10 +30,10 @@ from typing import Optional
 import numpy as np
 
 from .analysis import fit_loglog_slope
-from .catalog import CaseId, Catalog, Kind, load_catalog
-from .jetexpr import (Expr, JetBatch, JetCoord, JetPoint, JetSampler, ParamValues,
-                      add, euler_operator, eval_expr, expr_equiv, mul, sub,
-                      total_derivative)
+from .catalog import CaseId, Catalog, Kind, PdeSystem, load_catalog
+from .jetexpr import (Expr, JetBatch, JetPoint, JetSampler, ParamValues, add,
+                      complete_coords, euler_operator, eval_expr, expr_equiv, mul,
+                      sub, total_derivative)
 
 __all__ = [
     "FluxUnavailableError", "ResidualReport", "DivergenceReport", "RawComparison",
@@ -129,19 +129,32 @@ class DivergenceReport:
         }
 
 
+def _q_dot_e(q1: Expr, q2: Expr, system: PdeSystem) -> Expr:
+    """The action Q1*E1 + Q2*E2 of a multiplier pair on a split system."""
+    return add(mul(q1, system.E1), mul(q2, system.E2))
+
+
+def _eps_slope(exprs: tuple[Expr, ...], sampler: JetSampler,
+               order: int) -> tuple[float, float]:
+    """(slope, rms residual) of the log-log fit of max |e| over `exprs` and
+    50 fixed jet points against eps on EPS_GRID."""
+    batch = sampler.batch(50, order)
+    mags = []
+    for eps in EPS_GRID:
+        params = ParamValues(eps=float(eps))
+        mags.append(max(float(np.max(np.abs(eval_expr(e, batch, params))))
+                        for e in exprs))
+    slope, _, fit_res = fit_loglog_slope(EPS_GRID, mags)
+    return slope, fit_res
+
+
 def euler_residual(case, kind: Kind, params: Optional[ParamValues] = None,
                    catalog: Optional[Catalog] = None) -> tuple[Expr, Expr]:
     """euler_operator(Q1*E1 + Q2*E2) for one case and multiplier kind."""
     cat = catalog or load_catalog()
-    system = cat.build_system(case, params)
     mult = cat.multiplier(kind)
-    action = add(mul(mult.Q1, system.E1), mul(mult.Q2, system.E2))
+    action = _q_dot_e(mult.Q1, mult.Q2, cat.build_system(case, params))
     return euler_operator(action, max_order=_EULER_MAX_ORDER)
-
-
-def _max_abs(e: Expr, batch: JetBatch, params: ParamValues) -> float:
-    vals = np.asarray(eval_expr(e, batch, params), dtype=float)
-    return float(np.max(np.abs(vals))) if vals.ndim else abs(float(vals))
 
 
 def _raw_target_comparisons(cat: Catalog, case_id: CaseId, kind: Kind,
@@ -164,17 +177,16 @@ def _raw_target_comparisons(cat: Catalog, case_id: CaseId, kind: Kind,
     raw_q1 = cat.raw_reading(case_id, kind, "Q1")
     if raw_q1 is not None and raw_q1.expr is not None:
         raw_q2 = cat.raw_reading(case_id, kind, "Q2")
-        system = cat.build_system(case_id)
-        action = add(mul(raw_q1.expr, system.E1), mul(raw_q2.expr, system.E2))
+        action = _q_dot_e(raw_q1.expr, raw_q2.expr, cat.build_system(case_id))
         ru_raw, rv_raw = euler_operator(action, max_order=_EULER_MAX_ORDER)
-        stated = cat.any_residual_target(case_id, kind)
+        stated = cat.residual_target(case_id, kind)
         res_u = expr_equiv(ru_raw, stated.Ru, n=n)
         res_v = expr_equiv(rv_raw, stated.Rv, n=n)
         matches = bool(res_u.equal and res_v.equal)
         note = "residual from the block-header multipliers vs this block's target"
         if not matches:
             other = Kind.CHARGE if kind is Kind.ENERGY else Kind.ENERGY
-            tgt = cat.any_residual_target(case_id, other)
+            tgt = cat.residual_target(case_id, other)
             ou = expr_equiv(ru_raw, tgt.Ru, n=n)
             ov = expr_equiv(rv_raw, tgt.Rv, n=n)
             if ou.equal and ov.equal:
@@ -192,20 +204,16 @@ def check_residual(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-10
     fit its magnitude against eps."""
     cat = catalog or load_catalog()
     ru, rv = euler_residual(case_id, kind, catalog=cat)
-    target = cat.any_residual_target(case_id, kind)
+    target = cat.residual_target(case_id, kind)
 
     sampler = JetSampler(seed=seed)
     res_u = expr_equiv(ru, target.Ru, n=n, tol=tol, sampler=sampler)
     res_v = expr_equiv(rv, target.Rv, n=n, tol=tol, sampler=sampler)
     worse = res_u if res_u.worst_rel_error >= res_v.worst_rel_error else res_v
 
-    # magnitude vs eps at 50 fixed points; the residuals carry a factor eps,
-    # so the fitted exponent should be 1 to roundoff
-    order = max(ru.order, rv.order)
-    batch = sampler.batch(50, order)
-    mags = [max(_max_abs(ru, batch, ParamValues(eps=float(e))),
-                _max_abs(rv, batch, ParamValues(eps=float(e)))) for e in EPS_GRID]
-    slope, _, fit_res = fit_loglog_slope(EPS_GRID, mags)
+    # the residuals carry a factor eps, so the fitted exponent should be 1
+    # to roundoff
+    slope, fit_res = _eps_slope((ru, rv), sampler, max(ru.order, rv.order))
 
     return ResidualReport(
         case_id=case_id, kind=kind,
@@ -230,10 +238,8 @@ def divergence_residual(case_id: CaseId, kind: Kind,
             f"no complete (Tt, Tx) pair is cataloged for {case_id.value}/{kind.value}")
     divergence = add(total_derivative(cv.Tt, "t", max_order=_EULER_MAX_ORDER),
                      total_derivative(cv.Tx, "x", max_order=_EULER_MAX_ORDER))
-    system = cat.build_system(case_id)
     mult = cat.multiplier(kind)
-    qe = add(mul(mult.Q1, system.E1), mul(mult.Q2, system.E2))
-    return divergence, qe
+    return divergence, _q_dot_e(mult.Q1, mult.Q2, cat.build_system(case_id))
 
 
 def _raw_vector_comparisons(cat: Catalog, case_id: CaseId, kind: Kind, n: int) -> list[RawComparison]:
@@ -282,11 +288,8 @@ def check_divergence(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-
         top = np.argsort(errs)[-3:][::-1]
         discrepancies = tuple((batch.point(int(i)), float(errs[int(i)])) for i in top)
 
-    # oriented residual magnitude vs eps
     residual = sub(divergence, qe) if orientation == 1 else add(divergence, qe)
-    small = sampler.batch(50, order)
-    mags = [_max_abs(residual, small, ParamValues(eps=float(e))) for e in EPS_GRID]
-    slope, _, fit_res = fit_loglog_slope(EPS_GRID, mags)
+    slope, fit_res = _eps_slope((residual,), sampler, order)
 
     return DivergenceReport(
         case_id=case_id, kind=kind, zero_at_eps0=zero_at_eps0,
@@ -307,10 +310,8 @@ def complete_point(p: JetPoint, order: int) -> JetPoint:
     if order < p.order:
         raise ValueError("cannot reduce a jet point's order")
     values = dict(p.values)
-    for dep in ("u", "v"):
-        for i in range(order + 1):
-            for j in range(order + 1 - i):
-                values.setdefault(JetCoord(dep, i, j), 0.0)
+    for c in complete_coords(order):
+        values.setdefault(c, 0.0)
     return JetPoint(p.t, p.x, order, values)
 
 
@@ -371,13 +372,11 @@ def _field_batch(bg: _PolyBackground, t: np.ndarray, x: np.ndarray, order: int,
                  perturb_dep: Optional[str] = None, s: float = 0.0,
                  phi_jets: Optional[dict] = None) -> JetBatch:
     values = {}
-    for dep in ("u", "v"):
-        for i in range(order + 1):
-            for j in range(order + 1 - i):
-                arr = bg.jets(dep, t, x, i, j)
-                if dep == perturb_dep and s != 0.0:
-                    arr = arr + s * phi_jets[(i, j)]
-                values[JetCoord(dep, i, j)] = arr
+    for c in complete_coords(order):
+        arr = bg.jets(c.dep, t, x, c.t_order, c.x_order)
+        if c.dep == perturb_dep and s != 0.0:
+            arr = arr + s * phi_jets[(c.t_order, c.x_order)]
+        values[c] = arr
     return JetBatch(t, x, order, values)
 
 

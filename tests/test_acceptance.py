@@ -24,7 +24,7 @@ from ptnls.verify import (check_divergence, check_residual,
 _CATALOG = load_catalog()
 ALL_BLOCKS = [(c, k) for c in CaseId for k in Kind]
 PRINTED_BLOCKS = [(c, k) for c, k in ALL_BLOCKS
-                  if _CATALOG.residual_target(c, k) is not None]
+                  if not _CATALOG.residual_target(c, k).derived]
 FLUX_BLOCKS = [(CaseId.CASE1A, Kind.ENERGY), (CaseId.CASE1A, Kind.CHARGE),
                (CaseId.CASE2, Kind.ENERGY), (CaseId.CASE2, Kind.CHARGE)]
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ptnls import analysis
 from ptnls.analysis import (DRIFT_CSV_HEADER, SLOPE_CSV_HEADER,
                             TIMESERIES_CSV_HEADER, DensityTimeseries,
                             default_scan_config, density_timeseries,
@@ -124,6 +125,17 @@ def test_scan_input_validation():
         drift_scan(CaseId.CASE1A, Kind.CHARGE, [1e-1, 1e-2, 1e-3, 1e-4])
     with pytest.raises(ValueError, match="case"):
         drift_scan(CaseId.CASE2, Kind.CHARGE, EPS_LIST, cfg=_short_cfg())
+
+
+def test_scan_without_density_fails_before_stepping(monkeypatch):
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("members were stepped")
+
+    monkeypatch.setattr(analysis, "run_members", no_stepping)
+    with pytest.raises(ValueError, match="no conserved density"):
+        drift_scan(CaseId.CASE1C, Kind.CHARGE, EPS_LIST)
+    with pytest.raises(ValueError, match="form"):
+        drift_scan(CaseId.CASE2, Kind.ENERGY, EPS_LIST, form="PhiT")
 
 
 def test_default_scan_starts_off_center():
@@ -246,7 +258,7 @@ def test_timeseries_csv_round_trips(tmp_path):
 
 
 def test_emit_report_empty_still_writes_headers(tmp_path):
-    paths = emit_report([], "csv", tmp_path)
+    paths = emit_report([], tmp_path)
     assert sorted(p.rsplit("/", 1)[1] for p in paths) == ["drift.csv",
                                                           "drift_slopes.csv"]
     drift, slopes = sorted(paths)
@@ -254,15 +266,11 @@ def test_emit_report_empty_still_writes_headers(tmp_path):
     assert open(slopes).read().strip() == SLOPE_CSV_HEADER
 
 
-def test_emit_report_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError, match="format"):
-        emit_report([], "png", tmp_path)
-
-
 def test_drift_svg_is_well_formed(charge_scan, tmp_path):
-    (path,) = emit_report([charge_scan], "svg", tmp_path,
-                          header_lines=["seed=0"])
-    assert path.endswith("drift_case1a_charge.svg")
+    paths = emit_report([charge_scan], tmp_path, header_lines=["seed=0"])
+    assert [p.rsplit("/", 1)[1] for p in paths] == [
+        "drift.csv", "drift_slopes.csv", "drift_case1a_charge.svg"]
+    path = paths[-1]
     root = ET.parse(path).getroot()
     assert root.tag.endswith("svg")
     assert root.get("width") == "800" and root.get("height") == "500"
@@ -274,8 +282,9 @@ def test_drift_svg_is_well_formed(charge_scan, tmp_path):
 def test_timeseries_svg_is_well_formed(tmp_path):
     traj = run(_short_cfg(T_final=0.2))
     ts = density_timeseries(traj, CaseId.CASE1A, Kind.CHARGE)
-    paths = emit_report([ts], "svg", tmp_path, stem="density")
-    (path,) = paths
+    csv_path, path = emit_report([ts], tmp_path, stem="density")
+    assert csv_path.endswith("density_timeseries.csv")
+    assert path.endswith("density_timeseries.svg")
     root = ET.parse(path).getroot()
     assert root.get("width") == "800"
 
@@ -285,7 +294,7 @@ def test_scan_outputs_are_reproducible(tmp_path):
     a = drift_scan(CaseId.CASE1A, Kind.CHARGE, EPS_LIST[:4], **kw)
     b = drift_scan(CaseId.CASE1A, Kind.CHARGE, EPS_LIST[:4], **kw)
     pa, pb = tmp_path / "a", tmp_path / "b"
-    files_a = emit_report([a], "csv", pa)
-    files_b = emit_report([b], "csv", pb)
+    files_a = emit_report([a], pa)
+    files_b = emit_report([b], pb)
     for fa, fb in zip(files_a, files_b):
         assert open(fa, "rb").read() == open(fb, "rb").read()

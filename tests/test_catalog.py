@@ -149,21 +149,14 @@ def test_conserved_vector_availability(case_id, kind):
 
 @pytest.mark.parametrize("case_id,kind", ALL_BLOCKS)
 def test_residual_target_availability(case_id, kind):
-    printed = CAT.residual_target(case_id, kind)
-    if (case_id, kind) == (CaseId.CASE1B, Kind.CHARGE):
-        assert printed is None
-        tgt = CAT.derived_residual(case_id, kind)
-        assert tgt is not None and tgt.derived
-    else:
-        assert printed is not None and not printed.derived
-        assert CAT.derived_residual(case_id, kind) is None
-    tgt = CAT.any_residual_target(case_id, kind)
+    tgt = CAT.residual_target(case_id, kind)
+    assert tgt.derived == ((case_id, kind) == (CaseId.CASE1B, Kind.CHARGE))
     assert tgt.Ru is not None and tgt.Rv is not None
 
 
 @pytest.mark.parametrize("case_id,kind", ALL_BLOCKS)
 def test_residual_targets_vanish_at_eps_zero(case_id, kind):
-    tgt = CAT.any_residual_target(case_id, kind)
+    tgt = CAT.residual_target(case_id, kind)
     batch = JetSampler(seed=2).batch(40, 2)
     p0 = ParamValues(eps=0.0)
     for e in (tgt.Ru, tgt.Rv):

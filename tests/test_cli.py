@@ -256,3 +256,10 @@ def test_parse_expr_missing_jet_value(capsys):
 def test_parse_expr_rejects_non_jet_point_names(capsys):
     assert main(["parse-expr", "u", "--point", "w=1"]) == EXIT_CONFIG
     assert "not a jet coordinate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["foo", "pi"])
+def test_parse_expr_rejects_unknown_params(capsys, name):
+    assert main(["parse-expr", "u", "--point", "u=1",
+                 "--params", f"eps=0.1,{name}=3"]) == EXIT_CONFIG
+    assert f"unknown parameter {name!r}" in capsys.readouterr().err

@@ -388,8 +388,12 @@ def test_substitute_untouched_returns_same_object():
 def test_substitute_cycle_detected():
     with pytest.raises(CyclicBindingError):
         substitute(parse_expr("u + v"), {"u": V, "v": U})
-    with pytest.raises(CyclicBindingError):
+    with pytest.raises(CyclicBindingError, match="involving 'u'$"):
         substitute(U, {"u": parse_expr("u + 1")})
+    with pytest.raises(CyclicBindingError, match="involving 'u_x'$"):
+        substitute(U, {JetCoord("u", 0, 1): parse_expr("u_x*eps")})
+    with pytest.raises(CyclicBindingError, match="involving 'mu'$"):
+        substitute(U, {"mu": parse_expr("2*mu")})
 
 
 def test_substitute_on_solution_removes_t_derivatives():

@@ -64,7 +64,7 @@ def test_derived_1b_charge_target_cross_checked_by_oracle():
     mult = cat.multiplier(Kind.CHARGE)
     from ptnls.jetexpr import add, mul
     action = add(mul(mult.Q1, system.E1), mul(mult.Q2, system.E2))
-    tgt = cat.any_residual_target(CaseId.CASE1B, Kind.CHARGE)
+    tgt = cat.residual_target(CaseId.CASE1B, Kind.CHARGE)
     batch = JetSampler(seed=4).batch(3, 2)
     params = ParamValues(eps=0.07)
     for i in range(3):
@@ -130,7 +130,7 @@ def test_divergence_orientation_is_eps_independent():
 
 def test_euler_residual_shape():
     ru, rv = euler_residual(CaseId.CASE1A, Kind.ENERGY)
-    tgt = load_catalog().any_residual_target(CaseId.CASE1A, Kind.ENERGY)
+    tgt = load_catalog().residual_target(CaseId.CASE1A, Kind.ENERGY)
     assert expr_equiv(ru, tgt.Ru, n=50, tol=1e-12)
     assert expr_equiv(rv, tgt.Rv, n=50, tol=1e-12)
 
