@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from html import escape
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 from . import __version__
 from .catalog import CaseId, Kind, load_catalog
-from .jetexpr import Expr, JetBatch, eval_expr
-from .solver import (Gaussian, MemberResult, SolverConfig, Trajectory, _case_arrays,
-                     _fmt as _g, integrate, jet_values, run_members)
+from .jetexpr import EVAL_BLOCK_POINTS, Expr, JetBatch, eval_expr
+from .solver import (FieldState, Gaussian, MemberResult, SolverConfig, Trajectory,
+                     _case_arrays, _fmt as _g, integrate, jet_values, run_members)
 
 __all__ = [
     "DensityTimeseries", "DriftMember", "DriftReport",
@@ -64,7 +64,8 @@ def _density_expr(case_id: CaseId, kind: Kind, form: str) -> Expr:
 
 def density_timeseries(traj: Trajectory, case_id: CaseId, kind: Kind,
                        form: str = "Tt") -> DensityTimeseries:
-    """Q(t_k) = dx * sum_j density(t_k, x_j, jets) along the trajectory."""
+    """Q(t_k) = dx * sum_j density(t_k, x_j, jets) along the trajectory,
+    evaluated over blocks of stacked snapshots of EVAL_BLOCK_POINTS nodes."""
     cfg = traj.cfg
     if case_id is not cfg.case_id:
         raise ValueError(f"trajectory was integrated for {cfg.case_id.value}, "
@@ -72,14 +73,16 @@ def density_timeseries(traj: Trajectory, case_id: CaseId, kind: Kind,
     e = _density_expr(case_id, kind, form)
     arrays = _case_arrays(case_id, cfg.params, cfg.grid)
     grid = cfg.grid
-    values = np.empty(len(traj.snapshots))
-    for i, state in enumerate(traj.snapshots):
-        jets = jet_values(state, cfg, arrays)
-        batch = JetBatch(np.full(grid.N, state.t), grid.x, 2, jets)
+    times = traj.times
+    values = np.empty(len(times))
+    rows = max(1, EVAL_BLOCK_POINTS // grid.N)
+    for lo in range(0, len(times), rows):
+        block = FieldState(times[lo:lo + rows, None],
+                           np.stack([s.q for s in traj.snapshots[lo:lo + rows]]), grid)
+        batch = JetBatch(block.t, grid.x, 2, jet_values(block, cfg, arrays))
         dens = np.asarray(eval_expr(e, batch, cfg.params), dtype=float)
-        values[i] = integrate(grid, np.broadcast_to(dens, (grid.N,)))
-    return DensityTimeseries(case_id, kind, form, cfg.params.eps,
-                             traj.times, values)
+        values[lo:lo + rows] = integrate(grid, np.broadcast_to(dens, block.q.shape))
+    return DensityTimeseries(case_id, kind, form, cfg.params.eps, times, values)
 
 
 def drift_from_timeseries(ts: DensityTimeseries) -> tuple[float, float]:
@@ -283,15 +286,20 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#17becf")
 
 
+def _xml(text: str) -> str:
+    """SVG text and metadata with &, < and > escaped."""
+    return escape(text, quote=False)
+
+
 def _svg_open(title: str, meta_lines: Sequence[str]) -> list[str]:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f"<metadata>{escape(chr(10).join(meta_lines))}</metadata>",
+        f"<metadata>{_xml(chr(10).join(meta_lines))}</metadata>",
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
         f'<text x="{_SVG_W / 2}" y="24" text-anchor="middle" font-size="16" '
-        f'font-family="sans-serif">{escape(title)}</text>',
+        f'font-family="sans-serif">{_xml(title)}</text>',
     ]
 
 
@@ -321,10 +329,10 @@ class _Axes:
             f'<rect x="{left}" y="{top}" width="{right - left}" '
             f'height="{bottom - top}" fill="none" stroke="black"/>',
             f'<text x="{(left + right) / 2}" y="{_SVG_H - 15}" text-anchor="middle" '
-            f'font-size="13" font-family="sans-serif">{escape(xlabel)}</text>',
+            f'font-size="13" font-family="sans-serif">{_xml(xlabel)}</text>',
             f'<text x="20" y="{(top + bottom) / 2}" text-anchor="middle" font-size="13" '
             f'font-family="sans-serif" transform="rotate(-90 20 {(top + bottom) / 2})">'
-            f"{escape(ylabel)}</text>",
+            f"{_xml(ylabel)}</text>",
         ]
 
     def xticks(self, ticks, labels) -> list[str]:
@@ -334,7 +342,7 @@ class _Axes:
             y = _SVG_H - _MARGIN_B
             out.append(f'<line x1="{x:.1f}" y1="{y}" x2="{x:.1f}" y2="{y + 5}" stroke="black"/>')
             out.append(f'<text x="{x:.1f}" y="{y + 20}" text-anchor="middle" '
-                       f'font-size="11" font-family="sans-serif">{escape(lab)}</text>')
+                       f'font-size="11" font-family="sans-serif">{_xml(lab)}</text>')
         return out
 
     def yticks(self, ticks, labels) -> list[str]:
@@ -344,7 +352,7 @@ class _Axes:
             out.append(f'<line x1="{_MARGIN_L - 5}" y1="{y:.1f}" x2="{_MARGIN_L}" '
                        f'y2="{y:.1f}" stroke="black"/>')
             out.append(f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end" '
-                       f'font-size="11" font-family="sans-serif">{escape(lab)}</text>')
+                       f'font-size="11" font-family="sans-serif">{_xml(lab)}</text>')
         return out
 
 
@@ -428,7 +436,7 @@ def write_timeseries_svg(series: Sequence[DensityTimeseries], path,
         parts.append(_polyline(ts.times, ts.values, ax, color))
         parts.append(f'<text x="{_MARGIN_L + 10}" y="{_MARGIN_T + 16 + 14 * i}" '
                      f'font-size="11" font-family="sans-serif" fill="{color}">'
-                     f"{escape(f'{ts.form} eps={ts.eps:g}')}</text>")
+                     f"{_xml(f'{ts.form} eps={ts.eps:g}')}</text>")
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -158,10 +159,21 @@ def _print_raw_notes(comparisons) -> None:
             print(f"  note: raw {rc.slot} does not parse ({rc.error})")
 
 
+def _sample_settings(settings: Settings, default_tol: float) -> tuple[int, float]:
+    """--n and --tol of a verify command, rejected unless n >= 1 and tol is
+    positive and finite."""
+    n = settings.get("n", 100)
+    tol = settings.get("tol", default_tol)
+    if n < 1:
+        raise ConfigError(f"--n must be at least 1, got {n}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"--tol must be positive and finite, got {tol}")
+    return n, tol
+
+
 def cmd_verify_euler(settings: Settings) -> int:
     seed = settings.seed()
-    n = settings.get("n", 100)
-    tol = settings.get("tol", 1e-10)
+    n, tol = _sample_settings(settings, 1e-10)
     ok = True
     for case_id, kind in _requested_blocks(settings):
         rep = check_residual(case_id, kind, n=n, tol=tol, seed=seed)
@@ -177,8 +189,7 @@ def cmd_verify_euler(settings: Settings) -> int:
 
 def cmd_verify_divergence(settings: Settings) -> int:
     seed = settings.seed()
-    n = settings.get("n", 100)
-    tol = settings.get("tol", 1e-9)
+    n, tol = _sample_settings(settings, 1e-9)
     explicit = settings.get("case", "all") != "all"
     ok = True
     for case_id, kind in _requested_blocks(settings):

@@ -39,7 +39,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
-from scipy.special import erf as _np_erf
 
 __all__ = [
     "DEFAULT_MAX_JET_ORDER", "DEPENDENTS", "PARAMETERS",
@@ -49,7 +48,7 @@ __all__ = [
     "parse_expr", "to_text", "eval_expr", "partial", "total_derivative",
     "euler_operator", "substitute", "collect_coords", "contains_t_derivative",
     "nodes", "expr_equiv", "EquivResult", "JetPoint", "JetBatch", "JetSampler",
-    "ParamValues", "complete_coords", "random_polynomial",
+    "ParamValues", "complete_coords", "random_polynomial", "EVAL_BLOCK_POINTS",
 ]
 
 DEFAULT_MAX_JET_ORDER = 4
@@ -258,9 +257,11 @@ class Binary(Expr):
                          op=op, lhs=lhs, rhs=rhs)
 
 
-def nodes(*roots: Expr) -> list[Expr]:
+def nodes(*roots: Expr, uses: Optional[dict] = None) -> list[Expr]:
     """The distinct nodes reachable from `roots`, each listed after its
-    children (left operand first).  Iterative, so depth is unbounded."""
+    children (left operand first).  Iterative, so depth is unbounded.
+    Given a dict, `uses` receives each node's number of references: one per
+    parent operand slot (twice for the child of u*u) and one per root."""
     out: list[Expr] = []
     seen: set[Expr] = set()
     stack: list[tuple[Expr, bool]] = [(r, False) for r in reversed(roots)]
@@ -269,6 +270,8 @@ def nodes(*roots: Expr) -> list[Expr]:
         if expanded:
             out.append(n)
             continue
+        if uses is not None:
+            uses[n] = uses.get(n, 0) + 1
         if n in seen:
             continue
         seen.add(n)
@@ -570,7 +573,8 @@ def _const_prec(value) -> int:
         if value < 0:
             return 15
         return 100 if value.denominator == 1 else 20
-    return 15 if value < 0 else 100
+    # the sign bit, not `value < 0`: -0.0 prints with a leading minus too
+    return 15 if math.copysign(1.0, value) < 0 else 100
 
 
 def _prec(e: Expr) -> int:
@@ -689,9 +693,22 @@ class JetPoint:
         return {c.name(): float(v) for c, v in sorted(self.values.items())}
 
 
+# The catalog applies erf to x-only arguments, one grid row at most, so the
+# standard library's erf per element costs little and keeps SciPy off the
+# import path.
+_np_erf = np.vectorize(math.erf, otypes=[float])
+
+# Point budget of one stacked evaluation (densities over snapshots, the
+# oracle over bumps).  On case2/energy densities (x86-64, 2 vCPUs) it was the
+# fastest budget at N = 512 and within 25% of the fastest at N = 4096, with a
+# traced peak of 3 MB against 47 MB for 101 snapshots of N = 4096 at once.
+EVAL_BLOCK_POINTS = 16384
+
+
 @dataclass
 class JetBatch:
-    """Vectorized jet points; arrays share one length."""
+    """Vectorized jet points; t, x and the coordinate arrays broadcast to
+    one shape (a stack of rows may carry t as a column and x as one row)."""
 
     t: np.ndarray
     x: np.ndarray
@@ -699,9 +716,13 @@ class JetBatch:
     values: Mapping[JetCoord, np.ndarray]
 
     def __len__(self):
-        return len(self.t)
+        """The number of points: the size of the broadcast shape."""
+        shape = np.broadcast_shapes(np.shape(self.t), np.shape(self.x),
+                                    *(np.shape(a) for a in self.values.values()))
+        return math.prod(shape)
 
     def point(self, i: int) -> JetPoint:
+        """Point i of a one-dimensional batch."""
         return JetPoint(float(self.t[i]), float(self.x[i]), self.order,
                         {c: float(a[i]) for c, a in self.values.items()})
 
@@ -713,7 +734,18 @@ def eval_expr(e: Expr, point=None, params: Optional[ParamValues] = None):
     if params is None:
         params = ParamValues()
     val: dict[Expr, object] = {}
-    for n in nodes(e):
+    uses: dict[Expr, int] = {}
+
+    def take(child: Expr):
+        # an intermediate is dropped at its last use, so a stacked batch
+        # holds only the values still waiting for a parent
+        v = val[child]
+        uses[child] -= 1
+        if not uses[child]:
+            del val[child]
+        return v
+
+    for n in nodes(e, uses=uses):
         t = type(n)
         if t is Const:
             v = float(n.value)
@@ -731,7 +763,7 @@ def eval_expr(e: Expr, point=None, params: Optional[ParamValues] = None):
             except KeyError:
                 raise EvalError(f"jet point carries no value for {n.coord.name()!r}") from None
         elif t is Unary:
-            a = val[n.arg]
+            a = take(n.arg)
             if n.op == "neg":
                 v = -a
             elif n.op == "exp":
@@ -743,11 +775,10 @@ def eval_expr(e: Expr, point=None, params: Optional[ParamValues] = None):
                     raise EvalError("sqrt of a negative value")
                 v = np.sqrt(a)
         else:
-            l = val[n.lhs]
+            l, r = take(n.lhs), take(n.rhs)
             if n.op == "^":
                 v = _eval_pow(l, n.rhs.value)
             else:
-                r = val[n.rhs]
                 if n.op == "+":
                     v = l + r
                 elif n.op == "-":

@@ -92,6 +92,10 @@ class Grid:
 
 @dataclass
 class FieldState:
+    """The field q = u + iv on the grid at time t.  q may stack rows as
+    (rows, N): ensemble members at one time, or snapshots with t a
+    (rows, 1) column of their times."""
+
     t: float
     q: np.ndarray
     grid: Grid
@@ -291,9 +295,10 @@ def run(cfg: SolverConfig, sample_every: int = 50) -> Trajectory:
     return result
 
 
-def integrate(grid: Grid, values: np.ndarray) -> float:
-    """Trapezoid rule on the periodic grid (all weights equal dx)."""
-    return float(grid.dx * np.sum(values))
+def integrate(grid: Grid, values: np.ndarray):
+    """Trapezoid rule on the periodic grid (all weights equal dx) along the
+    last axis: a float for one row of values, an array for a stack of rows."""
+    return grid.dx * np.sum(values, axis=-1)
 
 
 def resample(state: FieldState, grid: Grid) -> FieldState:
@@ -314,7 +319,8 @@ def resample(state: FieldState, grid: Grid) -> FieldState:
 def jet_values(state: FieldState, cfg: SolverConfig,
                arrays=None) -> dict[JetCoord, np.ndarray]:
     """Jet coordinates of the field on the grid: x-derivatives spectrally,
-    t-derivatives substituted from the evolution system."""
+    t-derivatives substituted from the evolution system.  Each row of a
+    stacked state gives the same row of every array."""
     if arrays is None:
         arrays = _case_arrays(cfg.case_id, cfg.params, cfg.grid)
     a, b, nl = arrays

@@ -31,9 +31,9 @@ import numpy as np
 
 from .analysis import fit_loglog_slope
 from .catalog import CaseId, Catalog, Kind, PdeSystem, load_catalog
-from .jetexpr import (Expr, JetBatch, JetPoint, JetSampler, ParamValues, add,
-                      complete_coords, euler_operator, eval_expr, expr_equiv, mul,
-                      sub, total_derivative)
+from .jetexpr import (EVAL_BLOCK_POINTS, Expr, JetBatch, JetCoord, JetPoint, JetSampler,
+                      ParamValues, add, complete_coords, euler_operator, eval_expr,
+                      expr_equiv, mul, sub, total_derivative)
 
 __all__ = [
     "FluxUnavailableError", "ResidualReport", "DivergenceReport", "RawComparison",
@@ -315,6 +315,14 @@ def complete_point(p: JetPoint, order: int) -> JetPoint:
     return JetPoint(p.t, p.x, order, values)
 
 
+_BUMP_WIDTH = 0.15
+_DRAW_LOW = (-0.05, -0.05, 0.7, 0.7)
+_DRAW_HIGH = (0.05, 0.05, 1.3, 1.3)
+# monomial exponents of the quartic collocation model; bumps stay within
+# ~0.25 of p, so the degree-5 model remainder is far below 1e-4
+_POWERS = [(i, j) for i in range(5) for j in range(5 - i)]
+
+
 def _bump(z: np.ndarray) -> np.ndarray:
     w = np.clip(1.0 - z * z, 0.0, None)
     return w ** 3
@@ -368,16 +376,48 @@ class _PolyBackground:
         return out
 
 
-def _field_batch(bg: _PolyBackground, t: np.ndarray, x: np.ndarray, order: int,
-                 perturb_dep: Optional[str] = None, s: float = 0.0,
-                 phi_jets: Optional[dict] = None) -> JetBatch:
-    values = {}
-    for c in complete_coords(order):
-        arr = bg.jets(c.dep, t, x, c.t_order, c.x_order)
-        if c.dep == perturb_dep and s != 0.0:
-            arr = arr + s * phi_jets[(c.t_order, c.x_order)]
-        values[c] = arr
-    return JetBatch(t, x, order, values)
+def _bump_block(e: Expr, params: ParamValues, bg: _PolyBackground, dep: str,
+                p: JetPoint, draws: np.ndarray, quad_n: int,
+                fd_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Collocation rows and stencil derivatives of the action for a block of
+    bumps, one bump per row of stacked (bumps, quad_n^2) arrays; row k of
+    `draws` is bump k's (t offset, x offset, t width factor, x width factor)."""
+    quad_nodes, quad_weights = np.polynomial.legendre.leggauss(quad_n)
+    tc, xc = p.t + draws[:, 0:1], p.x + draws[:, 1:2]
+    wt, wx = _BUMP_WIDTH * draws[:, 2:3], _BUMP_WIDTH * draws[:, 3:4]
+    # node (i, j) of the tensor grid is column i*quad_n + j
+    T = np.repeat(tc + wt * quad_nodes, quad_n, axis=1)
+    X = np.tile(xc + wx * quad_nodes, quad_n)
+    w2d = np.outer(quad_weights, quad_weights).ravel() * wt * wx
+
+    zt, zx = (T - tc) / wt, (X - xc) / wx
+    gt, gx = _bump(zt), _bump(zx)
+    # float_power is the C library's pow, as Python's float `**` is; numpy's
+    # `**` squares by multiplication, which rounds differently in the last bit
+    wt2, wx2 = np.float_power(wt, 2), np.float_power(wx, 2)
+    phi_jets = {
+        (0, 0): gt * gx,
+        (1, 0): _bump_d1(zt) / wt * gx,
+        (0, 1): gt * _bump_d1(zx) / wx,
+        (2, 0): _bump_d2(zt) / wt2 * gx,
+        (1, 1): _bump_d1(zt) / wt * _bump_d1(zx) / wx,
+        (0, 2): gt * _bump_d2(zx) / wx2,
+    }
+    background = {c: bg.jets(c.dep, T, X, c.t_order, c.x_order) for c in complete_coords(2)}
+
+    def action(s: float) -> np.ndarray:
+        values = dict(background)
+        for (i, j), phi in phi_jets.items():
+            c = JetCoord(dep, i, j)
+            values[c] = background[c] + s * phi
+        vals = np.asarray(eval_expr(e, JetBatch(T, X, 2, values), params), dtype=float)
+        return np.sum(w2d * np.broadcast_to(vals, w2d.shape), axis=-1)
+
+    h = fd_step
+    rhs = (-action(2 * h) + 8 * action(h) - 8 * action(-h) + action(-2 * h)) / (12 * h)
+    rows = np.stack([np.sum(w2d * ((T - p.t) ** i * (X - p.x) ** j) * phi_jets[(0, 0)], axis=-1)
+                     for i, j in _POWERS], axis=-1)
+    return rows, rhs
 
 
 def independent_variational_check(e: Expr, p: JetPoint,
@@ -390,8 +430,10 @@ def independent_variational_check(e: Expr, p: JetPoint,
     Method: realize p as a polynomial background, perturb one field by
     s*phi for compactly supported C^2 bumps phi, differentiate the action
     integral over the bump support in s by a 5-point stencil, and recover
-    the value at (p.t, p.x) by least-squares collocation of a cubic model
-    of the variational derivative against the bump integrals.
+    the value at (p.t, p.x) by least-squares collocation of a quartic model
+    of the variational derivative against the bump integrals.  The bumps
+    are stacked as rows of (bumps, quad_n^2) arrays, up to EVAL_BLOCK_POINTS
+    points per block, so e is evaluated once per stencil point and block.
     """
     if e.order > 2:
         raise ValueError("oracle requires jet order <= 2")
@@ -400,54 +442,20 @@ def independent_variational_check(e: Expr, p: JetPoint,
     rng = np.random.default_rng(seed)
     bg = _PolyBackground(p)
 
-    nodes, weights = np.polynomial.legendre.leggauss(quad_n)
-    width = 0.15
-    # monomial exponents of the quartic collocation model; bumps stay within
-    # ~0.25 of p, so the degree-5 model remainder is far below 1e-4
-    powers = [(i, j) for i in range(5) for j in range(5 - i)]
-
     engine_u, engine_v = euler_operator(e, max_order=2 * e.order if e.order else 2)
     point4 = complete_point(p, max(p.order, max(engine_u.order, engine_v.order, 1)))
     engine_vals = {"u": eval_expr(engine_u, point4, params),
                    "v": eval_expr(engine_v, point4, params)}
 
+    per_block = max(1, EVAL_BLOCK_POINTS // quad_n ** 2)
     results = {}
     for dep in ("u", "v"):
-        rows = np.zeros((n_bumps, len(powers)))
-        rhs = np.zeros(n_bumps)
-        for k in range(n_bumps):
-            tc = p.t + rng.uniform(-0.05, 0.05)
-            xc = p.x + rng.uniform(-0.05, 0.05)
-            wt = width * rng.uniform(0.7, 1.3)
-            wx = width * rng.uniform(0.7, 1.3)
-            tg = tc + wt * nodes
-            xg = xc + wx * nodes
-            T, X = np.meshgrid(tg, xg, indexing="ij")
-            Tf, Xf = T.ravel(), X.ravel()
-            w2d = (np.outer(weights, weights) * wt * wx).ravel()
-
-            zt, zx = (Tf - tc) / wt, (Xf - xc) / wx
-            gt, gx = _bump(zt), _bump(zx)
-            phi_jets = {
-                (0, 0): gt * gx,
-                (1, 0): _bump_d1(zt) / wt * gx,
-                (0, 1): gt * _bump_d1(zx) / wx,
-                (2, 0): _bump_d2(zt) / wt ** 2 * gx,
-                (1, 1): _bump_d1(zt) / wt * _bump_d1(zx) / wx,
-                (0, 2): gt * _bump_d2(zx) / wx ** 2,
-            }
-
-            def action(s: float) -> float:
-                batch = _field_batch(bg, Tf, Xf, 2, dep, s, phi_jets)
-                vals = np.asarray(eval_expr(e, batch, params), dtype=float)
-                return float(np.sum(w2d * np.broadcast_to(vals, w2d.shape)))
-
-            h = fd_step
-            rhs[k] = (-action(2 * h) + 8 * action(h)
-                      - 8 * action(-h) + action(-2 * h)) / (12 * h)
-            for col, (i, j) in enumerate(powers):
-                mono = (Tf - p.t) ** i * (Xf - p.x) ** j
-                rows[k, col] = float(np.sum(w2d * mono * phi_jets[(0, 0)]))
+        # bump by bump: t offset, x offset, t width factor, x width factor
+        draws = rng.uniform(_DRAW_LOW, _DRAW_HIGH, size=(n_bumps, 4))
+        blocks = [_bump_block(e, params, bg, dep, p, draws[lo:lo + per_block],
+                              quad_n, fd_step)
+                  for lo in range(0, n_bumps, per_block)]
+        rows, rhs = (np.concatenate(parts) for parts in zip(*blocks))
         coeffs, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
         results[dep] = float(coeffs[0])
 

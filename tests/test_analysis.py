@@ -15,7 +15,7 @@ from ptnls.analysis import (DRIFT_CSV_HEADER, SLOPE_CSV_HEADER,
                             fit_loglog_slope, write_drift_csv,
                             write_timeseries_csv)
 from ptnls.catalog import CaseId, Kind, load_catalog
-from ptnls.jetexpr import EvalError, JetBatch, ParamValues, eval_expr
+from ptnls.jetexpr import EVAL_BLOCK_POINTS, EvalError, JetBatch, ParamValues, eval_expr
 from ptnls.solver import (BlowUpError, BoundaryContaminationError, FieldState,
                           Gaussian, Grid, GroundState, SolverConfig, Trajectory,
                           jet_values, run)
@@ -46,6 +46,50 @@ def test_charge_is_conserved_without_gain():
     assert ts.values[0] == pytest.approx(-0.5, abs=1e-10)
     drift_abs, drift_rel = drift_from_timeseries(ts)
     assert drift_rel < 1e-8
+
+
+def _cataloged_densities():
+    cat = load_catalog()
+    out = []
+    for case_id in CaseId:
+        for kind in Kind:
+            cv = cat.conserved_vector(case_id, kind)
+            if cv is not None:
+                out += [(case_id, kind, form) for form, e in
+                        (("Tt", cv.Tt), ("PhiT", cv.complex_density)) if e is not None]
+    return out
+
+
+def _density_per_snapshot(traj, case_id, kind, form):
+    """Reference for the stacked densities: one jet_values and one eval_expr
+    call per snapshot, t filled to a full row."""
+    cv = load_catalog().conserved_vector(case_id, kind)
+    e = cv.Tt if form == "Tt" else cv.complex_density
+    grid = traj.cfg.grid
+    out = []
+    for state in traj.snapshots:
+        batch = JetBatch(np.full(grid.N, state.t), grid.x, 2, jet_values(state, traj.cfg))
+        dens = np.asarray(eval_expr(e, batch, traj.cfg.params), dtype=float)
+        out.append(float(grid.dx * np.sum(np.broadcast_to(dens, (grid.N,)))))
+    return np.array(out)
+
+
+# (case, kind, form, N, T_final) with a snapshot count (dt = 1e-3, one
+# snapshot per step) that fills one block of EVAL_BLOCK_POINTS and part of
+# the next: 101 at N = 256, 7 at N = 4096
+_STACKS = ([(c, k, f, 256, 0.1) for c, k, f in _cataloged_densities()]
+           + [(CaseId.CASE2, k, "Tt", 4096, 0.006) for k in (Kind.ENERGY, Kind.CHARGE)])
+
+
+@pytest.mark.parametrize("case_id,kind,form,n,t_final", _STACKS,
+                         ids=[f"{c.value}-{k.value}-{f}-N{n}" for c, k, f, n, _ in _STACKS])
+def test_stacked_density_matches_per_snapshot_loop(case_id, kind, form, n, t_final):
+    traj = run(_short_cfg(case_id, T_final=t_final, grid=Grid(N=n)), sample_every=1)
+    rows = EVAL_BLOCK_POINTS // n
+    assert len(traj) > rows and len(traj) % rows  # a full block and a partial one
+    ts = density_timeseries(traj, case_id, kind, form)
+    assert np.array_equal(ts.times, traj.times)
+    assert np.array_equal(ts.values, _density_per_snapshot(traj, case_id, kind, form))
 
 
 def test_zero_field_has_zero_density():

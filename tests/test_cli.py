@@ -263,3 +263,14 @@ def test_parse_expr_rejects_unknown_params(capsys, name):
     assert main(["parse-expr", "u", "--point", "u=1",
                  "--params", f"eps=0.1,{name}=3"]) == EXIT_CONFIG
     assert f"unknown parameter {name!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify-euler", "verify-divergence"])
+@pytest.mark.parametrize("flag,value", [("--n", "0"), ("--n", "-2"), ("--tol", "0"),
+                                        ("--tol", "-1e-9"), ("--tol", "nan"),
+                                        ("--tol", "inf")])
+def test_verify_rejects_bad_sample_settings(capsys, command, flag, value):
+    assert main([command, "--case", "1a", "--kind", "charge", f"{flag}={value}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} must be")
+    assert captured.out == ""

@@ -1,9 +1,13 @@
 """Lint: every name a package module imports is used in it or exported in
 its `__all__`, and every module-level definition is exported or referenced
 somewhere in the package.  Read from the source with `ast`, so nothing is
-imported."""
+imported, except by the check that a fresh interpreter leaves heavy modules
+out of `sys.modules`."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -99,3 +103,16 @@ def test_no_unused_imports(path):
 def test_no_unreferenced_definitions():
     sources = {p.stem: p.read_text("utf-8") for p in SOURCES}
     assert unreferenced_definitions(sources) == []
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    # SciPy costs about 0.3 s and 18 MB at import; urllib.request, pulled in
+    # by xml.sax.saxutils, about 40 ms
+    code = ("import sys, ptnls.cli; from ptnls.catalog import load_catalog; "
+            "load_catalog(); "
+            "print(sorted(m for m in ('scipy', 'urllib.request') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -6,12 +6,13 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptnls.jetexpr import (DEFAULT_MAX_JET_ORDER, Const, CyclicBindingError,
@@ -166,6 +167,7 @@ _tree = st.recursive(_leaf, _compose, max_leaves=25)
 
 @settings(max_examples=300, deadline=None)
 @given(_tree)
+@example(neg(sqrt(pow_(Const(-0.0), Fraction(1, 2)))))  # prints as -sqrt((-0.0)^(1/2))
 def test_print_parse_roundtrip(e):
     assert parse_expr(to_text(e)) == e
 
@@ -210,6 +212,55 @@ def test_eval_vectorized_matches_scalar():
     vec = eval_expr(e, batch, params)
     for i in (0, 5, 16):
         assert eval_expr(e, batch.point(i), params) == pytest.approx(vec[i], rel=1e-15)
+
+
+def test_eval_shared_child_and_leaf_roots():
+    sampler = JetSampler(seed=4)
+    batch = sampler.batch(9, 1)
+    u, v = batch.values[JetCoord("u", 0, 0)], batch.values[JetCoord("v", 0, 0)]
+    square = mul(U, U)
+    assert square.lhs is square.rhs
+    s = add(U, V)
+    # s feeds mul(s, s) twice and sub(s, square) once more
+    e = add(mul(s, s), sub(s, square))
+    uses = {}
+    nodes(e, uses=uses)
+    assert (uses[U], uses[V], uses[s], uses[square], uses[e]) == (3, 1, 3, 1, 1)
+    assert np.array_equal(eval_expr(square, batch), u * u)
+    want = (u + v) * (u + v) + ((u + v) - u * u)
+    assert np.array_equal(eval_expr(e, batch), want)
+    assert eval_expr(e, batch.point(2)) == want[2]
+    assert eval_expr(U, batch) is u
+    assert np.array_equal(eval_expr(Var("x"), batch), batch.x)
+    assert eval_expr(Const(2.5), batch) == 2.5
+    assert eval_expr(Sym("mu"), batch, ParamValues(mu=3.0)) == 3.0
+
+
+def test_eval_frees_intermediates_after_last_use():
+    points = 10_000
+    rng = np.random.default_rng(0)
+    batch = JetBatch(np.zeros(points), np.zeros(points), 0,
+                     {JetCoord("u", 0, 0): rng.standard_normal(points),
+                      JetCoord("v", 0, 0): rng.standard_normal(points)})
+    e = U
+    for k in range(100):  # 200 array intermediates, each used once
+        e = add(mul(e, Const(1.0 + k / 1000)), V)
+    tracemalloc.start()
+    try:
+        eval_expr(e, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the live value, its successor and the result; not 200 arrays
+    assert peak < 4 * points * 8
+
+
+def test_batch_length_is_the_broadcast_point_count():
+    rows, n = 3, 5
+    batch = JetBatch(np.zeros((rows, 1)), np.zeros(n), 0,
+                     {JetCoord("u", 0, 0): np.zeros((rows, n))})
+    assert len(batch) == rows * n
+    assert len(JetSampler(seed=0).batch(7, 1)) == 7
 
 
 def test_eval_missing_coord_raises():

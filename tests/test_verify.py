@@ -4,9 +4,11 @@ raw-reading comparisons, and the finite-difference variational oracle."""
 import numpy as np
 import pytest
 
+from ptnls import verify
 from ptnls.catalog import CaseId, Kind, load_catalog
-from ptnls.jetexpr import (JetSampler, ParamValues, eval_expr, expr_equiv,
-                           parse_expr, total_derivative)
+from ptnls.jetexpr import (EVAL_BLOCK_POINTS, JetBatch, JetSampler, ParamValues,
+                           complete_coords, eval_expr, expr_equiv, parse_expr,
+                           total_derivative)
 from ptnls.verify import (EPS_GRID, FluxUnavailableError, check_divergence,
                           check_residual, complete_point, divergence_residual,
                           euler_residual, independent_variational_check)
@@ -181,3 +183,79 @@ def test_oracle_rejects_high_order():
         independent_variational_check(parse_expr("u_xxx^2"),
                                       JetSampler(seed=0).batch(1, 3).point(0),
                                       ParamValues())
+
+
+def _oracle_per_bump(e, p, params, n_bumps=20, quad_n=24, fd_step=1e-2, seed=0):
+    """Reference for the stacked oracle: one bump at a time, its scalars
+    drawn and computed as Python floats, one eval_expr call per stencil
+    point, one reduction per collocation entry."""
+    rng = np.random.default_rng(seed)
+    bg = verify._PolyBackground(p)
+    nodes, weights = np.polynomial.legendre.leggauss(quad_n)
+    powers = [(i, j) for i in range(5) for j in range(5 - i)]
+    out = []
+    for dep in ("u", "v"):
+        rows = np.zeros((n_bumps, len(powers)))
+        rhs = np.zeros(n_bumps)
+        for k in range(n_bumps):
+            tc = p.t + rng.uniform(-0.05, 0.05)
+            xc = p.x + rng.uniform(-0.05, 0.05)
+            wt = 0.15 * rng.uniform(0.7, 1.3)
+            wx = 0.15 * rng.uniform(0.7, 1.3)
+            T, X = np.meshgrid(tc + wt * nodes, xc + wx * nodes, indexing="ij")
+            Tf, Xf = T.ravel(), X.ravel()
+            w2d = (np.outer(weights, weights) * wt * wx).ravel()
+            zt, zx = (Tf - tc) / wt, (Xf - xc) / wx
+            gt, gx = verify._bump(zt), verify._bump(zx)
+            d1t, d1x = verify._bump_d1(zt), verify._bump_d1(zx)
+            phi = {(0, 0): gt * gx, (1, 0): d1t / wt * gx, (0, 1): gt * d1x / wx,
+                   (2, 0): verify._bump_d2(zt) / wt ** 2 * gx,
+                   (1, 1): d1t / wt * d1x / wx,
+                   (0, 2): gt * verify._bump_d2(zx) / wx ** 2}
+
+            def action(s):
+                values = {}
+                for c in complete_coords(2):
+                    arr = bg.jets(c.dep, Tf, Xf, c.t_order, c.x_order)
+                    if c.dep == dep:
+                        arr = arr + s * phi[(c.t_order, c.x_order)]
+                    values[c] = arr
+                vals = np.asarray(eval_expr(e, JetBatch(Tf, Xf, 2, values), params), dtype=float)
+                return float(np.sum(w2d * np.broadcast_to(vals, w2d.shape)))
+
+            h = fd_step
+            rhs[k] = (-action(2 * h) + 8 * action(h) - 8 * action(-h) + action(-2 * h)) / (12 * h)
+            for col, (i, j) in enumerate(powers):
+                mono = (Tf - p.t) ** i * (Xf - p.x) ** j
+                rows[k, col] = float(np.sum(w2d * mono * phi[(0, 0)]))
+        coeffs, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+        out.append(float(coeffs[0]))
+    return tuple(out)
+
+
+def _q_dot_e(case_id, kind):
+    cat = load_catalog()
+    mult = cat.multiplier(kind)
+    return verify._q_dot_e(mult.Q1, mult.Q2, cat.build_system(case_id))
+
+
+@pytest.mark.parametrize("index,block", list(enumerate(ALL_BLOCKS)),
+                         ids=[f"{c.value}-{k.value}" for c, k in ALL_BLOCKS])
+def test_stacked_oracle_matches_per_bump_loop(index, block):
+    p = JetSampler(seed=0).batch(len(ALL_BLOCKS), 2).point(index)
+    e = _q_dot_e(*block)
+    # seeds 55 and 62 draw bump widths whose squares numpy's `**` rounds
+    # apart from the C library's pow (Python's float `**`)
+    seed = 55 + index
+    res = independent_variational_check(e, p, ParamValues(), seed=seed)
+    assert (res.du, res.dv) == _oracle_per_bump(e, p, ParamValues(), seed=seed)
+
+
+def test_oracle_splits_bumps_into_blocks_of_the_point_budget():
+    quad_n = 24
+    n_bumps = EVAL_BLOCK_POINTS // quad_n ** 2 + 2  # one full block and two bumps
+    p = JetSampler(seed=5).batch(1, 2).point(0)
+    e = _q_dot_e(CaseId.CASE1A, Kind.CHARGE)
+    res = independent_variational_check(e, p, ParamValues(), n_bumps=n_bumps, quad_n=quad_n)
+    assert (res.du, res.dv) == _oracle_per_bump(e, p, ParamValues(), n_bumps=n_bumps,
+                                                quad_n=quad_n)
