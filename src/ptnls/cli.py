@@ -99,12 +99,19 @@ class Settings:
         self.resolved[key] = value
         return value
 
+    @staticmethod
+    def _int(source: str, text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"{source}: expected an integer, got {text!r}") from None
+
     def seed(self) -> int:
         value = getattr(self.args, "seed", None)
         if value is None and "seed" in self.file_values:
-            value = int(self.file_values["seed"])
+            value = self._int("config key seed", self.file_values["seed"])
         if value is None:
-            value = int(os.environ.get("PTNLS_SEED", "0"))
+            value = self._int("PTNLS_SEED", os.environ.get("PTNLS_SEED", "0"))
         self.resolved["seed"] = value
         return value
 

@@ -16,9 +16,11 @@ The module provides
   * a line-oriented text grammar (`parse_expr` / `to_text`) with byte-offset
     error reporting,
   * pointwise evaluation on scalar jet points or vectorized batches,
-  * partial derivatives with respect to any coordinate or parameter,
+  * partial derivatives with respect to any coordinate or parameter, and
+    every jet-coordinate partial of an expression from one walk,
   * total derivatives D_t and D_x,
-  * the variational (Euler) derivative with respect to u and v,
+  * the variational (Euler) derivative with respect to u and v, built from
+    that one gradient walk and D_t / D_x memoized for the call,
   * simultaneous substitution, and
   * seeded randomized equivalence testing in the style of polynomial
     identity testing: two expressions are declared equivalent when they agree
@@ -45,7 +47,7 @@ __all__ = [
     "Expr", "Const", "Sym", "Var", "Jet", "Unary", "Binary", "JetCoord",
     "ExprError", "ParseError", "JetOrderError", "EvalError", "CyclicBindingError",
     "const", "jet", "add", "sub", "mul", "div", "neg", "pow_", "exp", "erf", "sqrt",
-    "parse_expr", "to_text", "eval_expr", "partial", "total_derivative",
+    "parse_expr", "to_text", "eval_expr", "partial", "gradient", "total_derivative",
     "euler_operator", "substitute", "collect_coords", "contains_t_derivative",
     "nodes", "expr_equiv", "EquivResult", "JetPoint", "JetBatch", "JetSampler",
     "ParamValues", "complete_coords", "random_polynomial", "EVAL_BLOCK_POINTS",
@@ -257,13 +259,18 @@ class Binary(Expr):
                          op=op, lhs=lhs, rhs=rhs)
 
 
-def nodes(*roots: Expr, uses: Optional[dict] = None) -> list[Expr]:
+def nodes(*roots: Expr, uses: Optional[dict] = None,
+          seen: Optional[set] = None) -> list[Expr]:
     """The distinct nodes reachable from `roots`, each listed after its
     children (left operand first).  Iterative, so depth is unbounded.
     Given a dict, `uses` receives each node's number of references: one per
-    parent operand slot (twice for the child of u*u) and one per root."""
+    parent operand slot (twice for the child of u*u) and one per root.
+    Given a set, `seen` holds nodes to stop at (they are neither listed nor
+    descended into) and receives every node listed, so a sequence of walks
+    sharing one set lists each node once."""
     out: list[Expr] = []
-    seen: set[Expr] = set()
+    if seen is None:
+        seen = set()
     stack: list[tuple[Expr, bool]] = [(r, False) for r in reversed(roots)]
     while stack:
         n, expanded = stack.pop()
@@ -835,40 +842,52 @@ def _norm_wrt(wrt) -> Expr:
 _TWO_OVER_SQRT_PI = div(Const(2), sqrt(Sym("pi")))
 
 
-def _differentiate(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
-    """Shared chain-rule walk; `leaf` supplies derivatives of terminals."""
-    d: dict[Expr, Expr] = {}
-    for n in nodes(e):
+def _d_erf(n: Expr, da: Expr, _) -> Expr:
+    return mul(da, mul(_TWO_OVER_SQRT_PI, exp(neg(pow_(n.arg, 2)))))
+
+
+def _d_quotient(n: Expr, dl: Expr, dr: Expr) -> Expr:
+    if _is_const(dr, 0):
+        return div(dl, n.rhs)
+    return div(sub(mul(dl, n.rhs), mul(n.lhs, dr)), pow_(n.rhs, 2))
+
+
+def _d_power(n: Expr, dl: Expr, _) -> Expr:
+    c = n.rhs.value
+    return mul(mul(Const(c), pow_(n.lhs, c - 1)), dl)
+
+
+# The chain rule of every operator: the derivative of node n from the
+# derivatives of its operands (the second is None for a unary node).  Every
+# derivative in the module is built from these constructor calls alone.
+_CHAIN_RULES: dict[str, Callable[[Expr, Expr, Optional[Expr]], Expr]] = {
+    "neg": lambda n, da, _: neg(da),
+    "exp": lambda n, da, _: mul(da, n),
+    "erf": _d_erf,
+    "sqrt": lambda n, da, _: div(da, mul(Const(2), n)),
+    "+": lambda n, dl, dr: add(dl, dr),
+    "-": lambda n, dl, dr: sub(dl, dr),
+    "*": lambda n, dl, dr: add(mul(dl, n.rhs), mul(n.lhs, dr)),
+    "/": _d_quotient,
+    "^": _d_power,
+}
+
+
+def _differentiate(e: Expr, leaf: Callable[[Expr], Expr],
+                   d: Optional[dict] = None, seen: Optional[set] = None) -> Expr:
+    """Shared chain-rule walk; `leaf` supplies derivatives of terminals.
+    A dict `d` of derivatives and the set `seen` of nodes they cover, both
+    kept from earlier walks with the same `leaf`, are reused and extended."""
+    if d is None:
+        d = {}
+    for n in nodes(e, seen=seen):
         t = type(n)
         if t is Unary:
-            da = d[n.arg]
-            if n.op == "neg":
-                out = neg(da)
-            elif n.op == "exp":
-                out = mul(da, n)
-            elif n.op == "erf":
-                out = mul(da, mul(_TWO_OVER_SQRT_PI, exp(neg(pow_(n.arg, 2)))))
-            else:
-                out = div(da, mul(Const(2), n))
+            d[n] = _CHAIN_RULES[n.op](n, d[n.arg], None)
         elif t is Binary:
-            dl, dr = d[n.lhs], d[n.rhs]
-            if n.op == "+":
-                out = add(dl, dr)
-            elif n.op == "-":
-                out = sub(dl, dr)
-            elif n.op == "*":
-                out = add(mul(dl, n.rhs), mul(n.lhs, dr))
-            elif n.op == "/":
-                if _is_const(dr, 0):
-                    out = div(dl, n.rhs)
-                else:
-                    out = div(sub(mul(dl, n.rhs), mul(n.lhs, dr)), pow_(n.rhs, 2))
-            else:
-                c = n.rhs.value
-                out = mul(mul(Const(c), pow_(n.lhs, c - 1)), dl)
+            d[n] = _CHAIN_RULES[n.op](n, d[n.lhs], d[n.rhs])
         else:
-            out = leaf(n)
-        d[n] = out
+            d[n] = leaf(n)
     return d[e]
 
 
@@ -878,16 +897,36 @@ def partial(e: Expr, wrt) -> Expr:
     return _differentiate(e, lambda n: ONE if n is target else ZERO)
 
 
-def total_derivative(e: Expr, direction, max_order: int = DEFAULT_MAX_JET_ORDER) -> Expr:
-    """Total derivative D_t or D_x: the explicit partial plus the jet chain
-    u_J -> u_{J+direction} over every coordinate present."""
-    target = _norm_wrt(direction)
-    if type(target) is not Var:
-        raise ValueError(f"total derivative direction must be 't' or 'x', got {direction!r}")
-    if e.order + 1 > max_order:
-        raise JetOrderError(
-            f"total derivative would exceed jet order {max_order} (expression has order {e.order})")
+def gradient(e: Expr) -> dict[JetCoord, Expr]:
+    """`partial(e, c)` for every jet coordinate c present in e, node for
+    node, from one walk of e.
 
+    Each node keeps a sparse map of its partials.  For a coordinate an
+    operand does not contain, the operand's derivative is the one `partial`
+    gives it: its derivative with every leaf's derivative zero, which folding
+    may make a float zero (0 * 2.5 is Const(0.0)), so it is built once per
+    node by the same chain rule rather than assumed to be ZERO."""
+    zero: dict[Expr, Expr] = {}
+    # keyed by Jet leaf, not JetCoord: a node hashes by identity, a JetCoord in Python code
+    grad: dict[Expr, dict[Jet, Expr]] = {}
+    for n in nodes(e):
+        t = type(n)
+        if t is Unary:
+            rule = _CHAIN_RULES[n.op]
+            zero[n] = rule(n, zero[n.arg], None)
+            grad[n] = {c: rule(n, da, None) for c, da in grad[n.arg].items()}
+        elif t is Binary:
+            rule, zl, zr = _CHAIN_RULES[n.op], zero[n.lhs], zero[n.rhs]
+            gl, gr = grad[n.lhs], grad[n.rhs]
+            zero[n] = rule(n, zl, zr)
+            grad[n] = {c: rule(n, gl.get(c, zl), gr.get(c, zr)) for c in gl.keys() | gr.keys()}
+        else:
+            zero[n] = ZERO
+            grad[n] = {n: ONE} if t is Jet else {}
+    return {leaf.coord: d for leaf, d in grad[e].items()}
+
+
+def _total_leaf(target: Var) -> Callable[[Expr], Expr]:
     def leaf(n: Expr) -> Expr:
         if type(n) is Jet:
             return Jet(n.coord.bumped(target.name))
@@ -895,7 +934,23 @@ def total_derivative(e: Expr, direction, max_order: int = DEFAULT_MAX_JET_ORDER)
             return ONE
         return ZERO
 
-    return _differentiate(e, leaf)
+    return leaf
+
+
+def _order_guard(e: Expr, max_order: int) -> None:
+    if e.order + 1 > max_order:
+        raise JetOrderError(
+            f"total derivative would exceed jet order {max_order} (expression has order {e.order})")
+
+
+def total_derivative(e: Expr, direction, max_order: int = DEFAULT_MAX_JET_ORDER) -> Expr:
+    """Total derivative D_t or D_x: the explicit partial plus the jet chain
+    u_J -> u_{J+direction} over every coordinate present."""
+    target = _norm_wrt(direction)
+    if type(target) is not Var:
+        raise ValueError(f"total derivative direction must be 't' or 'x', got {direction!r}")
+    _order_guard(e, max_order)
+    return _differentiate(e, _total_leaf(target))
 
 
 def collect_coords(e: Expr) -> frozenset[JetCoord]:
@@ -910,26 +965,33 @@ def euler_operator(e: Expr, max_order: int = DEFAULT_MAX_JET_ORDER) -> tuple[Exp
     """Variational derivative (delta e / delta u, delta e / delta v):
     sum over multi-indices J of (-1)^|J| D_J (partial e / partial w_J).
 
+    One `gradient` walk gives every partial.  D_t and D_x each keep one
+    memo of derivatives for the whole call, so a subexpression shared by
+    several terms (or met again after an earlier D) is differentiated once
+    per direction; the result is node for node that of `partial` followed
+    by repeated `total_derivative`.
+
     Intermediate results reach jet order 2*order(e), hence the precondition;
     pass a larger max_order to apply the operator to higher-order input.
     """
     if 2 * e.order > max_order:
         raise JetOrderError(
             f"euler_operator needs max_order >= {2 * e.order} for an expression of order {e.order}")
-    coords = sorted(collect_coords(e))
+    grad = gradient(e)
+    # per direction: the leaf rule, the derivatives so far and the nodes they cover
+    memo = {v: (_total_leaf(v), {}, set()) for v in (T, X)}
     out = []
     for dep in DEPENDENTS:
         acc: Expr = ZERO
-        for c in coords:
+        for c in sorted(grad):  # the keys are collect_coords(e)
             if c.dep != dep:
                 continue
-            term = partial(e, c)
+            term = grad[c]
             if _is_const(term, 0):
                 continue
-            for _ in range(c.t_order):
-                term = total_derivative(term, "t", max_order)
-            for _ in range(c.x_order):
-                term = total_derivative(term, "x", max_order)
+            for v in (T,) * c.t_order + (X,) * c.x_order:
+                _order_guard(term, max_order)
+                term = _differentiate(term, *memo[v])
             acc = add(acc, term) if c.order % 2 == 0 else sub(acc, term)
         out.append(acc)
     return out[0], out[1]

@@ -415,7 +415,9 @@ def _bump_block(e: Expr, params: ParamValues, bg: _PolyBackground, dep: str,
 
     h = fd_step
     rhs = (-action(2 * h) + 8 * action(h) - 8 * action(-h) + action(-2 * h)) / (12 * h)
-    rows = np.stack([np.sum(w2d * ((T - p.t) ** i * (X - p.x) ** j) * phi_jets[(0, 0)], axis=-1)
+    tp = [(T - p.t) ** i for i in range(5)]
+    xp = [(X - p.x) ** j for j in range(5)]
+    rows = np.stack([np.sum(w2d * (tp[i] * xp[j]) * phi_jets[(0, 0)], axis=-1)
                      for i, j in _POWERS], axis=-1)
     return rows, rhs
 

@@ -1,8 +1,12 @@
 """Tests for density timeseries, drift scans, the log-log fit, and the CSV
 and SVG emitters."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,3 +346,16 @@ def test_scan_outputs_are_reproducible(tmp_path):
     files_b = emit_report([b], pb)
     for fa, fb in zip(files_a, files_b):
         assert open(fa, "rb").read() == open(fb, "rb").read()
+
+
+def test_drift_scan_script_quick_run(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, str(root / "scripts" / "run_drift_scan.py"),
+                           "--quick", "--out-dir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert sorted(os.listdir(tmp_path)) == [
+        "drift.csv", "drift_case1a_charge.svg", "drift_case1a_energy.svg",
+        "drift_case2_charge.svg", "drift_slopes.csv"]
+    assert all(os.path.getsize(tmp_path / name) > 0 for name in os.listdir(tmp_path))

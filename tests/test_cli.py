@@ -165,6 +165,16 @@ def test_malformed_config_line(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+def test_non_integer_seed_names_its_source(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = abc\n")
+    assert main(["verify-euler", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "error: config key seed: expected an integer, got 'abc'" in capsys.readouterr().err
+    monkeypatch.setenv("PTNLS_SEED", "1.5")
+    assert main(["verify-euler"]) == EXIT_CONFIG
+    assert "error: PTNLS_SEED: expected an integer, got '1.5'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # drift-scan
 

@@ -15,14 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import (DEFAULT_MAX_JET_ORDER, Const, CyclicBindingError,
                            EvalError, Jet, JetBatch, JetCoord, JetOrderError,
                            JetPoint, JetSampler, ParamValues, ParseError, Sym,
                            Var, add, collect_coords, const, contains_t_derivative,
                            coord_from_name, div, erf, euler_operator, eval_expr,
-                           exp, expr_equiv, jet, mul, neg, nodes, parse_expr,
-                           partial, pow_, random_polynomial, sqrt, sub,
-                           substitute, to_text, total_derivative)
+                           exp, expr_equiv, gradient, jet, mul, neg, nodes,
+                           parse_expr, partial, pow_, random_polynomial, sqrt,
+                           sub, substitute, to_text, total_derivative)
 
 U, V = jet("u"), jet("v")
 UX, VX = jet("u", 0, 1), jet("v", 0, 1)
@@ -410,6 +411,102 @@ def test_euler_annihilates_total_derivatives(seed, direction):
     eu, ev = euler_operator(df, max_order=6)
     assert expr_equiv(eu, const(0), n=20, tol=1e-9)
     assert expr_equiv(ev, const(0), n=20, tol=1e-9)
+
+
+def _euler_reference(e, max_order):
+    """The Euler operator as a loop over coordinates: a fresh `partial`, then
+    a fresh `total_derivative` per D, for every coordinate of e."""
+    out = []
+    for dep in ("u", "v"):
+        acc = const(0)
+        for c in sorted(collect_coords(e)):
+            if c.dep != dep:
+                continue
+            term = partial(e, c)
+            if type(term) is Const and term.value == 0:
+                continue
+            for _ in range(c.t_order):
+                term = total_derivative(term, "t", max_order)
+            for _ in range(c.x_order):
+                term = total_derivative(term, "x", max_order)
+            acc = add(acc, term) if c.order % 2 == 0 else sub(acc, term)
+        out.append(acc)
+    return tuple(out)
+
+
+def _assert_euler_is_reference(e, max_order):
+    grad = gradient(e)
+    assert set(grad) == collect_coords(e)
+    for c, d in grad.items():
+        assert d is partial(e, c), c.name()
+    eu, ev = euler_operator(e, max_order=max_order)
+    ref_u, ref_v = _euler_reference(e, max_order)
+    assert eu is ref_u and ev is ref_v
+
+
+_FLOAT_PARAMS = ParamValues(eps=0.3, mu=1.5, sigma=0.7, alpha=0.25, g=2.0)
+
+
+@pytest.mark.parametrize("params", [None, _FLOAT_PARAMS], ids=["symbolic", "float-params"])
+def test_euler_operator_is_the_per_coordinate_loop_on_catalog_blocks(params):
+    cat = load_catalog()
+    for case_id in CaseId:
+        system = cat.build_system(case_id, params)
+        for kind in Kind:
+            mult = cat.multiplier(kind)
+            _assert_euler_is_reference(
+                add(mul(mult.Q1, system.E1), mul(mult.Q2, system.E2)), max_order=6)
+
+
+def test_euler_operator_is_the_per_coordinate_loop_on_random_total_derivatives():
+    rng = np.random.default_rng(20261018)
+    for _ in range(100):
+        f = random_polynomial(rng)
+        for direction in ("t", "x"):
+            _assert_euler_is_reference(total_derivative(f, direction, max_order=6), 6)
+
+
+# hand-written densities reaching the chain rules random polynomials do not:
+# erf, sqrt, quotients, fractional powers and float constants
+_CHAIN_RULE_DENSITIES = [
+    "erf(x)*u_x^2",
+    "sqrt(1 + u^2)*v_x",
+    "u/(1 + v^2)",
+    "(u^2 + v^2)^(3/2)",
+    "2.5*x*u + 3*v",
+    "u + 2.5*x",
+    "0.5*u_t*v - (1 + x^2)^(-1/2)*u_x/(2 + v_x^2) + exp(-0.25*x^2)*u*v",
+]
+
+
+@pytest.mark.parametrize("text", _CHAIN_RULE_DENSITIES)
+def test_euler_chain_rules_are_the_loop_and_annihilate_total_derivatives(text):
+    f = parse_expr(text)
+    _assert_euler_is_reference(f, 6)
+    for direction in ("t", "x"):
+        df = total_derivative(f, direction, max_order=6)
+        _assert_euler_is_reference(df, 6)
+        eu, ev = euler_operator(df, max_order=6)
+        assert expr_equiv(eu, const(0), n=40, tol=1e-9)
+        assert expr_equiv(ev, const(0), n=40, tol=1e-9)
+
+
+def test_gradient_keeps_float_zero_partials():
+    # d(2.5*x)/du folds to the float 0.0, so d(u + 2.5*x)/du is 1.0, not 1
+    e = parse_expr("u + 2.5*x")
+    assert partial(e, "u") is Const(1.0)
+    assert gradient(e) == {JetCoord("u"): Const(1.0)}
+    assert gradient(parse_expr("2.5*x")) == {}
+
+
+def test_nodes_stops_at_seen_nodes():
+    s = add(U, V)
+    seen = set()
+    assert nodes(s, seen=seen) == [U, V, s]
+    e = mul(s, UX)
+    assert nodes(e, seen=seen) == [UX, e]
+    assert seen == {U, V, s, UX, e}
+    assert nodes(e, seen=seen) == []
 
 
 # ---------------------------------------------------------------------------
