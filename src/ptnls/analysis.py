@@ -26,7 +26,7 @@ from .solver import (FieldState, Gaussian, MemberResult, SolverConfig, Trajector
                      _case_arrays, _fmt as _g, integrate, jet_values, run_members)
 
 __all__ = [
-    "DensityTimeseries", "DriftMember", "DriftReport",
+    "DensityUnavailableError", "DensityTimeseries", "DriftMember", "DriftReport",
     "density_timeseries", "drift_from_timeseries", "drift_scan",
     "default_scan_config", "fit_loglog_slope", "emit_report",
     "write_drift_csv", "write_slope_csv", "write_timeseries_csv",
@@ -51,14 +51,21 @@ class DensityTimeseries:
     values: np.ndarray
 
 
+class DensityUnavailableError(ValueError):
+    """The requested density form is not cataloged for the block."""
+
+
 def _density_expr(case_id: CaseId, kind: Kind, form: str) -> Expr:
+    if form not in ("Tt", "PhiT"):
+        raise ValueError(f"form must be 'Tt' or 'PhiT', got {form!r}")
     cv = load_catalog().conserved_vector(case_id, kind)
     if cv is None:
-        raise ValueError(f"no conserved density cataloged for {case_id.value}/{kind.value}")
-    e = cv.Tt if form == "Tt" else cv.complex_density if form == "PhiT" else None
+        raise DensityUnavailableError(
+            f"no conserved density cataloged for {case_id.value}/{kind.value}")
+    e = cv.Tt if form == "Tt" else cv.complex_density
     if e is None:
-        raise ValueError(f"form must be 'Tt' or 'PhiT' and be cataloged; "
-                         f"got {form!r} for {case_id.value}/{kind.value}")
+        raise DensityUnavailableError(
+            f"form {form} is not cataloged for {case_id.value}/{kind.value}")
     return e
 
 

@@ -8,9 +8,14 @@ Subcommands:
   drift-scan         scan drift against eps, fit the power law
   parse-expr         parse, canonicalize and optionally evaluate an expression
 
-Exit codes: 0 pass, 1 verification failure, 2 configuration error,
-3 requested flux not cataloged, 4 numerical failure (blow-up or boundary
-contamination).
+The verify commands and drift-scan select their blocks alike: --case all and
+--kind both by default.  Under --case all a block without the requested
+flux (verify-divergence) or density (drift-scan) is skipped; a block that
+--case names fails instead.
+
+Exit codes: 0 pass, 1 verification failure, 2 configuration error (a
+requested density not cataloged included), 3 requested flux not cataloged,
+4 numerical failure (blow-up or boundary contamination).
 
 Configuration may come from a flat key=value file (--config); command-line
 flags override file entries.  Reports are printed as JSON lines embedding
@@ -25,13 +30,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .analysis import (density_timeseries, drift_from_timeseries, drift_scan,
-                       emit_report)
+from .analysis import (DRIFT_FLOOR_FACTOR, DensityUnavailableError, _density_expr,
+                       default_scan_config, density_timeseries, drift_from_timeseries,
+                       drift_scan, emit_report)
 from .catalog import CaseId, Kind, load_catalog
 from .jetexpr import (EvalError, JetBatch, ParamValues, ParseError, coord_from_name,
                       eval_expr, parse_expr, to_text)
@@ -132,30 +138,25 @@ def _requested_blocks(settings: Settings) -> list[tuple[CaseId, Kind]]:
     return [(c, k) for c in cases for k in kinds]
 
 
-def _params_from(settings: Settings) -> ParamValues:
-    return ParamValues(eps=settings.get("eps", 0.05),
-                       mu=settings.get("mu", 1.0),
-                       sigma=settings.get("sigma", 1.0),
-                       alpha=settings.get("alpha", 0.5),
-                       g=settings.get("g", 1.0))
-
-
 def _solver_config(settings: Settings, case_id: CaseId) -> SolverConfig:
-    params = _params_from(settings)
-    grid = Grid(L=settings.get("L", 20.0), N=settings.get("N", 512))
+    """default_scan_config(case_id) with every value given by a flag or the
+    config file put in its place."""
+    base = default_scan_config(case_id)
+    params = ParamValues(**{f.name: settings.get(f.name, getattr(base.params, f.name))
+                            for f in fields(ParamValues)})
+    grid = Grid(L=settings.get("L", base.grid.L), N=settings.get("N", base.grid.N))
     name = settings.get("initial", "gaussian")
     if name == "gaussian":
-        initial = Gaussian(settings.get("amplitude", 1.0),
-                           settings.get("width", 1.0),
-                           settings.get("center", 0.5))
+        initial = Gaussian(settings.get("amplitude", base.initial.amplitude),
+                           settings.get("width", base.initial.width),
+                           settings.get("center", base.initial.center))
     elif name == "ground":
         initial = GroundState()
     else:
         raise ConfigError(f"initial must be 'gaussian' or 'ground', got {name!r}")
-    return SolverConfig(case_id=case_id, params=params,
-                        dt=settings.get("dt", 1e-3),
-                        T_final=settings.get("t_final", 5.0),
-                        grid=grid, initial=initial)
+    return replace(base, params=params, dt=settings.get("dt", base.dt),
+                   T_final=settings.get("t_final", base.T_final),
+                   grid=grid, initial=initial)
 
 
 def _print_raw_notes(comparisons) -> None:
@@ -266,37 +267,54 @@ def _parse_eps_grid(text: str) -> list[float]:
 
 
 def cmd_drift_scan(settings: Settings) -> int:
+    """Scan every requested block, write them all in one report, then print
+    each block's record and verdict in block order."""
     settings.seed()
-    case_id = CaseId.parse(settings.get("case", "1a"))
-    kind = Kind.parse(settings.get("kind", "charge"))
+    blocks = _requested_blocks(settings)
+    explicit = settings.get("case", "all") != "all"
     form = settings.get("form", "Tt")
     eps_list = _parse_eps_grid(settings.get("eps_grid", "1e-3:1e-1:7"))
     out_dir = settings.get("out_dir", "out")
     sample_every = settings.get("sample_every", 50)
-    cfg = _solver_config(settings, case_id)
 
-    report = drift_scan(case_id, kind, eps_list, cfg=cfg, form=form,
-                        sample_every=sample_every)
+    # every block's density is looked up before any block is stepped
+    skipped = {}
+    for block in blocks:
+        try:
+            _density_expr(*block, form)
+        except DensityUnavailableError as exc:
+            if explicit:
+                raise
+            skipped[block] = exc
+    reports = {block: drift_scan(*block, eps_list, cfg=_solver_config(settings, block[0]),
+                                 form=form, sample_every=sample_every)
+               for block in blocks if block not in skipped}
     header = [f"{k}={v}" for k, v in settings.resolved.items()]
-    paths = emit_report([report], out_dir, header_lines=header)
+    paths = emit_report(list(reports.values()), out_dir, header_lines=header)
 
-    _emit({"check": "drift-scan", "case": case_id.value, "kind": kind.value,
-           "form": form, "floor": report.floor, "slope": report.slope,
-           "intercept": report.intercept, "fit_residual": report.fit_residual,
-           "slope_valid": report.slope_valid, "fit_members": report.fit_members,
-           "members": [asdict(m) for m in report.members]}, settings)
-    for m in report.members:
-        if m.failed:
-            print(f"[skip] eps={m.eps:g}: {m.error}")
-    if report.slope_valid:
-        print(f"[ok] drift scan {case_id.value}/{kind.value}: slope {report.slope:.3f} "
-              f"over {report.fit_members} members (floor {report.floor:.3e})")
-    else:
-        print(f"[FAIL] drift scan {case_id.value}/{kind.value}: only "
-              f"{report.fit_members} members above 10x floor {report.floor:.3e}; "
-              "no slope fitted")
+    for case_id, kind in blocks:
+        name = f"{case_id.value}/{kind.value}"
+        if (case_id, kind) in skipped:
+            print(f"[skip] drift scan {name}: {skipped[case_id, kind]}")
+            continue
+        report = reports[case_id, kind]
+        _emit({"check": "drift-scan", "case": case_id.value, "kind": kind.value,
+               "form": form, "floor": report.floor, "slope": report.slope,
+               "intercept": report.intercept, "fit_residual": report.fit_residual,
+               "slope_valid": report.slope_valid, "fit_members": report.fit_members,
+               "members": [asdict(m) for m in report.members]}, settings)
+        for m in report.members:
+            if m.failed:
+                print(f"[skip] eps={m.eps:g}: {m.error}")
+        if report.slope_valid:
+            print(f"[ok] drift scan {name}: slope {report.slope:.3f} "
+                  f"over {report.fit_members} members (floor {report.floor:.3e})")
+        else:
+            print(f"[FAIL] drift scan {name}: only {report.fit_members} members above "
+                  f"{DRIFT_FLOOR_FACTOR:g}x floor {report.floor:.3e}; no slope fitted")
     print("wrote: " + ", ".join(paths))
-    return EXIT_OK if report.slope_valid else EXIT_CHECK_FAILED
+    ok = all(r.slope_valid for r in reports.values())
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _parse_assignments(text: str, what: str) -> dict[str, float]:
@@ -369,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "1e-10")
     verify_flags(sub.add_parser("verify-divergence", help="D_t Tt + D_x Tx vs Q.E"), "1e-9")
 
-    def solver_flags(p):
-        p.add_argument("--case", help="1a, 1b, 1c or 2")
+    def solver_flags(p, case_help: str):
+        p.add_argument("--case", help=case_help)
         p.add_argument("--eps", type=float)
         p.add_argument("--mu", type=float)
         p.add_argument("--sigma", type=float)
@@ -389,12 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate one configuration")
     common(p)
-    solver_flags(p)
+    solver_flags(p, "1a, 1b, 1c or 2")
 
     p = sub.add_parser("drift-scan", help="drift vs eps power-law scan")
     common(p)
-    solver_flags(p)
-    p.add_argument("--kind", choices=["energy", "charge"], default=None)
+    solver_flags(p, "1a, 1b, 1c, 2 or all (default all)")
+    p.add_argument("--kind", choices=["energy", "charge", "both"], default=None)
     p.add_argument("--form", choices=["Tt", "PhiT"], default=None)
     p.add_argument("--eps-grid", dest="eps_grid",
                    help="start:stop:count, log spaced (default 1e-3:1e-1:7)")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -358,21 +358,30 @@ class _PolyBackground:
 
     def __init__(self, point: JetPoint):
         self.t0, self.x0 = point.t, point.x
+        self.degree = max((c.t_order + c.x_order for c in point.values), default=0)
         self.coeff = {"u": {}, "v": {}}
         for c, val in point.values.items():
             self.coeff[c.dep][(c.t_order, c.x_order)] = (
                 val / (math.factorial(c.t_order) * math.factorial(c.x_order)))
 
-    def jets(self, dep: str, t: np.ndarray, x: np.ndarray, i: int, j: int) -> np.ndarray:
-        """(d/dt)^i (d/dx)^j of the field, exactly."""
+    def jets(self, t: np.ndarray, x: np.ndarray,
+             coords: Iterable[JetCoord]) -> dict[JetCoord, np.ndarray]:
+        """(d/dt)^i (d/dx)^j of the field at each coordinate, exactly; the
+        powers of t - t0 and x - x0 are taken once for all coordinates."""
         dt, dx = t - self.t0, x - self.x0
-        out = np.zeros_like(dt)
-        for (p, q), c in self.coeff[dep].items():
-            if p < i or q < j:
-                continue
-            fac = (math.factorial(p) // math.factorial(p - i)
-                   * math.factorial(q) // math.factorial(q - j))
-            out = out + c * fac * dt ** (p - i) * dx ** (q - j)
+        tp = [dt ** k for k in range(self.degree + 1)]
+        xp = [dx ** k for k in range(self.degree + 1)]
+        out = {}
+        for coord in coords:
+            i, j = coord.t_order, coord.x_order
+            val = np.zeros_like(dt)
+            for (p, q), c in self.coeff[coord.dep].items():
+                if p < i or q < j:
+                    continue
+                fac = (math.factorial(p) // math.factorial(p - i)
+                       * math.factorial(q) // math.factorial(q - j))
+                val = val + c * fac * tp[p - i] * xp[q - j]
+            out[coord] = val
         return out
 
 
@@ -403,7 +412,7 @@ def _bump_block(e: Expr, params: ParamValues, bg: _PolyBackground, dep: str,
         (1, 1): _bump_d1(zt) / wt * _bump_d1(zx) / wx,
         (0, 2): gt * _bump_d2(zx) / wx2,
     }
-    background = {c: bg.jets(c.dep, T, X, c.t_order, c.x_order) for c in complete_coords(2)}
+    background = bg.jets(T, X, complete_coords(2))
 
     def action(s: float) -> np.ndarray:
         values = dict(background)

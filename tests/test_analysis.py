@@ -1,12 +1,8 @@
 """Tests for density timeseries, drift scans, the log-log fit, and the CSV
 and SVG emitters."""
 
-import os
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +10,7 @@ import pytest
 from ptnls import analysis
 from ptnls.analysis import (DRIFT_CSV_HEADER, SLOPE_CSV_HEADER,
                             TIMESERIES_CSV_HEADER, DensityTimeseries,
+                            DensityUnavailableError,
                             default_scan_config, density_timeseries,
                             drift_from_timeseries, drift_scan, emit_report,
                             fit_loglog_slope, write_drift_csv,
@@ -130,6 +127,18 @@ def test_density_rejects_unknown_form_and_missing_densities():
     traj1c = run(_short_cfg(CaseId.CASE1C, T_final=0.0))
     with pytest.raises(ValueError, match="no conserved density"):
         density_timeseries(traj1c, CaseId.CASE1C, Kind.ENERGY)
+
+
+def test_uncataloged_density_is_typed():
+    # a form that is not cataloged for the block raises the typed error,
+    # which the CLI skips under --case all; an unknown form name does not
+    for case_id, kind, form in [(CaseId.CASE1C, Kind.CHARGE, "Tt"),
+                                (CaseId.CASE2, Kind.ENERGY, "PhiT")]:
+        with pytest.raises(DensityUnavailableError):
+            drift_scan(case_id, kind, EPS_LIST, form=form)
+    with pytest.raises(ValueError) as info:
+        drift_scan(CaseId.CASE1A, Kind.CHARGE, EPS_LIST, form="Tx")
+    assert not isinstance(info.value, DensityUnavailableError)
 
 
 def test_flux_needs_jets_the_solver_does_not_carry():
@@ -346,16 +355,3 @@ def test_scan_outputs_are_reproducible(tmp_path):
     files_b = emit_report([b], pb)
     for fa, fb in zip(files_a, files_b):
         assert open(fa, "rb").read() == open(fb, "rb").read()
-
-
-def test_drift_scan_script_quick_run(tmp_path):
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run([sys.executable, str(root / "scripts" / "run_drift_scan.py"),
-                           "--quick", "--out-dir", str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert sorted(os.listdir(tmp_path)) == [
-        "drift.csv", "drift_case1a_charge.svg", "drift_case1a_energy.svg",
-        "drift_case2_charge.svg", "drift_slopes.csv"]
-    assert all(os.path.getsize(tmp_path / name) > 0 for name in os.listdir(tmp_path))

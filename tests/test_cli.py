@@ -1,12 +1,14 @@
 """End-to-end CLI tests, run in process through cli.main(argv)."""
 
+import io
 import json
 import os
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
-from ptnls import __version__
+from ptnls import __version__, analysis, cli
 from ptnls.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_FLUX_UNAVAILABLE,
                        EXIT_NUMERICAL, EXIT_OK, main)
 
@@ -179,9 +181,29 @@ def test_non_integer_seed_names_its_source(tmp_path, capsys, monkeypatch):
 # drift-scan
 
 
-SCAN_ARGS = ["drift-scan", "--case", "1a", "--kind", "charge",
-             "--eps-grid", "1e-3:1e-1:4", "--t-final", "0.5", "--dt", "2e-3",
-             "--N", "256", "--seed", "0"]
+QUICK_SCAN = ["--eps-grid", "1e-3:1e-1:4", "--t-final", "0.5", "--dt", "2e-3",
+              "--N", "256", "--seed", "0"]
+SCAN_ARGS = ["drift-scan", "--case", "1a", "--kind", "charge"] + QUICK_SCAN
+
+# every block with a cataloged density, in block order; case1c has none
+SCANNED = [(c, k) for c in ("case1a", "case1b", "case2") for k in ("energy", "charge")]
+
+
+def _data_rows(path, case: str, kind: str) -> list[str]:
+    return [line for line in path.read_text().splitlines()
+            if not line.startswith("#") and line.startswith(f"{case},{kind},")]
+
+
+@pytest.fixture(scope="module")
+def all_blocks_scan(tmp_path_factory):
+    """`drift-scan --case all --kind both` with the quick flags: exit code,
+    stdout and output directory."""
+    out_dir = tmp_path_factory.mktemp("all") / "scan"
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["drift-scan", "--case", "all", "--kind", "both", *QUICK_SCAN,
+                     "--out-dir", str(out_dir)])
+    return code, buf.getvalue(), out_dir
 
 
 def test_drift_scan_end_to_end(tmp_path, capsys):
@@ -204,6 +226,89 @@ def test_drift_scan_end_to_end(tmp_path, capsys):
     capsys.readouterr()
     for name, blob in first.items():
         assert (out_dir / name).read_bytes() == blob, name
+
+
+def test_drift_scan_all_blocks_reports_every_block(all_blocks_scan):
+    code, out, _ = all_blocks_scan
+    assert code == EXIT_OK
+    recs = [r for r in _json_records(out) if r["check"] == "drift-scan"]
+    assert [(r["case"], r["kind"]) for r in recs] == SCANNED
+    assert all(r["slope_valid"] for r in recs)
+    assert recs[0]["config"]["case"] == "all" and recs[0]["config"]["kind"] == "both"
+    skips = [line for line in out.splitlines() if line.startswith("[skip]")]
+    assert skips == [f"[skip] drift scan case1c/{k}: no conserved density cataloged "
+                     f"for case1c/{k}" for k in ("energy", "charge")]
+    verdicts = [line.split(":")[0] for line in out.splitlines() if line.startswith("[ok]")]
+    assert verdicts == [f"[ok] drift scan {c}/{k}" for c, k in SCANNED]
+    assert out.splitlines()[-1].startswith("wrote: ")
+
+
+def test_drift_scan_all_blocks_writes_one_report(all_blocks_scan):
+    _, _, out_dir = all_blocks_scan
+    assert sorted(os.listdir(out_dir)) == sorted(
+        ["drift.csv", "drift_slopes.csv"] + [f"drift_{c}_{k}.svg" for c, k in SCANNED])
+    assert all(os.path.getsize(out_dir / name) > 0 for name in os.listdir(out_dir))
+    for c, k in SCANNED:
+        assert len(_data_rows(out_dir / "drift.csv", c, k)) == 5
+        assert len(_data_rows(out_dir / "drift_slopes.csv", c, k)) == 1
+
+
+def test_drift_scan_all_blocks_rows_match_single_block(all_blocks_scan, tmp_path, capsys):
+    _, _, all_dir = all_blocks_scan
+    assert main(SCAN_ARGS + ["--out-dir", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    for name in ("drift.csv", "drift_slopes.csv"):
+        single = _data_rows(tmp_path / name, "case1a", "charge")
+        assert single and _data_rows(all_dir / name, "case1a", "charge") == single, name
+
+
+def test_drift_scan_named_block_without_density_is_exit_2(tmp_path, capsys, monkeypatch):
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("members were stepped")
+
+    monkeypatch.setattr(analysis, "run_members", no_stepping)
+    out_dir = tmp_path / "scan"
+    assert main(["drift-scan", "--case", "1c", *QUICK_SCAN,
+                 "--out-dir", str(out_dir)]) == EXIT_CONFIG
+    assert "no conserved density cataloged for case1c/energy" in capsys.readouterr().err
+    # case2/charge has a PhiT density, case2/energy does not: neither is stepped
+    assert main(["drift-scan", "--case", "2", "--form", "PhiT", *QUICK_SCAN,
+                 "--out-dir", str(out_dir)]) == EXIT_CONFIG
+    assert "case2/energy" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_drift_scan_checks_every_named_block_before_stepping(tmp_path, capsys,
+                                                              monkeypatch):
+    # were case1a/charge uncataloged, case1a/energy (scanned first) must not
+    # be stepped either
+    def lookup(case_id, kind, form):
+        if kind.value == "charge":
+            raise analysis.DensityUnavailableError(f"{case_id.value}/{kind.value}")
+        return analysis._density_expr(case_id, kind, form)
+
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("members were stepped")
+
+    monkeypatch.setattr(cli, "_density_expr", lookup)
+    monkeypatch.setattr(analysis, "run_members", no_stepping)
+    out_dir = tmp_path / "scan"
+    assert main(["drift-scan", "--case", "1a", *QUICK_SCAN,
+                 "--out-dir", str(out_dir)]) == EXIT_CONFIG
+    assert "case1a/charge" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_drift_scan_without_fit_fails_naming_the_floor_factor(tmp_path, capsys,
+                                                              monkeypatch):
+    # with T = 0 nothing drifts, so no member qualifies for the fit
+    argv = SCAN_ARGS + ["--t-final", "0", "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_CHECK_FAILED
+    assert ("[FAIL] drift scan case1a/charge: only 0 members above 10x floor "
+            "0.000e+00; no slope fitted") in capsys.readouterr().out
+    monkeypatch.setattr(cli, "DRIFT_FLOOR_FACTOR", 3.0)
+    assert main(argv) == EXIT_CHECK_FAILED
+    assert "members above 3x floor" in capsys.readouterr().out
 
 
 def test_drift_scan_floor_failure_is_exit_4(tmp_path, capsys):

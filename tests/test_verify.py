@@ -213,10 +213,12 @@ def _oracle_per_bump(e, p, params, n_bumps=20, quad_n=24, fd_step=1e-2, seed=0):
                    (1, 1): d1t / wt * d1x / wx,
                    (0, 2): gt * verify._bump_d2(zx) / wx ** 2}
 
+            background = bg.jets(Tf, Xf, complete_coords(2))
+
             def action(s):
                 values = {}
                 for c in complete_coords(2):
-                    arr = bg.jets(c.dep, Tf, Xf, c.t_order, c.x_order)
+                    arr = background[c]
                     if c.dep == dep:
                         arr = arr + s * phi[(c.t_order, c.x_order)]
                     values[c] = arr
