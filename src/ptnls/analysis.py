@@ -163,13 +163,18 @@ def _qualifying(members: Sequence[DriftMember], floor: float) -> list[DriftMembe
             and m.drift_rel > 0]
 
 
-def drift_scan(case_id: CaseId, kind: Kind, eps_list: Sequence[float],
+def drift_scan(case_id: CaseId, kinds: Sequence[Kind], eps_list: Sequence[float],
                cfg: Optional[SolverConfig] = None, form: str = "Tt",
-               sample_every: int = 50) -> DriftReport:
+               sample_every: int = 50) -> list[DriftReport]:
     """Run the solver at eps = 0 and at each eps in eps_list, all members
-    stepped together, then fit log(drift) against log(eps) over the members
-    above the noise floor.  A failed eps > 0 member is kept, marked failed;
-    a failed eps = 0 floor run raises its error."""
+    stepped together once, then, for each kind in `kinds`, evaluate its
+    density along those trajectories and fit log(drift) against log(eps)
+    over the members above the noise floor.  Returns one report per kind,
+    in order.  A failed eps > 0 member is kept, marked failed; a failed
+    eps = 0 floor run raises its error."""
+    kinds = list(kinds)
+    if not kinds:
+        raise ValueError("need at least one kind")
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < MIN_FIT_MEMBERS:
         raise ValueError(f"need at least {MIN_FIT_MEMBERS} eps values")
@@ -181,24 +186,27 @@ def drift_scan(case_id: CaseId, kind: Kind, eps_list: Sequence[float],
         cfg = default_scan_config(case_id)
     if cfg.case_id is not case_id:
         raise ValueError("cfg.case_id does not match the scanned case")
-    _density_expr(case_id, kind, form)  # a missing density fails before any stepping
+    for kind in kinds:  # a missing density fails before any stepping
+        _density_expr(case_id, kind, form)
 
     eps_all = [0.0] + eps_list
     results = run_members(cfg, eps_all, sample_every)
     # without a floor there is no scan: its failure propagates as raised
     if isinstance(results[0], Exception):
         raise results[0]
-    members = [_run_member(e, r, case_id, kind, form) for e, r in zip(eps_all, results)]
-    floor = members[0].drift_rel
-
-    fit = _qualifying(members, floor)
-    slope = intercept = residual = None
-    slope_valid = len(fit) >= MIN_FIT_MEMBERS
-    if slope_valid:
-        slope, intercept, residual = fit_loglog_slope(
-            [m.eps for m in fit], [m.drift_rel for m in fit])
-    return DriftReport(case_id, kind, form, cfg, tuple(members), floor,
-                       slope, intercept, residual, slope_valid, len(fit))
+    reports = []
+    for kind in kinds:
+        members = [_run_member(e, r, case_id, kind, form) for e, r in zip(eps_all, results)]
+        floor = members[0].drift_rel
+        fit = _qualifying(members, floor)
+        slope = intercept = residual = None
+        slope_valid = len(fit) >= MIN_FIT_MEMBERS
+        if slope_valid:
+            slope, intercept, residual = fit_loglog_slope(
+                [m.eps for m in fit], [m.drift_rel for m in fit])
+        reports.append(DriftReport(case_id, kind, form, cfg, tuple(members), floor,
+                                   slope, intercept, residual, slope_valid, len(fit)))
+    return reports
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:

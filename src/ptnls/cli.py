@@ -286,9 +286,16 @@ def cmd_drift_scan(settings: Settings) -> int:
             if explicit:
                 raise
             skipped[block] = exc
-    reports = {block: drift_scan(*block, eps_list, cfg=_solver_config(settings, block[0]),
-                                 form=form, sample_every=sample_every)
-               for block in blocks if block not in skipped}
+    # each case is stepped once; every requested kind is evaluated on its trajectories
+    kinds_of: dict[CaseId, list[Kind]] = {}
+    for case_id, kind in blocks:
+        if (case_id, kind) not in skipped:
+            kinds_of.setdefault(case_id, []).append(kind)
+    reports = {(r.case_id, r.kind): r
+               for case_id, kinds in kinds_of.items()
+               for r in drift_scan(case_id, kinds, eps_list,
+                                   cfg=_solver_config(settings, case_id),
+                                   form=form, sample_every=sample_every)}
     header = [f"{k}={v}" for k, v in settings.resolved.items()]
     paths = emit_report(list(reports.values()), out_dir, header_lines=header)
 

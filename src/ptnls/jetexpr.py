@@ -33,6 +33,7 @@ expression stays structurally close to its source.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import weakref
@@ -659,15 +660,13 @@ class ParamValues:
         return replace(self, **kw)
 
 
-def complete_coords(order: int) -> list[JetCoord]:
+@functools.cache
+def complete_coords(order: int) -> tuple[JetCoord, ...]:
     """Every jet coordinate of both dependent variables up to `order`, in
-    (dep, t_order, x_order) order."""
-    out = []
-    for dep in DEPENDENTS:
-        for i in range(order + 1):
-            for j in range(order + 1 - i):
-                out.append(JetCoord(dep, i, j))
-    return out
+    (dep, t_order, x_order) order.  Built once per order: repeat calls return
+    the same immutable tuple."""
+    return tuple(JetCoord(dep, i, j) for dep in DEPENDENTS
+                 for i in range(order + 1) for j in range(order + 1 - i))
 
 
 @dataclass
@@ -1061,11 +1060,15 @@ class JetSampler:
     jet_range: tuple[float, float] = (-2.0, 2.0)
 
     def batch(self, n: int, order: int) -> JetBatch:
+        """n points of jet order `order`: t, x, the signs of x, then every
+        coordinate of `complete_coords(order)` drawn in one call, one row
+        each (the same stream and values as one draw per coordinate)."""
         rng = np.random.default_rng(self.seed)
         t = rng.uniform(*self.t_range, size=n)
         x = rng.uniform(*self.x_magnitude, size=n) * rng.choice([-1.0, 1.0], size=n)
-        values = {c: rng.uniform(*self.jet_range, size=n) for c in complete_coords(order)}
-        return JetBatch(t, x, order, values)
+        coords = complete_coords(order)
+        draws = rng.uniform(*self.jet_range, size=(len(coords), n))
+        return JetBatch(t, x, order, dict(zip(coords, draws)))
 
     def point(self, order: int) -> JetPoint:
         return self.batch(1, order).point(0)

@@ -367,7 +367,10 @@ class _PolyBackground:
     def jets(self, t: np.ndarray, x: np.ndarray,
              coords: Iterable[JetCoord]) -> dict[JetCoord, np.ndarray]:
         """(d/dt)^i (d/dx)^j of the field at each coordinate, exactly; the
-        powers of t - t0 and x - x0 are taken once for all coordinates."""
+        powers of t - t0 and x - x0 are taken once for all coordinates, each
+        at the shape of its own argument, so t and x given as broadcastable
+        factors (a column and a row of a tensor grid) give tables of that
+        size, and only the products are the broadcast shape."""
         dt, dx = t - self.t0, x - self.x0
         tp = [dt ** k for k in range(self.degree + 1)]
         xp = [dx ** k for k in range(self.degree + 1)]
@@ -386,18 +389,27 @@ class _PolyBackground:
 
 
 def _bump_block(e: Expr, params: ParamValues, bg: _PolyBackground, dep: str,
-                p: JetPoint, draws: np.ndarray, quad_n: int,
+                p: JetPoint, draws: np.ndarray, quad: tuple[np.ndarray, np.ndarray],
                 fd_step: float) -> tuple[np.ndarray, np.ndarray]:
     """Collocation rows and stencil derivatives of the action for a block of
-    bumps, one bump per row of stacked (bumps, quad_n^2) arrays; row k of
-    `draws` is bump k's (t offset, x offset, t width factor, x width factor)."""
-    quad_nodes, quad_weights = np.polynomial.legendre.leggauss(quad_n)
-    tc, xc = p.t + draws[:, 0:1], p.x + draws[:, 1:2]
-    wt, wx = _BUMP_WIDTH * draws[:, 2:3], _BUMP_WIDTH * draws[:, 3:4]
-    # node (i, j) of the tensor grid is column i*quad_n + j
-    T = np.repeat(tc + wt * quad_nodes, quad_n, axis=1)
-    X = np.tile(xc + wx * quad_nodes, quad_n)
-    w2d = np.outer(quad_weights, quad_weights).ravel() * wt * wx
+    bumps on the (nodes, weights) Gauss-Legendre rule `quad`; row k of
+    `draws` is bump k's (t offset, x offset, t width factor, x width factor).
+
+    Bump k's tensor grid is slice k of (bumps, quad_n, quad_n) arrays, t
+    along axis 1 and x along axis 2.  A factor of t alone is a
+    (bumps, quad_n, 1) array and one of x alone a (bumps, 1, quad_n) array,
+    so it is computed on quad_n points and broadcasting builds the products.
+    Integrals sum each bump's grid as one C-order row of quad_n^2 values."""
+    quad_nodes, quad_weights = quad
+    bumps = len(draws)
+    tc, xc = p.t + draws[:, 0, None, None], p.x + draws[:, 1, None, None]
+    wt, wx = _BUMP_WIDTH * draws[:, 2, None, None], _BUMP_WIDTH * draws[:, 3, None, None]
+    T = tc + wt * quad_nodes[:, None]
+    X = xc + wx * quad_nodes[None, :]
+    w2d = np.outer(quad_weights, quad_weights) * wt * wx
+
+    def row_sums(f: np.ndarray) -> np.ndarray:
+        return np.sum(f.reshape(bumps, -1), axis=-1)
 
     zt, zx = (T - tc) / wt, (X - xc) / wx
     gt, gx = _bump(zt), _bump(zx)
@@ -420,13 +432,13 @@ def _bump_block(e: Expr, params: ParamValues, bg: _PolyBackground, dep: str,
             c = JetCoord(dep, i, j)
             values[c] = background[c] + s * phi
         vals = np.asarray(eval_expr(e, JetBatch(T, X, 2, values), params), dtype=float)
-        return np.sum(w2d * np.broadcast_to(vals, w2d.shape), axis=-1)
+        return row_sums(w2d * vals)
 
     h = fd_step
     rhs = (-action(2 * h) + 8 * action(h) - 8 * action(-h) + action(-2 * h)) / (12 * h)
     tp = [(T - p.t) ** i for i in range(5)]
     xp = [(X - p.x) ** j for j in range(5)]
-    rows = np.stack([np.sum(w2d * (tp[i] * xp[j]) * phi_jets[(0, 0)], axis=-1)
+    rows = np.stack([row_sums(w2d * (tp[i] * xp[j]) * phi_jets[(0, 0)])
                      for i, j in _POWERS], axis=-1)
     return rows, rhs
 
@@ -443,8 +455,12 @@ def independent_variational_check(e: Expr, p: JetPoint,
     integral over the bump support in s by a 5-point stencil, and recover
     the value at (p.t, p.x) by least-squares collocation of a quartic model
     of the variational derivative against the bump integrals.  The bumps
-    are stacked as rows of (bumps, quad_n^2) arrays, up to EVAL_BLOCK_POINTS
-    points per block, so e is evaluated once per stencil point and block.
+    are stacked, up to EVAL_BLOCK_POINTS quadrature points per block, so e
+    is evaluated once per stencil point and block.  The t and x nodes stay
+    separate factors of each bump's tensor grid, (bumps, quad_n, 1) and
+    (bumps, 1, quad_n), so a subexpression of t or x alone is evaluated on
+    quad_n points per bump and only the products fill the grid; the
+    Gauss-Legendre rule is computed once per call.
     """
     if e.order > 2:
         raise ValueError("oracle requires jet order <= 2")
@@ -458,13 +474,14 @@ def independent_variational_check(e: Expr, p: JetPoint,
     engine_vals = {"u": eval_expr(engine_u, point4, params),
                    "v": eval_expr(engine_v, point4, params)}
 
+    quad = np.polynomial.legendre.leggauss(quad_n)
     per_block = max(1, EVAL_BLOCK_POINTS // quad_n ** 2)
     results = {}
     for dep in ("u", "v"):
         # bump by bump: t offset, x offset, t width factor, x width factor
         draws = rng.uniform(_DRAW_LOW, _DRAW_HIGH, size=(n_bumps, 4))
         blocks = [_bump_block(e, params, bg, dep, p, draws[lo:lo + per_block],
-                              quad_n, fd_step)
+                              quad, fd_step)
                   for lo in range(0, n_bumps, per_block)]
         rows, rhs = (np.concatenate(parts) for parts in zip(*blocks))
         coeffs, *_ = np.linalg.lstsq(rows, rhs, rcond=None)

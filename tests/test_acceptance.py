@@ -153,8 +153,8 @@ def test_criterion_07_conserved_quantities_without_gain(ground_state_run):
 def test_criterion_08_charge_drift_scales_linearly():
     t0 = time.perf_counter()
     eps_list = list(np.logspace(-3, -1, 7))
-    rep = drift_scan(CaseId.CASE1A, Kind.CHARGE, eps_list,
-                     cfg=default_scan_config(CaseId.CASE1A))
+    [rep] = drift_scan(CaseId.CASE1A, [Kind.CHARGE], eps_list,
+                       cfg=default_scan_config(CaseId.CASE1A))
     elapsed = time.perf_counter() - t0
     ok = (rep.slope_valid and rep.fit_members >= 4
           and abs(rep.slope - 1.0) < 0.3 and elapsed < 300.0)

@@ -19,7 +19,7 @@ from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import EVAL_BLOCK_POINTS, EvalError, JetBatch, ParamValues, eval_expr
 from ptnls.solver import (BlowUpError, BoundaryContaminationError, FieldState,
                           Gaussian, Grid, GroundState, SolverConfig, Trajectory,
-                          jet_values, run)
+                          jet_values, run, run_members)
 
 EPS_LIST = [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1]
 
@@ -33,7 +33,8 @@ def _short_cfg(case_id=CaseId.CASE1A, **kw):
 
 @pytest.fixture(scope="module")
 def charge_scan():
-    return drift_scan(CaseId.CASE1A, Kind.CHARGE, EPS_LIST, cfg=_short_cfg())
+    [rep] = drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST, cfg=_short_cfg())
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +136,9 @@ def test_uncataloged_density_is_typed():
     for case_id, kind, form in [(CaseId.CASE1C, Kind.CHARGE, "Tt"),
                                 (CaseId.CASE2, Kind.ENERGY, "PhiT")]:
         with pytest.raises(DensityUnavailableError):
-            drift_scan(case_id, kind, EPS_LIST, form=form)
+            drift_scan(case_id, [kind], EPS_LIST, form=form)
     with pytest.raises(ValueError) as info:
-        drift_scan(CaseId.CASE1A, Kind.CHARGE, EPS_LIST, form="Tx")
+        drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST, form="Tx")
     assert not isinstance(info.value, DensityUnavailableError)
 
 
@@ -175,13 +176,13 @@ def test_loglog_fit_input_validation():
 
 def test_scan_input_validation():
     with pytest.raises(ValueError, match="at least 4"):
-        drift_scan(CaseId.CASE1A, Kind.CHARGE, [1e-3, 1e-2, 1e-1])
+        drift_scan(CaseId.CASE1A, [Kind.CHARGE], [1e-3, 1e-2, 1e-1])
     with pytest.raises(ValueError, match="positive"):
-        drift_scan(CaseId.CASE1A, Kind.CHARGE, [0.0, 1e-3, 1e-2, 1e-1])
+        drift_scan(CaseId.CASE1A, [Kind.CHARGE], [0.0, 1e-3, 1e-2, 1e-1])
     with pytest.raises(ValueError, match="sorted"):
-        drift_scan(CaseId.CASE1A, Kind.CHARGE, [1e-1, 1e-2, 1e-3, 1e-4])
+        drift_scan(CaseId.CASE1A, [Kind.CHARGE], [1e-1, 1e-2, 1e-3, 1e-4])
     with pytest.raises(ValueError, match="case"):
-        drift_scan(CaseId.CASE2, Kind.CHARGE, EPS_LIST, cfg=_short_cfg())
+        drift_scan(CaseId.CASE2, [Kind.CHARGE], EPS_LIST, cfg=_short_cfg())
 
 
 def test_scan_without_density_fails_before_stepping(monkeypatch):
@@ -190,9 +191,29 @@ def test_scan_without_density_fails_before_stepping(monkeypatch):
 
     monkeypatch.setattr(analysis, "run_members", no_stepping)
     with pytest.raises(ValueError, match="no conserved density"):
-        drift_scan(CaseId.CASE1C, Kind.CHARGE, EPS_LIST)
+        drift_scan(CaseId.CASE1C, [Kind.CHARGE], EPS_LIST)
     with pytest.raises(ValueError, match="form"):
-        drift_scan(CaseId.CASE2, Kind.ENERGY, EPS_LIST, form="PhiT")
+        drift_scan(CaseId.CASE2, [Kind.ENERGY], EPS_LIST, form="PhiT")
+
+
+def test_scan_of_two_kinds_steps_the_case_once(monkeypatch):
+    stepped = []
+
+    def counting(cfg, *args, **kwargs):
+        stepped.append(cfg.case_id)
+        return run_members(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_members", counting)
+    kw = dict(cfg=_short_cfg(T_final=0.5, dt=2e-3))
+    both = drift_scan(CaseId.CASE1A, [Kind.ENERGY, Kind.CHARGE], EPS_LIST[:4], **kw)
+    assert stepped == [CaseId.CASE1A]
+    assert [r.kind for r in both] == [Kind.ENERGY, Kind.CHARGE]
+    for rep in both:
+        [single] = drift_scan(CaseId.CASE1A, [rep.kind], EPS_LIST[:4], **kw)
+        assert rep == single
+    with pytest.raises(ValueError, match="at least one kind"):
+        drift_scan(CaseId.CASE1A, [], EPS_LIST)
+    assert len(stepped) == 3
 
 
 def test_default_scan_starts_off_center():
@@ -224,7 +245,7 @@ def test_drop_one_slopes_are_stable(charge_scan):
 def test_floor_boundary_failure_keeps_its_type():
     cfg = _short_cfg(grid=Grid(L=3.0, N=64), T_final=0.01)
     with pytest.raises(BoundaryContaminationError):
-        drift_scan(CaseId.CASE1A, Kind.CHARGE, EPS_LIST, cfg=cfg)
+        drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST, cfg=cfg)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -234,7 +255,7 @@ def test_floor_blow_up_keeps_its_time():
     cfg = _short_cfg(grid=Grid(N=128), dt=0.05, T_final=0.2,
                      initial=Gaussian(1e160, 1.0, 0.5))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as exc:
-        drift_scan(CaseId.CASE1A, Kind.CHARGE, EPS_LIST, cfg=cfg, sample_every=1)
+        drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST, cfg=cfg, sample_every=1)
     assert exc.value.t > 0
 
 
@@ -257,7 +278,7 @@ def test_scan_members_match_single_runs(charge_scan):
 def test_failed_member_is_kept_and_left_out_of_the_fit(tmp_path):
     # in a small box only the largest gain carries mass past the boundary bound
     cfg = _short_cfg(grid=Grid(L=6.0, N=128))
-    rep = drift_scan(CaseId.CASE1A, Kind.CHARGE, EPS_LIST[:-1] + [1.0], cfg=cfg)
+    [rep] = drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST[:-1] + [1.0], cfg=cfg)
     *rest, failed = rep.members
     assert failed.failed and failed.eps == 1.0
     with pytest.raises(BoundaryContaminationError) as exc:
@@ -348,8 +369,8 @@ def test_timeseries_svg_is_well_formed(tmp_path):
 
 def test_scan_outputs_are_reproducible(tmp_path):
     kw = dict(cfg=_short_cfg(T_final=0.5, dt=2e-3))
-    a = drift_scan(CaseId.CASE1A, Kind.CHARGE, EPS_LIST[:4], **kw)
-    b = drift_scan(CaseId.CASE1A, Kind.CHARGE, EPS_LIST[:4], **kw)
+    [a] = drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST[:4], **kw)
+    [b] = drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST[:4], **kw)
     pa, pb = tmp_path / "a", tmp_path / "b"
     files_a = emit_report([a], pa)
     files_b = emit_report([b], pb)

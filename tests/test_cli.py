@@ -262,6 +262,22 @@ def test_drift_scan_all_blocks_rows_match_single_block(all_blocks_scan, tmp_path
         assert single and _data_rows(all_dir / name, "case1a", "charge") == single, name
 
 
+def test_drift_scan_steps_each_case_once_for_both_kinds(tmp_path, capsys, monkeypatch):
+    stepped = []
+    run_members = analysis.run_members
+
+    def counting(cfg, *args, **kwargs):
+        stepped.append(cfg.case_id.value)
+        return run_members(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_members", counting)
+    assert main(["drift-scan", "--case", "1a", "--kind", "both", *QUICK_SCAN,
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    recs = [r for r in _json_records(capsys.readouterr().out) if r["check"] == "drift-scan"]
+    assert [(r["case"], r["kind"]) for r in recs] == SCANNED[:2]
+    assert stepped == ["case1a"]
+
+
 def test_drift_scan_named_block_without_density_is_exit_2(tmp_path, capsys, monkeypatch):
     def no_stepping(*args, **kwargs):
         raise AssertionError("members were stepped")

@@ -19,7 +19,8 @@ from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import (DEFAULT_MAX_JET_ORDER, Const, CyclicBindingError,
                            EvalError, Jet, JetBatch, JetCoord, JetOrderError,
                            JetPoint, JetSampler, ParamValues, ParseError, Sym,
-                           Var, add, collect_coords, const, contains_t_derivative,
+                           Var, add, collect_coords, complete_coords, const,
+                           contains_t_derivative,
                            coord_from_name, div, erf, euler_operator, eval_expr,
                            exp, expr_equiv, gradient, jet, mul, neg, nodes,
                            parse_expr, partial, pow_, random_polynomial, sqrt,
@@ -301,6 +302,47 @@ def test_jet_point_completeness():
                             {"u": 1.0, "v": 2.0, "u_t": 0.0, "v_t": 0.0,
                              "u_x": 0.5, "v_x": -1.0})
     assert p.named()["u_x"] == 0.5
+
+
+def _batch_per_coordinate(sampler, n, order):
+    """Reference for JetSampler.batch: one rng.uniform call per coordinate."""
+    rng = np.random.default_rng(sampler.seed)
+    t = rng.uniform(*sampler.t_range, size=n)
+    x = rng.uniform(*sampler.x_magnitude, size=n) * rng.choice([-1.0, 1.0], size=n)
+    values = {}
+    for dep in ("u", "v"):
+        for i in range(order + 1):
+            for j in range(order + 1 - i):
+                values[JetCoord(dep, i, j)] = rng.uniform(*sampler.jet_range, size=n)
+    return t, x, values
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17])
+@pytest.mark.parametrize("n", [1, 7, 20])
+@pytest.mark.parametrize("order", [0, 1, 2, 6])
+def test_jet_sampler_batch_matches_per_coordinate_draws(seed, n, order):
+    sampler = JetSampler(seed=seed)
+    batch = sampler.batch(n, order)
+    t, x, values = _batch_per_coordinate(sampler, n, order)
+    assert batch.order == order and len(batch) == n
+    assert np.array_equal(batch.t, t) and np.array_equal(batch.x, x)
+    assert list(batch.values) == list(values)  # same coordinates, same order
+    for c, want in values.items():
+        assert batch.values[c].shape == (n,)
+        assert np.array_equal(batch.values[c], want), c.name()
+
+
+def test_complete_coords_is_one_immutable_tuple_per_order():
+    for order in (0, 2, 6):
+        coords = complete_coords(order)
+        assert isinstance(coords, tuple)
+        assert complete_coords(order) is coords
+        assert len(coords) == (order + 1) * (order + 2)
+        with pytest.raises(TypeError):
+            coords[0] = JetCoord("u", 9, 9)
+    assert complete_coords(1) == (JetCoord("u", 0, 0), JetCoord("u", 0, 1),
+                                  JetCoord("u", 1, 0), JetCoord("v", 0, 0),
+                                  JetCoord("v", 0, 1), JetCoord("v", 1, 0))
 
 
 def test_jet_sampler_deterministic_and_in_range():
