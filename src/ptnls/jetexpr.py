@@ -4,13 +4,16 @@
 Expressions are immutable DAGs over rational/float constants, the model
 parameters (eps, mu, sigma, alpha, g), pi, the independent variables, and jet
 coordinates such as u_t, v_xx, u_tx (derivative suffixes are written with all
-t's before all x's).  Nodes are interned (hash-consed): a constructor returns
-the live node with the same class and fields if there is one, so structurally
-equal expressions are one object, `==` and `hash` are identity, and a shared
-subexpression is evaluated or differentiated once.  Constants are keyed by
-type and sign as well as value: Const(1) (rational) and Const(1.0) are
-distinct nodes, as are 0.0 and -0.0.  Every traversal goes through `nodes`,
-an iterative post-order walk, so deep expressions need no recursion limit.
+t's before all x's).  A jet coordinate is one type, the `Jet` leaf: it
+appears in expressions and keys every dict of jet values, so u_x is
+`jet("u", 0, 1)` in both places.  Nodes are interned (hash-consed): a
+constructor returns the live node with the same class and fields if there
+is one, so structurally equal expressions are one object, `==` and `hash`
+are identity, and a shared subexpression is evaluated or differentiated
+once.  Constants are keyed by type and sign as well as value: Const(1)
+(rational) and Const(1.0) are distinct nodes, as are 0.0 and -0.0.  Every
+traversal goes through `nodes`, an iterative post-order walk, so deep
+expressions need no recursion limit.
 The module provides
 
   * a line-oriented text grammar (`parse_expr` / `to_text`) with byte-offset
@@ -37,7 +40,7 @@ import functools
 import math
 import re
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
 
@@ -45,7 +48,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_MAX_JET_ORDER", "DEPENDENTS", "PARAMETERS",
-    "Expr", "Const", "Sym", "Var", "Jet", "Unary", "Binary", "JetCoord",
+    "Expr", "Const", "Sym", "Var", "Jet", "Unary", "Binary",
     "ExprError", "ParseError", "JetOrderError", "EvalError", "CyclicBindingError",
     "const", "jet", "add", "sub", "mul", "div", "neg", "pow_", "exp", "erf", "sqrt",
     "parse_expr", "to_text", "eval_expr", "partial", "gradient", "total_derivative",
@@ -87,47 +90,6 @@ class CyclicBindingError(ExprError):
 
 # ---------------------------------------------------------------------------
 # coordinates and AST nodes
-
-
-@dataclass(frozen=True, order=True)
-class JetCoord:
-    """A dependent variable differentiated t_order times in t and x_order in x."""
-
-    dep: str
-    t_order: int = 0
-    x_order: int = 0
-
-    def __post_init__(self):
-        if self.dep not in DEPENDENTS:
-            raise ValueError(f"dependent variable must be one of {DEPENDENTS}, got {self.dep!r}")
-        if self.t_order < 0 or self.x_order < 0:
-            raise ValueError("derivative orders must be non-negative")
-
-    @property
-    def order(self) -> int:
-        return self.t_order + self.x_order
-
-    def name(self) -> str:
-        if self.order == 0:
-            return self.dep
-        return self.dep + "_" + "t" * self.t_order + "x" * self.x_order
-
-    def bumped(self, direction: str) -> "JetCoord":
-        if direction == "t":
-            return JetCoord(self.dep, self.t_order + 1, self.x_order)
-        if direction == "x":
-            return JetCoord(self.dep, self.t_order, self.x_order + 1)
-        raise ValueError(f"direction must be 't' or 'x', got {direction!r}")
-
-
-def coord_from_name(name: str) -> Optional[JetCoord]:
-    """Return the JetCoord named by an identifier, or None if it is not one."""
-    if name in DEPENDENTS:
-        return JetCoord(name, 0, 0)
-    m = re.fullmatch(r"([uv])_(t*)(x*)", name)
-    if m and (m.group(2) or m.group(3)):
-        return JetCoord(m.group(1), len(m.group(2)), len(m.group(3)))
-    return None
 
 
 class Expr:
@@ -231,10 +193,56 @@ class Var(Expr):
 
 
 class Jet(Expr):
-    __slots__ = ("coord",)
+    """A jet coordinate: the dependent variable `dep` differentiated t_order
+    times in t and x_order times in x.  Interned like every node, so a Jet
+    hashes by identity and keys every dict of jet values; sorting orders
+    coordinates by (dep, t_order, x_order)."""
 
-    def __new__(cls, coord: JetCoord):
-        return _interned((cls, coord), coord.order, coord=coord)
+    __slots__ = ("dep", "t_order", "x_order")
+
+    def __new__(cls, dep: str, t_order: int = 0, x_order: int = 0):
+        if dep not in DEPENDENTS:
+            raise ValueError(f"dependent variable must be one of {DEPENDENTS}, got {dep!r}")
+        if t_order < 0 or x_order < 0:
+            raise ValueError("derivative orders must be non-negative")
+        return _interned((cls, dep, t_order, x_order), t_order + x_order,
+                         dep=dep, t_order=t_order, x_order=x_order)
+
+    def __lt__(self, other):
+        if type(other) is not Jet:
+            return NotImplemented
+        return (self.dep, self.t_order, self.x_order) < (other.dep, other.t_order, other.x_order)
+
+    def name(self) -> str:
+        if self.order == 0:
+            return self.dep
+        return self.dep + "_" + "t" * self.t_order + "x" * self.x_order
+
+    def bumped(self, direction: str) -> "Jet":
+        if direction == "t":
+            return Jet(self.dep, self.t_order + 1, self.x_order)
+        if direction == "x":
+            return Jet(self.dep, self.t_order, self.x_order + 1)
+        raise ValueError(f"direction must be 't' or 'x', got {direction!r}")
+
+
+def coord_from_name(name: str) -> Optional[Jet]:
+    """Return the jet coordinate named by an identifier, or None if it is not one."""
+    if name in DEPENDENTS:
+        return Jet(name)
+    m = re.fullmatch(r"([uv])_(t*)(x*)", name)
+    if m and (m.group(2) or m.group(3)):
+        return Jet(m.group(1), len(m.group(2)), len(m.group(3)))
+    return None
+
+
+def _leaf_named(name: str) -> Optional[Expr]:
+    """The Var, Sym or Jet leaf an identifier names, or None."""
+    if name in INDEPENDENTS:
+        return Var(name)
+    if name in PARAMETERS:
+        return Sym(name)
+    return coord_from_name(name)
 
 
 _UNARY_OPS = ("neg", "exp", "erf", "sqrt")
@@ -310,7 +318,7 @@ def const(value: Number) -> Const:
 
 
 def jet(dep: str, t: int = 0, x: int = 0) -> Jet:
-    return Jet(JetCoord(dep, t, x))
+    return Jet(dep, t, x)
 
 
 ZERO = Const(0)
@@ -544,17 +552,13 @@ class _Parser:
         raise ParseError(f"expected an expression, found {what}", off)
 
     def ident(self, name: str, off: int) -> Expr:
-        if name in INDEPENDENTS:
-            return Var(name)
-        coord = coord_from_name(name)
-        if coord is not None:
-            if coord.order > self.max_order:
+        leaf = _leaf_named(name)
+        if leaf is not None:
+            if leaf.order > self.max_order:
                 raise JetOrderError(
-                    f"jet order {coord.order} of {name!r} exceeds the limit {self.max_order}"
+                    f"jet order {leaf.order} of {name!r} exceeds the limit {self.max_order}"
                     f" at offset {off}")
-            return Jet(coord)
-        if name in PARAMETERS:
-            return Sym(name)
+            return leaf
         if name in ("exp", "erf", "sqrt"):
             self.expect_op("(")
             arg = self.expr()
@@ -619,7 +623,7 @@ def to_text(e: Expr) -> str:
         elif t is Sym or t is Var:
             s = n.name
         elif t is Jet:
-            s = n.coord.name()
+            s = n.name()
         elif t is Unary:
             s = "-" + part(n.arg, 21) if n.op == "neg" else f"{n.op}({part(n.arg, 0)})"
         elif n.op in "+-":
@@ -647,6 +651,10 @@ class ParamValues:
     g: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.eps < 0:
             raise ValueError(f"eps must be non-negative, got {self.eps}")
 
@@ -661,24 +669,25 @@ class ParamValues:
 
 
 @functools.cache
-def complete_coords(order: int) -> tuple[JetCoord, ...]:
+def complete_coords(order: int) -> tuple[Jet, ...]:
     """Every jet coordinate of both dependent variables up to `order`, in
     (dep, t_order, x_order) order.  Built once per order: repeat calls return
     the same immutable tuple."""
-    return tuple(JetCoord(dep, i, j) for dep in DEPENDENTS
+    return tuple(Jet(dep, i, j) for dep in DEPENDENTS
                  for i in range(order + 1) for j in range(order + 1 - i))
 
 
 @dataclass
 class JetPoint:
     """One point of the jet space: values for t, x, and every jet coordinate
-    of both dependent variables up to `order`.  Lookups of coordinates that
-    were never supplied raise, they are never silently zero."""
+    of both dependent variables up to `order`, keyed by `Jet` leaf.  Lookups
+    of coordinates that were never supplied raise, they are never silently
+    zero."""
 
     t: float
     x: float
     order: int
-    values: Mapping[JetCoord, float]
+    values: Mapping[Jet, float]
 
     def __post_init__(self):
         missing = [c.name() for c in complete_coords(self.order) if c not in self.values]
@@ -713,13 +722,14 @@ EVAL_BLOCK_POINTS = 16384
 
 @dataclass
 class JetBatch:
-    """Vectorized jet points; t, x and the coordinate arrays broadcast to
-    one shape (a stack of rows may carry t as a column and x as one row)."""
+    """Vectorized jet points; t, x and the coordinate arrays, keyed by `Jet`
+    leaf, broadcast to one shape (a stack of rows may carry t as a column
+    and x as one row)."""
 
     t: np.ndarray
     x: np.ndarray
     order: int
-    values: Mapping[JetCoord, np.ndarray]
+    values: Mapping[Jet, np.ndarray]
 
     def __len__(self):
         """The number of points: the size of the broadcast shape."""
@@ -763,11 +773,11 @@ def eval_expr(e: Expr, point=None, params: Optional[ParamValues] = None):
             v = point.t if n.name == "t" else point.x
         elif t is Jet:
             if point is None:
-                raise EvalError(f"expression references {n.coord.name()!r} but no point was given")
+                raise EvalError(f"expression references {n.name()!r} but no point was given")
             try:
-                v = point.values[n.coord]
+                v = point.values[n]
             except KeyError:
-                raise EvalError(f"jet point carries no value for {n.coord.name()!r}") from None
+                raise EvalError(f"jet point carries no value for {n.name()!r}") from None
         elif t is Unary:
             a = take(n.arg)
             if n.op == "neg":
@@ -822,19 +832,12 @@ def _eval_pow(base, expo: Fraction):
 
 def _norm_wrt(wrt) -> Expr:
     """The interned Jet, Var or Sym leaf named by a differentiation or
-    substitution key (a node, a JetCoord or a name)."""
+    substitution key (the leaf itself or its name)."""
     if isinstance(wrt, (Jet, Var, Sym)):
         return wrt
-    if isinstance(wrt, JetCoord):
-        return Jet(wrt)
-    if isinstance(wrt, str):
-        if wrt in INDEPENDENTS:
-            return Var(wrt)
-        if wrt in PARAMETERS:
-            return Sym(wrt)
-        c = coord_from_name(wrt)
-        if c is not None:
-            return Jet(c)
+    leaf = _leaf_named(wrt) if isinstance(wrt, str) else None
+    if leaf is not None:
+        return leaf
     raise ValueError(f"cannot differentiate or substitute with respect to {wrt!r}")
 
 
@@ -896,9 +899,9 @@ def partial(e: Expr, wrt) -> Expr:
     return _differentiate(e, lambda n: ONE if n is target else ZERO)
 
 
-def gradient(e: Expr) -> dict[JetCoord, Expr]:
-    """`partial(e, c)` for every jet coordinate c present in e, node for
-    node, from one walk of e.
+def gradient(e: Expr) -> dict[Jet, Expr]:
+    """`partial(e, c)` for every `Jet` leaf c present in e, keyed by c, node
+    for node, from one walk of e.
 
     Each node keeps a sparse map of its partials.  For a coordinate an
     operand does not contain, the operand's derivative is the one `partial`
@@ -906,7 +909,6 @@ def gradient(e: Expr) -> dict[JetCoord, Expr]:
     may make a float zero (0 * 2.5 is Const(0.0)), so it is built once per
     node by the same chain rule rather than assumed to be ZERO."""
     zero: dict[Expr, Expr] = {}
-    # keyed by Jet leaf, not JetCoord: a node hashes by identity, a JetCoord in Python code
     grad: dict[Expr, dict[Jet, Expr]] = {}
     for n in nodes(e):
         t = type(n)
@@ -922,13 +924,13 @@ def gradient(e: Expr) -> dict[JetCoord, Expr]:
         else:
             zero[n] = ZERO
             grad[n] = {n: ONE} if t is Jet else {}
-    return {leaf.coord: d for leaf, d in grad[e].items()}
+    return grad[e]
 
 
 def _total_leaf(target: Var) -> Callable[[Expr], Expr]:
     def leaf(n: Expr) -> Expr:
         if type(n) is Jet:
-            return Jet(n.coord.bumped(target.name))
+            return n.bumped(target.name)
         if n is target:
             return ONE
         return ZERO
@@ -952,8 +954,8 @@ def total_derivative(e: Expr, direction, max_order: int = DEFAULT_MAX_JET_ORDER)
     return _differentiate(e, _total_leaf(target))
 
 
-def collect_coords(e: Expr) -> frozenset[JetCoord]:
-    return frozenset(n.coord for n in nodes(e) if type(n) is Jet)
+def collect_coords(e: Expr) -> frozenset[Jet]:
+    return frozenset(n for n in nodes(e) if type(n) is Jet)
 
 
 def contains_t_derivative(e: Expr) -> bool:
@@ -1070,9 +1072,6 @@ class JetSampler:
         draws = rng.uniform(*self.jet_range, size=(len(coords), n))
         return JetBatch(t, x, order, dict(zip(coords, draws)))
 
-    def point(self, order: int) -> JetPoint:
-        return self.batch(1, order).point(0)
-
 
 @dataclass
 class EquivResult:
@@ -1127,8 +1126,7 @@ def random_polynomial(rng: np.random.Generator, jet_order: int = 2,
             num = 1
         term: Expr = Const(Fraction(num, int(rng.integers(1, 3))))
         for _ in range(int(rng.integers(1, max_factors + 1))):
-            c = coords[int(rng.integers(0, len(coords)))]
-            term = mul(term, Jet(c))
+            term = mul(term, coords[int(rng.integers(0, len(coords)))])
         if allow_tx and rng.random() < 0.3:
             term = mul(term, T if rng.random() < 0.5 else X)
         if allow_exp and rng.random() < 0.4:

@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .catalog import CaseId, load_catalog
-from .jetexpr import JetBatch, JetCoord, ParamValues, eval_expr
+from .jetexpr import Jet, JetBatch, ParamValues, eval_expr
 
 __all__ = [
     "Grid", "FieldState", "Gaussian", "GroundState", "SolverConfig", "Stepper",
@@ -71,8 +71,8 @@ class Grid:
     N: int = 512
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("L must be positive")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"L must be positive and finite, got {self.L}")
         if self.N < 64 or self.N & (self.N - 1):
             raise ValueError("N must be a power of two, at least 64")
 
@@ -129,10 +129,10 @@ class SolverConfig:
     initial: InitialData = field(default_factory=GroundState)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.T_final < 0:
-            raise ValueError("T_final must be nonnegative")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.T_final) and self.T_final >= 0):
+            raise ValueError(f"T_final must be nonnegative and finite, got {self.T_final}")
         steps = self.T_final / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError("T_final must be an integer multiple of dt")
@@ -191,8 +191,8 @@ def _case_arrays(case_id: CaseId, params: ParamValues, grid: Grid):
     cat = load_catalog()
     case = cat.case(case_id)
     batch = JetBatch(np.zeros(grid.N), grid.x, 0,
-                     {JetCoord("u", 0, 0): np.zeros(grid.N),
-                      JetCoord("v", 0, 0): np.zeros(grid.N)})
+                     {Jet("u", 0, 0): np.zeros(grid.N),
+                      Jet("v", 0, 0): np.zeros(grid.N)})
     a = np.broadcast_to(np.asarray(eval_expr(case.a, batch, params), float), (grid.N,))
     b = np.broadcast_to(np.asarray(eval_expr(case.b, batch, params), float), (grid.N,))
     coeff = np.asarray(eval_expr(case.nonlinearity_coeff, batch, params), float)
@@ -317,7 +317,7 @@ def resample(state: FieldState, grid: Grid) -> FieldState:
 
 
 def jet_values(state: FieldState, cfg: SolverConfig,
-               arrays=None) -> dict[JetCoord, np.ndarray]:
+               arrays=None) -> dict[Jet, np.ndarray]:
     """Jet coordinates of the field on the grid: x-derivatives spectrally,
     t-derivatives substituted from the evolution system.  Each row of a
     stacked state gives the same row of every array."""
@@ -336,10 +336,10 @@ def jet_values(state: FieldState, cfg: SolverConfig,
     u_t = -0.5 * v_xx + eps * b * u + a * v - hrho * v
     v_t = 0.5 * u_xx - a * u + eps * b * v + hrho * u
     return {
-        JetCoord("u", 0, 0): u, JetCoord("v", 0, 0): v,
-        JetCoord("u", 0, 1): u_x, JetCoord("v", 0, 1): v_x,
-        JetCoord("u", 0, 2): u_xx, JetCoord("v", 0, 2): v_xx,
-        JetCoord("u", 1, 0): u_t, JetCoord("v", 1, 0): v_t,
+        Jet("u", 0, 0): u, Jet("v", 0, 0): v,
+        Jet("u", 0, 1): u_x, Jet("v", 0, 1): v_x,
+        Jet("u", 0, 2): u_xx, Jet("v", 0, 2): v_xx,
+        Jet("u", 1, 0): u_t, Jet("v", 1, 0): v_t,
     }
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .analysis import fit_loglog_slope
 from .catalog import CaseId, Catalog, Kind, PdeSystem, load_catalog
-from .jetexpr import (EVAL_BLOCK_POINTS, Expr, JetBatch, JetCoord, JetPoint, JetSampler,
+from .jetexpr import (EVAL_BLOCK_POINTS, Expr, Jet, JetBatch, JetPoint, JetSampler,
                       ParamValues, add, complete_coords, euler_operator, eval_expr,
                       expr_equiv, mul, sub, total_derivative)
 
@@ -358,14 +358,14 @@ class _PolyBackground:
 
     def __init__(self, point: JetPoint):
         self.t0, self.x0 = point.t, point.x
-        self.degree = max((c.t_order + c.x_order for c in point.values), default=0)
+        self.degree = max((c.order for c in point.values), default=0)
         self.coeff = {"u": {}, "v": {}}
         for c, val in point.values.items():
             self.coeff[c.dep][(c.t_order, c.x_order)] = (
                 val / (math.factorial(c.t_order) * math.factorial(c.x_order)))
 
     def jets(self, t: np.ndarray, x: np.ndarray,
-             coords: Iterable[JetCoord]) -> dict[JetCoord, np.ndarray]:
+             coords: Iterable[Jet]) -> dict[Jet, np.ndarray]:
         """(d/dt)^i (d/dx)^j of the field at each coordinate, exactly; the
         powers of t - t0 and x - x0 are taken once for all coordinates, each
         at the shape of its own argument, so t and x given as broadcastable
@@ -429,7 +429,7 @@ def _bump_block(e: Expr, params: ParamValues, bg: _PolyBackground, dep: str,
     def action(s: float) -> np.ndarray:
         values = dict(background)
         for (i, j), phi in phi_jets.items():
-            c = JetCoord(dep, i, j)
+            c = Jet(dep, i, j)
             values[c] = background[c] + s * phi
         vals = np.asarray(eval_expr(e, JetBatch(T, X, 2, values), params), dtype=float)
         return row_sums(w2d * vals)

@@ -350,6 +350,24 @@ def test_drift_scan_rejects_bad_eps_grid(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["simulate", "--case", "1a"],
+                                     ["drift-scan", "--case", "1a", "--kind", "charge"]],
+                         ids=["simulate", "drift-scan"])
+@pytest.mark.parametrize("flag,value,field", [
+    ("--eps", "nan", "eps"), ("--mu", "nan", "mu"), ("--sigma", "inf", "sigma"),
+    ("--alpha", "nan", "alpha"), ("--g", "-inf", "g"), ("--L", "nan", "L"),
+    ("--L", "inf", "L"), ("--dt", "nan", "dt"), ("--t-final", "inf", "T_final"),
+    ("--t-final", "nan", "T_final"),
+])
+def test_non_finite_input_is_config_error(tmp_path, capsys, command, flag, value, field):
+    flags = {"--N": "256", "--t-final": "0.1", "--out-dir": str(tmp_path), flag: value}
+    assert main(command + [f"{k}={v}" for k, v in flags.items()]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field} must be")
+    assert "finite" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # parse-expr
 

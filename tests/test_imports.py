@@ -1,5 +1,6 @@
 """Lint: every name a package module imports is used in it or exported in
-its `__all__`, and every module-level definition is exported or referenced
+its `__all__`, every name in an `__all__` is defined at its module's top
+level, and every module-level definition is exported or referenced
 somewhere in the package.  Read from the source with `ast`, so nothing is
 imported, except by the check that a fresh interpreter leaves heavy modules
 out of `sys.modules`."""
@@ -77,6 +78,18 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     return sorted(out)
 
 
+def undefined_exports(source: str) -> list[str]:
+    """Names in the module's `__all__` that no top-level statement defines
+    or imports."""
+    tree = ast.parse(source)
+    defined: set[str] = set()
+    for stmt in tree.body:
+        defined.update(_defined_names(stmt))
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            defined.update(a.asname or a.name.split(".")[0] for a in stmt.names)
+    return sorted(_exported(tree) - defined)
+
+
 def test_lint_flags_an_unused_import():
     src = "import os\nfrom typing import Optional, Union\nx: Optional[int] = os.sep\n"
     assert unused_imports(src) == ["line 2: Union"]
@@ -93,6 +106,18 @@ def test_lint_flags_an_unreferenced_definition():
                                                  "b._shared"]
     sources["a"] += "from .b import _shared\n"
     assert unreferenced_definitions(sources) == ["a._Y", "a._dead", "b._Dead"]
+
+
+def test_lint_flags_an_undefined_export():
+    src = ("__all__ = ['f', 'C', 'X', 'pi', 'gone', 'local']\n"
+           "from math import pi\ndef f():\n    local = 1\nclass C: pass\nX: int = 1\n")
+    assert undefined_exports(src) == ["gone", "local"]
+    assert undefined_exports("x = 1\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_undefined_exports(path):
+    assert undefined_exports(path.read_text("utf-8")) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

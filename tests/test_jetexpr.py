@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import (DEFAULT_MAX_JET_ORDER, Const, CyclicBindingError,
-                           EvalError, Jet, JetBatch, JetCoord, JetOrderError,
+                           EvalError, Jet, JetBatch, JetOrderError,
                            JetPoint, JetSampler, ParamValues, ParseError, Sym,
                            Var, add, collect_coords, complete_coords, const,
                            contains_t_derivative,
@@ -36,16 +36,16 @@ UT = jet("u", 1, 0)
 
 
 def test_coord_names_canonical_t_before_x():
-    assert JetCoord("u", 2, 1).name() == "u_ttx"
-    assert JetCoord("v", 0, 3).name() == "v_xxx"
-    assert JetCoord("u", 0, 0).name() == "u"
+    assert jet("u", 2, 1).name() == "u_ttx"
+    assert jet("v", 0, 3).name() == "v_xxx"
+    assert jet("u", 0, 0).name() == "u"
 
 
 def test_coord_from_name_roundtrip():
     for dep in ("u", "v"):
         for i in range(4):
             for j in range(4 - i):
-                c = JetCoord(dep, i, j)
+                c = jet(dep, i, j)
                 assert coord_from_name(c.name()) == c
     assert coord_from_name("u_xt") is None
     assert coord_from_name("w_x") is None
@@ -53,14 +53,49 @@ def test_coord_from_name_roundtrip():
 
 
 def test_coord_bumped():
-    c = JetCoord("u", 1, 1)
-    assert c.bumped("t") == JetCoord("u", 2, 1)
-    assert c.bumped("x") == JetCoord("u", 1, 2)
+    c = jet("u", 1, 1)
+    assert c.bumped("t") == jet("u", 2, 1)
+    assert c.bumped("x") == jet("u", 1, 2)
 
 
 def test_coord_ordering():
-    coords = [JetCoord("v", 0, 1), JetCoord("u", 2, 0), JetCoord("u", 0, 0)]
-    assert sorted(coords)[0] == JetCoord("u", 0, 0)
+    coords = [jet("v", 0, 1), jet("u", 2, 0), jet("u", 0, 0)]
+    assert sorted(coords)[0] == jet("u", 0, 0)
+
+
+def test_jet_is_the_coordinate():
+    with pytest.raises(ValueError):
+        jet("w")
+    with pytest.raises(ValueError):
+        jet("u", -1, 0)
+    assert coord_from_name("u_tx") is jet("u", 1, 1)
+    assert jet("u", 1, 1).bumped("x") is jet("u", 1, 2)
+    c = Jet("v", 2, 1)
+    assert pickle.loads(pickle.dumps(c)) is c
+    assert copy.deepcopy(c) is c
+
+
+# euler_operator of the case1a charge block Q1*E1 + Q2*E2: terms follow the
+# (dep, t_order, x_order) order of the coordinates
+_CASE1A_CHARGE_EULER = (
+    ('u_t + 1/2*v_xx - eps*x*u - 1/2*x^2*v + '
+     '2*mu^2*sigma*exp((-alpha)*x^2)*(u^2 + v^2)*v + u*(-(eps*x) + '
+     '2*mu^2*sigma*exp((-alpha)*x^2)*(2*u)*v) + (-v)*(-(1/2*x^2) + '
+     '(2*mu^2*sigma*exp((-alpha)*x^2)*(2*u)*u + '
+     '2*mu^2*sigma*exp((-alpha)*x^2)*(u^2 + v^2))) + (-v_xx)*(1/2) - u_t'),
+    ('u*(-(1/2*x^2) + (2*mu^2*sigma*exp((-alpha)*x^2)*(2*v)*v + '
+     '2*mu^2*sigma*exp((-alpha)*x^2)*(u^2 + v^2))) + ((-1)*(-v_t + 1/2*u_xx - '
+     '1/2*x^2*u + eps*x*v + 2*mu^2*sigma*exp((-alpha)*x^2)*(u^2 + v^2)*u) + '
+     '(-v)*(eps*x + 2*mu^2*sigma*exp((-alpha)*x^2)*(2*v)*u)) + u_xx*(1/2) - '
+     '(-v_t)*(-1)'),
+)
+
+
+def test_euler_operator_term_order_on_a_catalog_block():
+    cat = load_catalog()
+    system, mult = cat.build_system(CaseId.CASE1A), cat.multiplier(Kind.CHARGE)
+    qe = add(mul(mult.Q1, system.E1), mul(mult.Q2, system.E2))
+    assert tuple(map(to_text, euler_operator(qe, max_order=6))) == _CASE1A_CHARGE_EULER
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +168,7 @@ def test_fraction_arithmetic_stays_exact():
 
 
 _PARAMS = ("eps", "mu", "sigma", "alpha", "g")
-_COORDS = [JetCoord(d, i, j) for d in "uv" for i in range(3) for j in range(3 - i)]
+_COORDS = [jet(d, i, j) for d in "uv" for i in range(3) for j in range(3 - i)]
 
 _leaf = st.one_of(
     st.fractions(min_value=-4, max_value=4, max_denominator=6).map(const),
@@ -141,7 +176,7 @@ _leaf = st.one_of(
               allow_infinity=False).map(const),
     st.sampled_from(_PARAMS).map(Sym),
     st.sampled_from(["t", "x"]).map(Var),
-    st.sampled_from(_COORDS).map(Jet),
+    st.sampled_from(_COORDS),
 )
 
 
@@ -219,7 +254,7 @@ def test_eval_vectorized_matches_scalar():
 def test_eval_shared_child_and_leaf_roots():
     sampler = JetSampler(seed=4)
     batch = sampler.batch(9, 1)
-    u, v = batch.values[JetCoord("u", 0, 0)], batch.values[JetCoord("v", 0, 0)]
+    u, v = batch.values[jet("u", 0, 0)], batch.values[jet("v", 0, 0)]
     square = mul(U, U)
     assert square.lhs is square.rhs
     s = add(U, V)
@@ -242,8 +277,8 @@ def test_eval_frees_intermediates_after_last_use():
     points = 10_000
     rng = np.random.default_rng(0)
     batch = JetBatch(np.zeros(points), np.zeros(points), 0,
-                     {JetCoord("u", 0, 0): rng.standard_normal(points),
-                      JetCoord("v", 0, 0): rng.standard_normal(points)})
+                     {jet("u", 0, 0): rng.standard_normal(points),
+                      jet("v", 0, 0): rng.standard_normal(points)})
     e = U
     for k in range(100):  # 200 array intermediates, each used once
         e = add(mul(e, Const(1.0 + k / 1000)), V)
@@ -260,7 +295,7 @@ def test_eval_frees_intermediates_after_last_use():
 def test_batch_length_is_the_broadcast_point_count():
     rows, n = 3, 5
     batch = JetBatch(np.zeros((rows, 1)), np.zeros(n), 0,
-                     {JetCoord("u", 0, 0): np.zeros((rows, n))})
+                     {jet("u", 0, 0): np.zeros((rows, n))})
     assert len(batch) == rows * n
     assert len(JetSampler(seed=0).batch(7, 1)) == 7
 
@@ -268,7 +303,7 @@ def test_batch_length_is_the_broadcast_point_count():
 def test_eval_missing_coord_raises():
     e = parse_expr("u_tt")
     batch = JetBatch(np.array([1.0]), np.array([0.5]), 2,
-                     {JetCoord("u", 0, 0): np.array([1.0])})
+                     {jet("u", 0, 0): np.array([1.0])})
     with pytest.raises(EvalError, match="u_tt"):
         eval_expr(e, batch, ParamValues())
 
@@ -313,7 +348,7 @@ def _batch_per_coordinate(sampler, n, order):
     for dep in ("u", "v"):
         for i in range(order + 1):
             for j in range(order + 1 - i):
-                values[JetCoord(dep, i, j)] = rng.uniform(*sampler.jet_range, size=n)
+                values[jet(dep, i, j)] = rng.uniform(*sampler.jet_range, size=n)
     return t, x, values
 
 
@@ -339,10 +374,10 @@ def test_complete_coords_is_one_immutable_tuple_per_order():
         assert complete_coords(order) is coords
         assert len(coords) == (order + 1) * (order + 2)
         with pytest.raises(TypeError):
-            coords[0] = JetCoord("u", 9, 9)
-    assert complete_coords(1) == (JetCoord("u", 0, 0), JetCoord("u", 0, 1),
-                                  JetCoord("u", 1, 0), JetCoord("v", 0, 0),
-                                  JetCoord("v", 0, 1), JetCoord("v", 1, 0))
+            coords[0] = jet("u", 9, 9)
+    assert complete_coords(1) == (jet("u", 0, 0), jet("u", 0, 1),
+                                  jet("u", 1, 0), jet("v", 0, 0),
+                                  jet("v", 0, 1), jet("v", 1, 0))
 
 
 def test_jet_sampler_deterministic_and_in_range():
@@ -418,7 +453,7 @@ def test_total_derivatives_commute(seed):
 def test_collect_coords_and_t_flag():
     e = parse_expr("u_tx*v + x*exp(v_xx)")
     assert collect_coords(e) == frozenset(
-        {JetCoord("u", 1, 1), JetCoord("v", 0, 0), JetCoord("v", 0, 2)})
+        {jet("u", 1, 1), jet("v", 0, 0), jet("v", 0, 2)})
     assert contains_t_derivative(e)
     assert not contains_t_derivative(parse_expr("u*v_xx + x"))
 
@@ -537,7 +572,7 @@ def test_gradient_keeps_float_zero_partials():
     # d(2.5*x)/du folds to the float 0.0, so d(u + 2.5*x)/du is 1.0, not 1
     e = parse_expr("u + 2.5*x")
     assert partial(e, "u") is Const(1.0)
-    assert gradient(e) == {JetCoord("u"): Const(1.0)}
+    assert gradient(e) == {jet("u"): Const(1.0)}
     assert gradient(parse_expr("2.5*x")) == {}
 
 
@@ -581,7 +616,7 @@ def test_substitute_cycle_detected():
     with pytest.raises(CyclicBindingError, match="involving 'u'$"):
         substitute(U, {"u": parse_expr("u + 1")})
     with pytest.raises(CyclicBindingError, match="involving 'u_x'$"):
-        substitute(U, {JetCoord("u", 0, 1): parse_expr("u_x*eps")})
+        substitute(U, {jet("u", 0, 1): parse_expr("u_x*eps")})
     with pytest.raises(CyclicBindingError, match="involving 'mu'$"):
         substitute(U, {"mu": parse_expr("2*mu")})
 
@@ -675,9 +710,9 @@ def test_deep_sum_needs_no_recursion():
         e = parse_expr(text)
         assert parse_expr(to_text(e)) is e
         batch = JetSampler(seed=0).batch(8, 1)
-        want = terms * (terms + 1) / 2 * batch.values[JetCoord("u", 0, 1)]
+        want = terms * (terms + 1) / 2 * batch.values[jet("u", 0, 1)]
         np.testing.assert_allclose(eval_expr(e, batch), want, rtol=1e-10)
-        assert collect_coords(total_derivative(e, "x")) == {JetCoord("u", 0, 2)}
-        assert collect_coords(substitute(e, {"u_x": V})) == {JetCoord("v", 0, 0)}
+        assert collect_coords(total_derivative(e, "x")) == {jet("u", 0, 2)}
+        assert collect_coords(substitute(e, {"u_x": V})) == {jet("v", 0, 0)}
     finally:
         sys.setrecursionlimit(limit)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ptnls.catalog import CaseId
-from ptnls.jetexpr import JetCoord, ParamValues
+from ptnls.jetexpr import ParamValues, jet
 from ptnls.solver import (BlowUpError, BoundaryContaminationError, FieldState,
                           Gaussian, Grid, GroundState, SolverConfig, Stepper,
                           initial_condition, integrate, jet_values, resample,
@@ -250,9 +250,9 @@ def test_jet_values_ground_state_analytic():
     jets = jet_values(state, cfg)
     x = cfg.grid.x
     phi = math.pi ** -0.25 * np.exp(-x ** 2 / 2.0)
-    assert np.max(np.abs(jets[JetCoord("u", 0, 2)] - (x ** 2 - 1.0) * phi)) < 1e-10
-    assert np.max(np.abs(jets[JetCoord("u", 1, 0)])) < 1e-10
-    assert np.max(np.abs(jets[JetCoord("v", 1, 0)] + 0.5 * phi)) < 1e-10
+    assert np.max(np.abs(jets[jet("u", 0, 2)] - (x ** 2 - 1.0) * phi)) < 1e-10
+    assert np.max(np.abs(jets[jet("u", 1, 0)])) < 1e-10
+    assert np.max(np.abs(jets[jet("v", 1, 0)] + 0.5 * phi)) < 1e-10
 
 
 def test_jet_time_derivatives_match_finite_differences():
@@ -262,8 +262,8 @@ def test_jet_time_derivatives_match_finite_differences():
     before, middle, after = traj.snapshots
     jets = jet_values(middle, cfg)
     fd = (after.q - before.q) / (2.0 * cfg.dt)
-    assert np.max(np.abs(jets[JetCoord("u", 1, 0)] - fd.real)) < 1e-6
-    assert np.max(np.abs(jets[JetCoord("v", 1, 0)] - fd.imag)) < 1e-6
+    assert np.max(np.abs(jets[jet("u", 1, 0)] - fd.real)) < 1e-6
+    assert np.max(np.abs(jets[jet("v", 1, 0)] - fd.imag)) < 1e-6
 
 
 def test_trajectory_csv_round_trips(tmp_path):
