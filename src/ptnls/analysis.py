@@ -1,8 +1,9 @@
 """Conserved-density timeseries and drift scans over trajectories.
 
 Q(t) is the trapezoid integral of a cataloged density along a solver
-trajectory, with x-derivatives taken spectrally and t-derivatives
-substituted from the evolution system.  The drift of Q over a run,
+trajectory.  The density is put on shell first: its t-jets are eliminated
+through the catalog's E1/E2 (`PdeSystem.on_shell`), so it needs only the
+x-jets the solver takes spectrally.  The drift of Q over a run,
 normalized by max(|Q(0)|, 1e-12), is scanned over a grid of eps values;
 because every cataloged euler residual carries a factor eps, the drift
 should scale linearly, and the scan fits that exponent.  The eps = 0 run
@@ -12,6 +13,7 @@ the fit, and at least four must qualify for the slope to be reported.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from html import escape
@@ -23,7 +25,7 @@ from . import __version__
 from .catalog import CaseId, Kind, load_catalog
 from .jetexpr import EVAL_BLOCK_POINTS, Expr, JetBatch, eval_expr
 from .solver import (FieldState, Gaussian, MemberResult, SolverConfig, Trajectory,
-                     _case_arrays, _fmt as _g, integrate, jet_values, run_members)
+                     _fmt as _g, integrate, jet_values, run_members)
 
 __all__ = [
     "DensityUnavailableError", "DensityTimeseries", "DriftMember", "DriftReport",
@@ -55,7 +57,10 @@ class DensityUnavailableError(ValueError):
     """The requested density form is not cataloged for the block."""
 
 
+@functools.cache
 def _density_expr(case_id: CaseId, kind: Kind, form: str) -> Expr:
+    """The block's density in `form`, on shell; reduced once per process
+    (the catalog is immutable)."""
     if form not in ("Tt", "PhiT"):
         raise ValueError(f"form must be 'Tt' or 'PhiT', got {form!r}")
     cv = load_catalog().conserved_vector(case_id, kind)
@@ -66,7 +71,7 @@ def _density_expr(case_id: CaseId, kind: Kind, form: str) -> Expr:
     if e is None:
         raise DensityUnavailableError(
             f"form {form} is not cataloged for {case_id.value}/{kind.value}")
-    return e
+    return load_catalog().build_system(case_id).on_shell(e)
 
 
 def density_timeseries(traj: Trajectory, case_id: CaseId, kind: Kind,
@@ -78,7 +83,6 @@ def density_timeseries(traj: Trajectory, case_id: CaseId, kind: Kind,
         raise ValueError(f"trajectory was integrated for {cfg.case_id.value}, "
                          f"not {case_id.value}")
     e = _density_expr(case_id, kind, form)
-    arrays = _case_arrays(case_id, cfg.params, cfg.grid)
     grid = cfg.grid
     times = traj.times
     values = np.empty(len(times))
@@ -86,7 +90,7 @@ def density_timeseries(traj: Trajectory, case_id: CaseId, kind: Kind,
     for lo in range(0, len(times), rows):
         block = FieldState(times[lo:lo + rows, None],
                            np.stack([s.q for s in traj.snapshots[lo:lo + rows]]), grid)
-        batch = JetBatch(block.t, grid.x, 2, jet_values(block, cfg, arrays))
+        batch = JetBatch(block.t, grid.x, 2, jet_values(block))
         dens = np.asarray(eval_expr(e, batch, cfg.params), dtype=float)
         values[lo:lo + rows] = integrate(grid, np.broadcast_to(dens, block.q.shape))
     return DensityTimeseries(case_id, kind, form, cfg.params.eps, times, values)

@@ -24,8 +24,9 @@ from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
-from .jetexpr import (Expr, ExprError, ParamValues, Var, as_expr, collect_coords,
-                      nodes, parse_expr, substitute)
+from .jetexpr import (Const, Expr, ExprError, Jet, ParamValues, Var, as_expr,
+                      collect_coords, contains_t_derivative, neg, nodes, parse_expr,
+                      partial, substitute)
 
 __all__ = [
     "CaseId", "Kind", "CaseSpec", "PdeSystem", "Multiplier", "ConservedVector",
@@ -81,6 +82,26 @@ class PdeSystem:
     case_id: CaseId
     E1: Expr
     E2: Expr
+
+    def on_shell(self, e: Expr) -> Expr:
+        """e on solutions of the system: u_t and v_t replaced, in one
+        substitution pass, by -E1|_{u_t=0} and E2|_{v_t=0}.  ValueError
+        unless E1 is u_t plus t-jet-free terms and E2 is -v_t plus t-jet-free
+        terms, or if a t-jet other than u_t and v_t is left in the result."""
+        rates = {}
+        for name, eq, dep, sign in (("E1", self.E1, "u", 1), ("E2", self.E2, "v", -1)):
+            w_t = Jet(dep, 1, 0)
+            rest = substitute(eq, {w_t: 0})
+            slope = partial(eq, w_t)
+            if not (type(slope) is Const and slope.value == sign) or contains_t_derivative(rest):
+                raise ValueError(f"{self.case_id.value}: {name} is not "
+                                 f"{'' if sign > 0 else '-'}{w_t.name()} plus t-jet-free terms")
+            rates[w_t] = neg(rest) if sign > 0 else rest
+        out = substitute(e, rates)
+        if contains_t_derivative(out):
+            raise ValueError(f"{self.case_id.value}: t-jets other than u_t and v_t "
+                             "are left after the on-shell reduction")
+        return out
 
 
 @dataclass(frozen=True)

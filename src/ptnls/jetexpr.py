@@ -49,7 +49,7 @@ import numpy as np
 __all__ = [
     "DEFAULT_MAX_JET_ORDER", "DEPENDENTS", "PARAMETERS",
     "Expr", "Const", "Sym", "Var", "Jet", "Unary", "Binary",
-    "ExprError", "ParseError", "JetOrderError", "EvalError", "CyclicBindingError",
+    "ExprError", "ParseError", "JetOrderError", "EvalError",
     "const", "jet", "add", "sub", "mul", "div", "neg", "pow_", "exp", "erf", "sqrt",
     "parse_expr", "to_text", "eval_expr", "partial", "gradient", "total_derivative",
     "euler_operator", "substitute", "collect_coords", "contains_t_derivative",
@@ -81,10 +81,6 @@ class JetOrderError(ExprError):
 
 
 class EvalError(ExprError):
-    pass
-
-
-class CyclicBindingError(ExprError):
     pass
 
 
@@ -1004,25 +1000,9 @@ def euler_operator(e: Expr, max_order: int = DEFAULT_MAX_JET_ORDER) -> tuple[Exp
 
 def substitute(e: Expr, bindings: Mapping, max_order: int = DEFAULT_MAX_JET_ORDER) -> Expr:
     """Simultaneous replacement of jet coordinates, parameters and
-    independent variables.  Bindings must be acyclic; replacement is a single
-    pass, results are never re-substituted."""
+    independent variables in a single pass: replacements are never
+    re-substituted, so {u: v, v: u} swaps and {u: u + 1} gives u + 1."""
     table = {_norm_wrt(k): as_expr(val) for k, val in bindings.items()}
-    graph = {k: set(nodes(v)) & table.keys() for k, v in table.items()}
-    state: dict[Expr, int] = {}
-
-    def visit(k):
-        if state.get(k) == 2:
-            return
-        if state.get(k) == 1:
-            raise CyclicBindingError(f"cyclic binding involving {to_text(k)!r}")
-        state[k] = 1
-        for nxt in graph[k]:
-            visit(nxt)
-        state[k] = 2
-
-    for k in graph:
-        visit(k)
-
     out: dict[Expr, Expr] = {}
     for n in nodes(e):
         t = type(n)

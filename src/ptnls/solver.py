@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -109,6 +109,14 @@ class Gaussian:
     width: float = 1.0
     center: float = 0.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.width <= 0:
+            raise ValueError(f"width must be positive and finite, got {self.width}")
+
 
 @dataclass(frozen=True)
 class GroundState:
@@ -187,23 +195,16 @@ class Stepper:
         return FieldState(state.t + self.dt, q, state.grid)
 
 
-def _case_arrays(case_id: CaseId, params: ParamValues, grid: Grid):
-    cat = load_catalog()
-    case = cat.case(case_id)
+def make_stepper(cfg: SolverConfig, eps) -> Stepper:
+    """The stepper of `cfg` for one eps value, or for a vector of members,
+    with a, b and the nonlinear coefficient evaluated from the catalog."""
+    case, grid, params = load_catalog().case(cfg.case_id), cfg.grid, cfg.params
     batch = JetBatch(np.zeros(grid.N), grid.x, 0,
                      {Jet("u", 0, 0): np.zeros(grid.N),
                       Jet("v", 0, 0): np.zeros(grid.N)})
-    a = np.broadcast_to(np.asarray(eval_expr(case.a, batch, params), float), (grid.N,))
-    b = np.broadcast_to(np.asarray(eval_expr(case.b, batch, params), float), (grid.N,))
-    coeff = np.asarray(eval_expr(case.nonlinearity_coeff, batch, params), float)
-    nl = -params.mu ** 2 * np.broadcast_to(coeff, (grid.N,))
-    return a, b, nl
-
-
-def make_stepper(cfg: SolverConfig, eps) -> Stepper:
-    """The stepper of `cfg` for one eps value, or for a vector of members."""
-    a, b, nl = _case_arrays(cfg.case_id, cfg.params, cfg.grid)
-    return Stepper(cfg.grid, cfg.dt, a, b, nl, eps)
+    a, b, coeff = (np.broadcast_to(np.asarray(eval_expr(e, batch, params), float), (grid.N,))
+                   for e in (case.a, case.b, case.nonlinearity_coeff))
+    return Stepper(grid, cfg.dt, a, b, -params.mu ** 2 * coeff, eps)
 
 
 @dataclass
@@ -316,30 +317,19 @@ def resample(state: FieldState, grid: Grid) -> FieldState:
     return FieldState(state.t, phase @ c, grid)
 
 
-def jet_values(state: FieldState, cfg: SolverConfig,
-               arrays=None) -> dict[Jet, np.ndarray]:
-    """Jet coordinates of the field on the grid: x-derivatives spectrally,
-    t-derivatives substituted from the evolution system.  Each row of a
+def jet_values(state: FieldState) -> dict[Jet, np.ndarray]:
+    """The x-jets of the field on the grid, to order 2, taken spectrally.
+    A density's t-jets are eliminated on shell through the catalog's E1/E2
+    (`PdeSystem.on_shell`) before it is evaluated on these.  Each row of a
     stacked state gives the same row of every array."""
-    if arrays is None:
-        arrays = _case_arrays(cfg.case_id, cfg.params, cfg.grid)
-    a, b, nl = arrays
-    grid, eps = state.grid, cfg.params.eps
+    grid = state.grid
     qh = np.fft.fft(state.q)
     dq = np.fft.ifft(1j * grid.k * qh)
     d2q = np.fft.ifft(-grid.k ** 2 * qh)
-    u, v = state.q.real, state.q.imag
-    u_x, v_x = dq.real, dq.imag
-    u_xx, v_xx = d2q.real, d2q.imag
-    # h (u^2+v^2) with h = 2 sigma mu^2 e^{-alpha x^2} = -nl
-    hrho = -nl * (u * u + v * v)
-    u_t = -0.5 * v_xx + eps * b * u + a * v - hrho * v
-    v_t = 0.5 * u_xx - a * u + eps * b * v + hrho * u
     return {
-        Jet("u", 0, 0): u, Jet("v", 0, 0): v,
-        Jet("u", 0, 1): u_x, Jet("v", 0, 1): v_x,
-        Jet("u", 0, 2): u_xx, Jet("v", 0, 2): v_xx,
-        Jet("u", 1, 0): u_t, Jet("v", 1, 0): v_t,
+        Jet("u", 0, 0): state.q.real, Jet("v", 0, 0): state.q.imag,
+        Jet("u", 0, 1): dq.real, Jet("v", 0, 1): dq.imag,
+        Jet("u", 0, 2): d2q.real, Jet("v", 0, 2): d2q.imag,
     }
 
 

@@ -63,14 +63,16 @@ def _cataloged_densities():
 
 
 def _density_per_snapshot(traj, case_id, kind, form):
-    """Reference for the stacked densities: one jet_values and one eval_expr
-    call per snapshot, t filled to a full row."""
+    """Reference for the stacked densities: the same on-shell density, with
+    one jet_values and one eval_expr call per snapshot, t filled to a full
+    row."""
     cv = load_catalog().conserved_vector(case_id, kind)
-    e = cv.Tt if form == "Tt" else cv.complex_density
+    e = load_catalog().build_system(case_id).on_shell(
+        cv.Tt if form == "Tt" else cv.complex_density)
     grid = traj.cfg.grid
     out = []
     for state in traj.snapshots:
-        batch = JetBatch(np.full(grid.N, state.t), grid.x, 2, jet_values(state, traj.cfg))
+        batch = JetBatch(np.full(grid.N, state.t), grid.x, 2, jet_values(state))
         dens = np.asarray(eval_expr(e, batch, traj.cfg.params), dtype=float)
         out.append(float(grid.dx * np.sum(np.broadcast_to(dens, (grid.N,)))))
     return np.array(out)
@@ -143,11 +145,12 @@ def test_uncataloged_density_is_typed():
 
 
 def test_flux_needs_jets_the_solver_does_not_carry():
-    # the energy flux involves mixed t-x derivatives, which jet_values does
-    # not produce; this is why fluxes are not offered as scan densities
+    # the energy flux involves t-jets, which jet_values does not produce and
+    # the on-shell reduction does not reach for mixed t-x derivatives; this
+    # is why fluxes are not offered as scan densities
     cfg = _short_cfg(T_final=0.0)
     state = run(cfg).snapshots[0]
-    jets = jet_values(state, cfg)
+    jets = jet_values(state)
     batch = JetBatch(np.zeros(cfg.grid.N), cfg.grid.x, 2, jets)
     tx = load_catalog().conserved_vector(CaseId.CASE1A, Kind.ENERGY).Tx
     with pytest.raises(EvalError):

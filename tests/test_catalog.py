@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ptnls.catalog import CaseId, Kind, load_catalog
+from ptnls.catalog import CaseId, Kind, PdeSystem, load_catalog
 from ptnls.jetexpr import (JetSampler, ParamValues, Var, collect_coords,
                            contains_t_derivative, eval_expr, expr_equiv,
                            parse_expr, to_text)
@@ -121,6 +121,33 @@ def test_system_numeric_params_fold():
         a = eval_expr(lhs, batch, ParamValues(eps=0.0, g=0.0))
         b = eval_expr(rhs, batch, ParamValues(eps=0.0, g=0.0, alpha=0.5))
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_on_shell_requires_unit_rate_terms():
+    system = CAT.build_system(CaseId.CASE1A)
+    e1, e2 = system.E1, system.E2
+    u, u_t, v_t = parse_expr("u"), parse_expr("u_t"), parse_expr("v_t")
+    for bad in (PdeSystem(CaseId.CASE1A, e1 + u_t, e2),       # 2*u_t + ...
+                PdeSystem(CaseId.CASE1A, e1 + u_t * u, e2),   # u_t times a jet
+                PdeSystem(CaseId.CASE1A, e1 + v_t, e2),       # another t-jet
+                PdeSystem(CaseId.CASE1A, e1, e2 + v_t)):      # 0*v_t + ...
+        with pytest.raises(ValueError, match="plus t-jet-free terms"):
+            bad.on_shell(u_t)
+
+
+def test_on_shell_rejects_t_jets_it_cannot_reduce():
+    system = CAT.build_system(CaseId.CASE2)
+    with pytest.raises(ValueError, match="other than u_t and v_t"):
+        system.on_shell(parse_expr("u_tx*v + u_t"))
+
+
+@pytest.mark.parametrize("case_id,kind", ALL_BLOCKS)
+def test_cataloged_densities_are_t_jet_free_on_shell(case_id, kind):
+    cv = CAT.conserved_vector(case_id, kind)
+    system = CAT.build_system(case_id)
+    for e in (cv.Tt, cv.complex_density) if cv else ():
+        if e is not None:
+            assert not contains_t_derivative(system.on_shell(e))
 
 
 _AVAILABILITY = {

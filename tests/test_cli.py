@@ -357,7 +357,9 @@ def test_drift_scan_rejects_bad_eps_grid(tmp_path, capsys):
     ("--eps", "nan", "eps"), ("--mu", "nan", "mu"), ("--sigma", "inf", "sigma"),
     ("--alpha", "nan", "alpha"), ("--g", "-inf", "g"), ("--L", "nan", "L"),
     ("--L", "inf", "L"), ("--dt", "nan", "dt"), ("--t-final", "inf", "T_final"),
-    ("--t-final", "nan", "T_final"),
+    ("--t-final", "nan", "T_final"), ("--amplitude", "inf", "amplitude"),
+    ("--width", "nan", "width"), ("--center", "nan", "center"),
+    ("--width", "0", "width"), ("--width", "-1", "width"),
 ])
 def test_non_finite_input_is_config_error(tmp_path, capsys, command, flag, value, field):
     flags = {"--N": "256", "--t-final": "0.1", "--out-dir": str(tmp_path), flag: value}

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ptnls.catalog import CaseId
-from ptnls.jetexpr import ParamValues, jet
+from ptnls.catalog import CaseId, load_catalog
+from ptnls.jetexpr import (JetBatch, ParamValues, Sym, eval_expr, expr_equiv, jet,
+                           parse_expr)
 from ptnls.solver import (BlowUpError, BoundaryContaminationError, FieldState,
                           Gaussian, Grid, GroundState, SolverConfig, Stepper,
                           initial_condition, integrate, jet_values, resample,
@@ -244,26 +245,54 @@ def test_boundary_proximity_warns_once():
 # jets on the grid
 
 
+def _on_shell_rates(state, cfg):
+    """u_t and v_t of the state from the catalog's E1/E2, put on shell."""
+    system = load_catalog().build_system(cfg.case_id)
+    batch = JetBatch(np.full(cfg.grid.N, state.t), cfg.grid.x, 2, jet_values(state))
+    return [eval_expr(system.on_shell(jet(dep, 1, 0)), batch, cfg.params) for dep in "uv"]
+
+
 def test_jet_values_ground_state_analytic():
     cfg = _linear_cfg()
     state = initial_condition(cfg)
-    jets = jet_values(state, cfg)
+    jets = jet_values(state)
+    assert set(jets) == {jet(dep, 0, k) for dep in "uv" for k in range(3)}
     x = cfg.grid.x
     phi = math.pi ** -0.25 * np.exp(-x ** 2 / 2.0)
+    assert np.max(np.abs(jets[jet("u", 0, 1)] + x * phi)) < 1e-10
     assert np.max(np.abs(jets[jet("u", 0, 2)] - (x ** 2 - 1.0) * phi)) < 1e-10
-    assert np.max(np.abs(jets[jet("u", 1, 0)])) < 1e-10
-    assert np.max(np.abs(jets[jet("v", 1, 0)] + 0.5 * phi)) < 1e-10
+    # q = phi e^{-it/2}: u_t = 0 and v_t = -phi/2
+    u_t, v_t = _on_shell_rates(state, cfg)
+    assert np.max(np.abs(u_t)) < 1e-10
+    assert np.max(np.abs(v_t + 0.5 * phi)) < 1e-10
 
 
-def test_jet_time_derivatives_match_finite_differences():
-    cfg = SolverConfig(params=ParamValues(eps=0.03), dt=1e-4, T_final=2e-4,
-                       grid=Grid(N=256))
-    traj = run(cfg, sample_every=1)
-    before, middle, after = traj.snapshots
-    jets = jet_values(middle, cfg)
+@pytest.mark.parametrize("case_id", list(CaseId), ids=lambda c: c.value)
+def test_jet_time_derivatives_match_finite_differences(case_id):
+    # the stepper's trajectory against u_t and v_t from the catalog's E1/E2
+    cfg = SolverConfig(case_id=case_id, params=ParamValues(eps=0.03, mu=0.8),
+                       dt=1e-4, T_final=2e-4, grid=Grid(N=256))
+    before, middle, after = run(cfg, sample_every=1).snapshots
     fd = (after.q - before.q) / (2.0 * cfg.dt)
-    assert np.max(np.abs(jets[jet("u", 1, 0)] - fd.real)) < 1e-6
-    assert np.max(np.abs(jets[jet("v", 1, 0)] - fd.imag)) < 1e-6
+    u_t, v_t = _on_shell_rates(middle, cfg)
+    assert np.max(np.abs(u_t - fd.real)) < 1e-6
+    assert np.max(np.abs(v_t - fd.imag)) < 1e-6
+
+
+@pytest.mark.parametrize("case_id", list(CaseId), ids=lambda c: c.value)
+def test_catalog_system_is_what_the_stepper_integrates(case_id):
+    # q_t = (eps b - i (a + nl |q|^2)) q + i/2 q_xx, nl = -mu^2 * coeff,
+    # split into real parts from the case's a, b and coefficient records
+    case = load_catalog().case(case_id)
+    u, v, u_t, v_t = jet("u"), jet("v"), jet("u", 1, 0), jet("v", 1, 0)
+    gain = Sym("eps") * case.b
+    phase = case.a - Sym("mu") ** 2 * case.nonlinearity_coeff * (u ** 2 + v ** 2)
+    rate_u = gain * u + phase * v - parse_expr("1/2*v_xx")
+    rate_v = gain * v - phase * u + parse_expr("1/2*u_xx")
+    system = load_catalog().build_system(case_id)
+    params = ParamValues(eps=0.3, mu=0.7, sigma=1.3, alpha=0.4, g=0.9)
+    assert expr_equiv(system.E1, u_t - rate_u, params=params)
+    assert expr_equiv(system.E2, rate_v - v_t, params=params)
 
 
 def test_trajectory_csv_round_trips(tmp_path):
