@@ -10,7 +10,8 @@ appears in expressions and keys every dict of jet values, so u_x is
 constructor returns the live node with the same class and fields if there
 is one, so structurally equal expressions are one object, `==` and `hash`
 are identity, and a shared subexpression is evaluated or differentiated
-once.  Constants are keyed by type and sign as well as value: Const(1)
+once.  The intern table holds weak references: an entry goes when its node
+dies.  Constants are keyed by type and sign as well as value: Const(1)
 (rational) and Const(1.0) are distinct nodes, as are 0.0 and -0.0.  Every
 traversal goes through `nodes`, an iterative post-order walk, so deep
 expressions need no recursion limit.
@@ -137,21 +138,35 @@ class Expr:
         return to_text(self)
 
 
-# Every live node, keyed by its class and fields; children are keyed by
-# identity, which interning makes the same as structure.
-_NODES: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+# Every live node, keyed by its class and fields, as a weak reference; a
+# node's entry goes when the node dies.  Children are keyed by identity,
+# which interning makes the same as structure, and a key holds its children
+# alive, so a child of a live node is still the interned one.  A lookup is
+# one dict probe; only `_interned`, `_unary`, `_binary` and `_forget` touch
+# the table.
+_NODES: dict[tuple, weakref.KeyedRef] = {}
+
+
+def _forget(ref: weakref.KeyedRef, nodes: dict = _NODES) -> None:
+    # A node's death releases its key and may kill its children, whose own
+    # callbacks then run inside this one; and a key whose node is dead may be
+    # given a new node before the old reference's callback runs.  So only the
+    # entry that still holds this reference is removed.
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
 
 
 def _interned(key: tuple, order: int, **fields) -> Expr:
-    """The live node for `key` (whose first item is the node's class), or a
-    new one with the given fields."""
-    node = _NODES.get(key)
+    """The live leaf node for `key` (whose first item is the node's class),
+    or a new one with the given fields, entered in the weak table."""
+    ref = _NODES.get(key)
+    node = ref() if ref is not None else None
     if node is None:
         node = object.__new__(key[0])
         node.order = order
         for name, value in fields.items():
             setattr(node, name, value)
-        _NODES[key] = node
+        _NODES[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
 
@@ -165,9 +180,10 @@ class Const(Expr):
             value = Fraction(value)
         elif not isinstance(value, (float, Fraction)):
             raise TypeError(f"constant must be rational or float, got {type(value)}")
-        # 1 and 1.0, or 0.0 and -0.0, compare equal but print differently
-        key = (cls, type(value), value, math.copysign(1.0, value))
-        return _interned(key, 0, value=value)
+        # 1 and 1.0, or 0.0 and -0.0, compare equal but print differently; a
+        # rational's sign is in its value
+        sign = math.copysign(1.0, value) if isinstance(value, float) else 0
+        return _interned((cls, type(value), value, sign), 0, value=value)
 
 
 class Sym(Expr):
@@ -251,7 +267,7 @@ class Unary(Expr):
     def __new__(cls, op: str, arg: Expr):
         if op not in _UNARY_OPS:
             raise ValueError(f"unknown unary op {op!r}")
-        return _interned((cls, op, arg), arg.order, op=op, arg=arg)
+        return _unary(op, arg)
 
 
 class Binary(Expr):
@@ -260,8 +276,36 @@ class Binary(Expr):
     def __new__(cls, op: str, lhs: Expr, rhs: Expr):
         if op not in _BINARY_OPS:
             raise ValueError(f"unknown binary op {op!r}")
-        return _interned((cls, op, lhs, rhs), max(lhs.order, rhs.order),
-                         op=op, lhs=lhs, rhs=rhs)
+        return _binary(op, lhs, rhs)
+
+
+# The one path to an operator node, for the public constructors above and
+# the folding constructors below: a weak-table probe, and on a miss a new
+# node with its slots set directly.
+
+def _unary(op: str, arg: Expr) -> Unary:
+    key = (Unary, op, arg)
+    ref = _NODES.get(key)
+    if ref is not None and (node := ref()) is not None:
+        return node
+    node = object.__new__(Unary)
+    node.order, node.op, node.arg = arg.order, op, arg
+    _NODES[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
+
+def _binary(op: str, lhs: Expr, rhs: Expr) -> Binary:
+    key = (Binary, op, lhs, rhs)
+    ref = _NODES.get(key)
+    if ref is not None and (node := ref()) is not None:
+        return node
+    node = object.__new__(Binary)
+    node.order, node.op, node.lhs, node.rhs = max(lhs.order, rhs.order), op, lhs, rhs
+    _NODES[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
+
+_EMIT = object()
 
 
 def nodes(*roots: Expr, uses: Optional[dict] = None,
@@ -276,24 +320,33 @@ def nodes(*roots: Expr, uses: Optional[dict] = None,
     out: list[Expr] = []
     if seen is None:
         seen = set()
-    stack: list[tuple[Expr, bool]] = [(r, False) for r in reversed(roots)]
+    # an operator node goes back on the stack under the _EMIT marker and its
+    # operands above it, so it is listed once they all are; a leaf is listed
+    # at once
+    stack: list = list(reversed(roots))
+    push, pop = stack.append, stack.pop
     while stack:
-        n, expanded = stack.pop()
-        if expanded:
-            out.append(n)
+        n = pop()
+        if n is _EMIT:
+            out.append(pop())
             continue
         if uses is not None:
             uses[n] = uses.get(n, 0) + 1
         if n in seen:
             continue
         seen.add(n)
-        stack.append((n, True))
         t = type(n)
         if t is Binary:
-            stack.append((n.rhs, False))
-            stack.append((n.lhs, False))
+            push(n)
+            push(_EMIT)
+            push(n.rhs)
+            push(n.lhs)
         elif t is Unary:
-            stack.append((n.arg, False))
+            push(n)
+            push(_EMIT)
+            push(n.arg)
+        else:
+            out.append(n)
     return out
 
 
@@ -321,64 +374,79 @@ ZERO = Const(0)
 ONE = Const(1)
 
 
-def _is_const(e: Expr, value=None) -> bool:
-    if type(e) is not Const:
-        return False
-    return True if value is None else e.value == value
+# Folding tests a Const operand's value and no other operand's.  An integer
+# becomes a Fraction and every node is interned, so the rational 0 and 1 are
+# the nodes ZERO and ONE themselves; only a float (0.0, -0.0, 1.0, ...) needs
+# its value compared.
+
+def _is_zero(c: Const) -> bool:
+    return c is ZERO or (type(c.value) is not Fraction and c.value == 0)
+
+
+def _is_one(c: Const) -> bool:
+    return c is ONE or (type(c.value) is not Fraction and c.value == 1)
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return Const(a.value + b.value)
-    if _is_const(a, 0):
-        return b
-    if _is_const(b, 0):
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value + b.value)
+        if _is_zero(a):
+            return b
+    elif type(b) is Const and _is_zero(b):
         return a
-    return Binary("+", a, b)
+    return _binary("+", a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return Const(a.value - b.value)
-    if _is_const(b, 0):
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value - b.value)
+        if _is_zero(a):
+            return neg(b)
+    elif type(b) is Const and _is_zero(b):
         return a
-    if _is_const(a, 0):
-        return neg(b)
-    return Binary("-", a, b)
+    return _binary("-", a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return Const(a.value * b.value)
-    if _is_const(a, 0) or _is_const(b, 0):
-        return ZERO
-    if _is_const(a, 1):
-        return b
-    if _is_const(b, 1):
-        return a
-    return Binary("*", a, b)
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value * b.value)
+        if _is_zero(a):
+            return ZERO
+        if _is_one(a):
+            return b
+    elif type(b) is Const:
+        if _is_zero(b):
+            return ZERO
+        if _is_one(b):
+            return a
+    return _binary("*", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0):
-        raise ZeroDivisionError("division by constant zero")
-    if _is_const(a) and _is_const(b):
-        if isinstance(a.value, Fraction) and isinstance(b.value, Fraction):
-            return Const(a.value / b.value)
-        return Const(float(a.value) / float(b.value))
-    if _is_const(a, 0):
+    if type(b) is Const:
+        if _is_zero(b):
+            raise ZeroDivisionError("division by constant zero")
+        if type(a) is Const:
+            if isinstance(a.value, Fraction) and isinstance(b.value, Fraction):
+                return Const(a.value / b.value)
+            return Const(float(a.value) / float(b.value))
+        if _is_one(b):
+            return a
+    elif type(a) is Const and _is_zero(a):
         return ZERO
-    if _is_const(b, 1):
-        return a
-    return Binary("/", a, b)
+    return _binary("/", a, b)
 
 
 def neg(a: Expr) -> Expr:
-    if _is_const(a):
+    t = type(a)
+    if t is Const:
         return Const(-a.value)
-    if type(a) is Unary and a.op == "neg":
+    if t is Unary and a.op == "neg":
         return a.arg
-    return Unary("neg", a)
+    return _unary("neg", a)
 
 
 def pow_(base: Expr, expo) -> Expr:
@@ -393,30 +461,30 @@ def pow_(base: Expr, expo) -> Expr:
         return base
     if expo == 0:
         return ONE
-    if _is_const(base) and expo.denominator == 1:
+    if type(base) is Const and expo.denominator == 1:
         p = int(expo)
-        if base.value == 0 and p < 0:
+        if p < 0 and _is_zero(base):
             raise ZeroDivisionError("zero raised to a negative power")
         return Const(base.value ** p)
-    return Binary("^", base, Const(expo))
+    return _binary("^", base, Const(expo))
 
 
 def exp(a: Expr) -> Expr:
-    if _is_const(a, 0):
+    if type(a) is Const and _is_zero(a):
         return ONE
-    return Unary("exp", a)
+    return _unary("exp", a)
 
 
 def erf(a: Expr) -> Expr:
-    if _is_const(a, 0):
+    if type(a) is Const and _is_zero(a):
         return ZERO
-    return Unary("erf", a)
+    return _unary("erf", a)
 
 
 def sqrt(a: Expr) -> Expr:
-    if _is_const(a, 0) or _is_const(a, 1):
+    if type(a) is Const and (_is_zero(a) or _is_one(a)):
         return a
-    return Unary("sqrt", a)
+    return _unary("sqrt", a)
 
 
 T = Var("t")
@@ -845,7 +913,7 @@ def _d_erf(n: Expr, da: Expr, _) -> Expr:
 
 
 def _d_quotient(n: Expr, dl: Expr, dr: Expr) -> Expr:
-    if _is_const(dr, 0):
+    if type(dr) is Const and _is_zero(dr):
         return div(dl, n.rhs)
     return div(sub(mul(dl, n.rhs), mul(n.lhs, dr)), pow_(n.rhs, 2))
 
@@ -984,7 +1052,7 @@ def euler_operator(e: Expr, max_order: int = DEFAULT_MAX_JET_ORDER) -> tuple[Exp
             if c.dep != dep:
                 continue
             term = grad[c]
-            if _is_const(term, 0):
+            if type(term) is Const and _is_zero(term):
                 continue
             for v in (T,) * c.t_order + (X,) * c.x_order:
                 _order_guard(term, max_order)
@@ -1029,6 +1097,31 @@ def substitute(e: Expr, bindings: Mapping, max_order: int = DEFAULT_MAX_JET_ORDE
 # randomized equivalence
 
 
+# Draws kept by `JetSampler.batch`: a verification run asks for a few
+# (seed, n, order) batches many times over, and more entries than this only
+# raise the peak memory.
+_SAMPLER_MEMO_SIZE = 8
+
+
+def _check_sample_count(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+
+
+@functools.lru_cache(maxsize=_SAMPLER_MEMO_SIZE)
+def _sampler_draws(seed: int, t_range: tuple, x_magnitude: tuple, jet_range: tuple,
+                   n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t, x and the (coordinates, n) array of jet values of one batch, all
+    read-only so that every caller may share them."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(*t_range, size=n)
+    x = rng.uniform(*x_magnitude, size=n) * rng.choice([-1.0, 1.0], size=n)
+    draws = rng.uniform(*jet_range, size=(len(complete_coords(order)), n))
+    for a in (t, x, draws):
+        a.flags.writeable = False
+    return t, x, draws
+
+
 @dataclass
 class JetSampler:
     """Seeded sampler over the documented evaluation domain: t in [0.1, 2],
@@ -1044,13 +1137,16 @@ class JetSampler:
     def batch(self, n: int, order: int) -> JetBatch:
         """n points of jet order `order`: t, x, the signs of x, then every
         coordinate of `complete_coords(order)` drawn in one call, one row
-        each (the same stream and values as one draw per coordinate)."""
-        rng = np.random.default_rng(self.seed)
-        t = rng.uniform(*self.t_range, size=n)
-        x = rng.uniform(*self.x_magnitude, size=n) * rng.choice([-1.0, 1.0], size=n)
-        coords = complete_coords(order)
-        draws = rng.uniform(*self.jet_range, size=(len(coords), n))
-        return JetBatch(t, x, order, dict(zip(coords, draws)))
+        each (the same stream and values as one draw per coordinate).
+
+        The draws are memoised per (seed, ranges, n, order), at most
+        `_SAMPLER_MEMO_SIZE` of them, least recently used first out.  Their
+        arrays are read-only and shared by every batch with that key; each
+        call returns a new JetBatch and a new `values` dict."""
+        _check_sample_count(n)
+        t, x, draws = _sampler_draws(self.seed, tuple(self.t_range), tuple(self.x_magnitude),
+                                     tuple(self.jet_range), n, order)
+        return JetBatch(t, x, order, dict(zip(complete_coords(order), draws)))
 
 
 @dataclass
@@ -1072,6 +1168,9 @@ def expr_equiv(e1: Expr, e2: Expr, n: int = 100, tol: float = 1e-10,
     points and compare with relative tolerance tol (normalized by
     max(1, |v1|, |v2|) pointwise).  On failure the result carries a witness
     point and the two values there."""
+    _check_sample_count(n)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if sampler is None:
         sampler = JetSampler(seed=seed)
     order = max(e1.order, e2.order)

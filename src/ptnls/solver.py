@@ -253,21 +253,21 @@ def run_members(cfg: SolverConfig, eps_values: Sequence[float],
     All snapshots share one array; a trajectory's fields are row views."""
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
-    grid, members = cfg.grid, len(eps_values)
+    grid, members, steps = cfg.grid, len(eps_values), cfg.steps
     stepper = make_stepper(cfg, eps_values)
     state = FieldState(0.0, np.tile(initial_condition(cfg).q, (members, 1)), grid)
-    snapshots = np.empty((cfg.steps // sample_every + 2, members, grid.N), complex)
+    snapshots = np.empty((steps // sample_every + 2, members, grid.N), complex)
     times: list[float] = []
     alive = np.arange(members)  # the member of each row of state.q
     errors: list = [None] * members
     warned: list[list] = [[] for _ in range(members)]
-    for n in range(cfg.steps + 1):
+    for n in range(steps + 1):
         if n:
             state = stepper.step(state)
             # walltime drift of repeated addition is avoided: t from the count
             state.t = n * cfg.dt
         finite = np.isfinite(state.q.view(float)).all(axis=-1)
-        sample = n % sample_every == 0 or n == cfg.steps
+        sample = n % sample_every == 0 or n == steps
         if not sample and finite.all():
             continue
         for row, m in enumerate(alive):

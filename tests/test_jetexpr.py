@@ -1,6 +1,7 @@
 """Engine tests: grammar, printing, evaluation, derivatives, equivalence."""
 
 import copy
+import gc
 import math
 import os
 import pickle
@@ -15,11 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ptnls import jetexpr
 from ptnls.catalog import CaseId, Kind, load_catalog
-from ptnls.jetexpr import (DEFAULT_MAX_JET_ORDER, Const,
+from ptnls.jetexpr import (DEFAULT_MAX_JET_ORDER, Binary, Const,
                            EvalError, Jet, JetBatch, JetOrderError,
                            JetPoint, JetSampler, ParamValues, ParseError, Sym,
-                           Var, add, collect_coords, complete_coords, const,
+                           Unary, Var, add, collect_coords, complete_coords, const,
                            contains_t_derivative,
                            coord_from_name, div, erf, euler_operator, eval_expr,
                            exp, expr_equiv, gradient, jet, mul, neg, nodes,
@@ -367,6 +369,50 @@ def test_jet_sampler_batch_matches_per_coordinate_draws(seed, n, order):
         assert np.array_equal(batch.values[c], want), c.name()
 
 
+def test_jet_sampler_memo_returns_fresh_batches_of_the_same_draws():
+    sampler = JetSampler(seed=3)
+    t, x, values = _batch_per_coordinate(sampler, 20, 2)
+    first = sampler.batch(20, 2)
+    for round_ in range(3):
+        # other keys in between push the first one out of the bounded memo
+        for k in range(round_ * 10):
+            JetSampler(seed=100 + k).batch(5, 1)
+        again = sampler.batch(20, 2)
+        assert again is not first and again.values is not first.values
+        assert again.t.tobytes() == t.tobytes() and again.x.tobytes() == x.tobytes()
+        assert list(again.values) == list(values)
+        for c, want in values.items():
+            assert again.values[c].tobytes() == want.tobytes(), c.name()
+
+
+def test_jet_sampler_draws_are_read_only_and_values_dicts_independent():
+    sampler = JetSampler(seed=8)
+    batch = sampler.batch(6, 1)
+    for a in (batch.t, batch.x, *batch.values.values()):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    want = sampler.batch(6, 1).values[U].copy()
+    batch.values[U] = np.zeros(6)
+    del batch.values[V]
+    again = sampler.batch(6, 1)
+    assert np.array_equal(again.values[U], want)
+    assert V in again.values and len(again.values) == len(complete_coords(1))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_sample_count_must_be_positive(n):
+    with pytest.raises(ValueError, match=r"\bn must be at least 1"):
+        JetSampler(seed=0).batch(n, 1)
+    with pytest.raises(ValueError, match=r"\bn must be at least 1"):
+        expr_equiv(U, U, n=n)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-10])
+def test_equiv_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        expr_equiv(U, U, tol=tol)
+
+
 def test_complete_coords_is_one_immutable_tuple_per_order():
     for order in (0, 2, 6):
         coords = complete_coords(order)
@@ -671,6 +717,164 @@ def test_constants_keep_type_and_sign_of_zero():
     assert Const(-0.0) is not zero
     assert to_text(zero) == "0.0"
     assert to_text(Const(-0.0)) == "-0.0"
+
+
+def test_weak_interning_drops_dead_nodes():
+    gc.collect()
+    baseline = len(jetexpr._NODES)
+    for k in range(10_000):
+        e = add(mul(Const(Fraction(k, 7919)), U), exp(mul(Const(k + 0.5), V)))
+        if k == 0:
+            assert len(jetexpr._NODES) > baseline
+    del e
+    gc.collect()
+    assert len(jetexpr._NODES) == baseline
+
+
+def test_child_of_a_live_parent_stays_interned():
+    gc.collect()
+    baseline = len(jetexpr._NODES)
+    keep = mul(Const(Fraction(104729, 3)), V)
+    drop = add(Const(Fraction(104729, 3)), U)
+    child_id = id(keep.lhs)
+    # the constant lives on only through `keep`; `drop` dying releases its
+    # key's references to the constant without removing its entry
+    del drop
+    gc.collect()
+    assert id(Const(Fraction(104729, 3))) == child_id
+    assert Const(Fraction(104729, 3)) is keep.lhs
+    assert mul(keep.lhs, V) is keep
+    del keep
+    gc.collect()
+    assert len(jetexpr._NODES) == baseline
+
+
+# The folding rules before constants were told apart by one type test: a
+# reference for the constructors, which must return the node these do.
+
+def _ref_is_const(e, value=None):
+    if type(e) is not Const:
+        return False
+    return True if value is None else e.value == value
+
+
+def _ref_add(a, b):
+    if _ref_is_const(a) and _ref_is_const(b):
+        return Const(a.value + b.value)
+    if _ref_is_const(a, 0):
+        return b
+    if _ref_is_const(b, 0):
+        return a
+    return Binary("+", a, b)
+
+
+def _ref_sub(a, b):
+    if _ref_is_const(a) and _ref_is_const(b):
+        return Const(a.value - b.value)
+    if _ref_is_const(b, 0):
+        return a
+    if _ref_is_const(a, 0):
+        return _ref_neg(b)
+    return Binary("-", a, b)
+
+
+def _ref_mul(a, b):
+    if _ref_is_const(a) and _ref_is_const(b):
+        return Const(a.value * b.value)
+    if _ref_is_const(a, 0) or _ref_is_const(b, 0):
+        return Const(0)
+    if _ref_is_const(a, 1):
+        return b
+    if _ref_is_const(b, 1):
+        return a
+    return Binary("*", a, b)
+
+
+def _ref_div(a, b):
+    if _ref_is_const(b, 0):
+        raise ZeroDivisionError("division by constant zero")
+    if _ref_is_const(a) and _ref_is_const(b):
+        if isinstance(a.value, Fraction) and isinstance(b.value, Fraction):
+            return Const(a.value / b.value)
+        return Const(float(a.value) / float(b.value))
+    if _ref_is_const(a, 0):
+        return Const(0)
+    if _ref_is_const(b, 1):
+        return a
+    return Binary("/", a, b)
+
+
+def _ref_neg(a):
+    if _ref_is_const(a):
+        return Const(-a.value)
+    if type(a) is Unary and a.op == "neg":
+        return a.arg
+    return Unary("neg", a)
+
+
+def _ref_pow(base, expo):
+    if expo == 1:
+        return base
+    if expo == 0:
+        return Const(1)
+    if _ref_is_const(base) and expo.denominator == 1:
+        p = int(expo)
+        if base.value == 0 and p < 0:
+            raise ZeroDivisionError("zero raised to a negative power")
+        return Const(base.value ** p)
+    return Binary("^", base, Const(expo))
+
+
+def _ref_unary(op, zero, one_folds):
+    def fold(a):
+        if _ref_is_const(a, 0):
+            return zero if zero is not None else a
+        if one_folds and _ref_is_const(a, 1):
+            return a
+        return Unary(op, a)
+    return fold
+
+
+_FOLD_POOL = (Const(0), Const(1), Const(0.0), Const(-0.0), Const(1.0), Const(2),
+              Const(Fraction(-3, 2)), Const(math.inf), U, Var("x"))
+
+
+def _same_fold(got, want):
+    """One node, or (inf - inf and the like) two Consts of the same float NaN."""
+    if got is want:
+        return True
+    return (type(got) is Const and type(want) is Const and type(got.value) is float
+            and type(want.value) is float and math.isnan(got.value) and math.isnan(want.value))
+
+
+def _fold_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@pytest.mark.parametrize("ours, ref", [(add, _ref_add), (sub, _ref_sub), (mul, _ref_mul),
+                                       (div, _ref_div)], ids=["add", "sub", "mul", "div"])
+def test_binary_folding_is_the_reference_rules(ours, ref):
+    for a in _FOLD_POOL:
+        for b in _FOLD_POOL:
+            got, want = _fold_outcome(ours, a, b), _fold_outcome(ref, a, b)
+            assert _same_fold(got, want), (to_text(a), to_text(b), got, want)
+
+
+def test_unary_and_power_folding_is_the_reference_rules():
+    unary = [(neg, _ref_neg), (exp, _ref_unary("exp", Const(1), False)),
+             (erf, _ref_unary("erf", Const(0), False)), (sqrt, _ref_unary("sqrt", None, True))]
+    exponents = [Fraction(e) for e in (1, 0, 2, 3, -1, -2)] + [Fraction(1, 2), Fraction(-3, 2)]
+    for a in _FOLD_POOL + (neg(U),):
+        for ours, ref in unary:
+            assert _same_fold(ours(a), ref(a)), (ours.__name__, to_text(a))
+        for expo in exponents:
+            got, want = _fold_outcome(pow_, a, expo), _fold_outcome(_ref_pow, a, expo)
+            assert _same_fold(got, want), (to_text(a), expo, got, want)
+    # the case a shortcut on the rational zero's identity would get wrong
+    assert to_text(add(Const(0), Const(-0.0))) == "0.0"
 
 
 def test_infinite_constants_roundtrip():
