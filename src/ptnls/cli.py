@@ -138,10 +138,9 @@ def _requested_blocks(settings: Settings) -> list[tuple[CaseId, Kind]]:
     return [(c, k) for c in cases for k in kinds]
 
 
-def _solver_config(settings: Settings, case_id: CaseId) -> SolverConfig:
-    """default_scan_config(case_id) with every value given by a flag or the
-    config file put in its place."""
-    base = default_scan_config(case_id)
+def _solver_config(settings: Settings, base: SolverConfig) -> SolverConfig:
+    """`base` with every value given by a flag or the config file put in its
+    place."""
     params = ParamValues(**{f.name: settings.get(f.name, getattr(base.params, f.name))
                             for f in fields(ParamValues)})
     grid = Grid(L=settings.get("L", base.grid.L), N=settings.get("N", base.grid.N))
@@ -223,7 +222,9 @@ def cmd_verify_divergence(settings: Settings) -> int:
 def cmd_simulate(settings: Settings) -> int:
     settings.seed()
     case_id = CaseId.parse(settings.get("case", "1a"))
-    cfg = _solver_config(settings, case_id)
+    # the solver's own scheme and dt, with the scans' initial data
+    cfg = _solver_config(settings, SolverConfig(
+        case_id=case_id, initial=default_scan_config(case_id).initial))
     out_dir = settings.get("out_dir", "out")
     sample_every = settings.get("sample_every", 50)
     os.makedirs(out_dir, exist_ok=True)
@@ -275,7 +276,9 @@ def cmd_drift_scan(settings: Settings) -> int:
     form = settings.get("form", "Tt")
     eps_list = _parse_eps_grid(settings.get("eps_grid", "1e-3:1e-1:7"))
     out_dir = settings.get("out_dir", "out")
-    sample_every = settings.get("sample_every", 50)
+    sample_every = settings.get("sample_every", 10)
+    # no flag sets the scans' scheme, but every report names it
+    settings.resolved["scheme"] = default_scan_config(blocks[0][0]).scheme
 
     # every block's density is looked up before any block is stepped
     skipped = {}
@@ -294,7 +297,7 @@ def cmd_drift_scan(settings: Settings) -> int:
     reports = {(r.case_id, r.kind): r
                for case_id, kinds in kinds_of.items()
                for r in drift_scan(case_id, kinds, eps_list,
-                                   cfg=_solver_config(settings, case_id),
+                                   cfg=_solver_config(settings, default_scan_config(case_id)),
                                    form=form, sample_every=sample_every)}
     header = [f"{k}={v}" for k, v in settings.resolved.items()]
     paths = emit_report(list(reports.values()), out_dir, header_lines=header)

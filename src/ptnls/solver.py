@@ -4,12 +4,14 @@ The real system cataloged per case is equivalent to
 
     i q_t = -1/2 q_xx + (a(x) + i eps b(x)) q - 2 sigma mu^2 e^{-alpha x^2} |q|^2 q
 
-and that complex form is what the stepper integrates: Strang splitting with
-the kinetic half-steps applied exactly in Fourier space and the pointwise
+and that complex form is what the stepper integrates: a symmetric splitting
+with the kinetic flows applied exactly in Fourier space and the pointwise
 potential/nonlinear flow applied exactly too: |q|^2 grows by e^{2 eps b t},
 so the phase integrates in closed form (Weideman & Herbst, SIAM J. Numer.
 Anal. 23, 1986).  Only the splitting error is left, and at eps = 0 the
-discrete L2 norm is conserved to rounding.
+discrete L2 norm is conserved to rounding.  The scheme is Strang splitting
+(second order) or Yoshida's symmetric composition of three Strang steps
+(fourth order; Yoshida, Phys. Lett. A 150, 262, 1990).
 
 Every run steps an ensemble: members that differ only in eps are the rows
 of one (members, N) array, and a single run is an ensemble of one.  Each
@@ -34,7 +36,7 @@ from .catalog import CaseId, load_catalog
 from .jetexpr import Jet, JetBatch, ParamValues, eval_expr
 
 __all__ = [
-    "Grid", "FieldState", "Gaussian", "GroundState", "SolverConfig", "Stepper",
+    "Grid", "FieldState", "Gaussian", "GroundState", "SCHEMES", "SolverConfig", "Stepper",
     "Trajectory", "BlowUpError", "BoundaryContaminationError",
     "initial_condition", "make_stepper", "run", "run_members", "integrate", "resample",
     "jet_values", "write_trajectory_csv",
@@ -42,6 +44,10 @@ __all__ = [
 
 BOUNDARY_WARN = 1e-8
 BOUNDARY_ERROR = 1e-4
+
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+# the substep weights of each splitting scheme, as fractions of dt
+SCHEMES = {"strang": (1.0,), "yoshida4": (_W1, 1.0 - 2.0 * _W1, _W1)}
 
 
 class BlowUpError(Exception):
@@ -135,6 +141,7 @@ class SolverConfig:
     T_final: float = 5.0
     grid: Grid = field(default_factory=Grid)
     initial: InitialData = field(default_factory=GroundState)
+    scheme: str = "strang"  # a key of SCHEMES
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -143,7 +150,11 @@ class SolverConfig:
             raise ValueError(f"T_final must be nonnegative and finite, got {self.T_final}")
         steps = self.T_final / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ValueError("T_final must be an integer multiple of dt")
+            raise ValueError(f"T_final must be an integer multiple of dt, got "
+                             f"T_final={self.T_final!r} and dt={self.dt!r}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {', '.join(map(repr, SCHEMES))}, "
+                             f"got {self.scheme!r}")
 
     @property
     def steps(self) -> int:
@@ -163,35 +174,74 @@ def initial_condition(cfg: SolverConfig) -> FieldState:
 
 
 class Stepper:
-    """One Strang step: exact kinetic half, exact pointwise flow, exact
-    kinetic half.
+    """One step of a symmetric splitting: the pointwise flow for each
+    substep weight w (fractions of dt; `SCHEMES`), between exact kinetic
+    flows.  The kinetic flows of neighbouring substeps are merged, so a step
+    of s substeps is s + 1 kinetic flows, 2 (s + 1) FFTs: with weights (1,)
+    it is Strang's K(1/2) N(1) K(1/2), with Yoshida's (w1, w0, w1) it is
+    K(w1/2) N(w1) K((w1 + w0)/2) N(w0) K((w1 + w0)/2) N(w1) K(w1/2).
 
     Built either from a case (arrays evaluated from the catalog) or from raw
     arrays (a, b, nonlinear coefficient) for contrived test systems.  With
     a vector of M eps values the field is (M, N), one member per row.  The
-    pointwise flow of q_t = (g - i (a + nl |q|^2)) q, g = eps b, is exact:
-    q <- lin q e^{-i cub |q|^2}, lin = e^{(g - i a) dt}, cub = nl dt phi(2 g dt)
-    with phi(z) = expm1(z) / z and phi(0) = 1.
+    pointwise flow of q_t = (g - i (a + nl |q|^2)) q, g = eps b, over h = w dt
+    is exact: q <- lin q e^{-i cub |q|^2}, lin = e^{(g - i a) h},
+    cub = nl h phi(2 g h) with phi(z) = expm1(z) / z and phi(0) = 1.
     """
 
     def __init__(self, grid: Grid, dt: float, a: np.ndarray, b: np.ndarray,
-                 nl: np.ndarray, eps):
+                 nl: np.ndarray, eps, weights: Sequence[float] = SCHEMES["strang"]):
         self.dt = dt
-        gdt = np.asarray(eps, float)[..., None] * b * dt  # g dt, one row per member
-        phi = np.ones_like(gdt)
-        np.divide(np.expm1(2.0 * gdt), 2.0 * gdt, out=phi, where=gdt != 0.0)
-        self.lin = np.exp(gdt - 1j * a * dt)
-        self.cub = nl * dt * phi
-        self.kinetic_half = np.exp(-0.25j * grid.k ** 2 * dt)
+        self.lin, self.cub = [], []  # one array of each per substep
+        for w in weights:
+            h = w * dt
+            gdt = np.asarray(eps, float)[..., None] * b * h  # g h, one row per member
+            phi = np.ones_like(gdt)
+            np.divide(np.expm1(2.0 * gdt), 2.0 * gdt, out=phi, where=gdt != 0.0)
+            self.lin.append(np.exp(gdt - 1j * a * h))
+            self.cub.append(nl * h * phi)
+        # e^{-i c k^2 dt / 2} for each merged kinetic fraction c; -0.5j * 0.5 is
+        # -0.25j exactly, so Strang's halves keep their old bits
+        merged = [(u + w) / 2.0 for u, w in zip((0.0, *weights), (*weights, 0.0))]
+        self.kinetic = [np.exp(-0.5j * c * grid.k ** 2 * dt) for c in merged]
+        self._work: list[np.ndarray] = []  # see _work_arrays
+
+    def _work_arrays(self, shape) -> list[np.ndarray]:
+        """The kinetic factors broadcast to the field's shape (a ufunc that
+        writes into the field copies it first when another operand is
+        broadcast), then the work buffers rot and phase."""
+        if not self._work or self._work[-1].shape != shape:
+            self._work = [np.ascontiguousarray(np.broadcast_to(k, shape))
+                          for k in self.kinetic] + [np.empty(shape, complex), np.empty(shape)]
+        return self._work
+
+    def keep(self, rows: Sequence[int]) -> None:
+        """Keep only the members in `rows` (row indices, ascending), in
+        every substep's arrays and in the work arrays."""
+        self.lin = [lin[rows] for lin in self.lin]
+        self.cub = [cub[rows] for cub in self.cub]
+        self._work = [w[:len(rows)] for w in self._work]  # every row alike
 
     def step(self, state: FieldState) -> FieldState:
-        q = np.fft.ifft(self.kinetic_half * np.fft.fft(state.q))
-        # e^{-i phase} built from cos and sin: cheaper than a complex exp
-        phase = self.cub * (q.real ** 2 + q.imag ** 2)
-        rot = np.empty_like(q)
-        np.cos(phase, out=rot.real)
-        np.sin(-phase, out=rot.imag)
-        q = np.fft.ifft(self.kinetic_half * np.fft.fft(self.lin * q * rot))
+        q = np.fft.fft(state.q)  # the one array a step allocates: the returned field
+        *kinetics, rot, phase = self._work_arrays(q.shape)
+        for kinetic, lin, cub in zip(kinetics, self.lin, self.cub):
+            np.multiply(kinetic, q, out=q)
+            np.fft.ifft(q, out=q)
+            # phase = cub |q|^2, then e^{-i phase} from cos and sin: cheaper
+            # than a complex exp
+            np.square(q.real, out=rot.real)
+            np.square(q.imag, out=rot.imag)
+            np.add(rot.real, rot.imag, out=phase)
+            np.multiply(cub, phase, out=phase)
+            np.cos(phase, out=rot.real)
+            np.negative(phase, out=phase)
+            np.sin(phase, out=rot.imag)
+            np.multiply(lin, q, out=q)
+            np.multiply(q, rot, out=q)
+            np.fft.fft(q, out=q)
+        np.multiply(kinetics[-1], q, out=q)
+        np.fft.ifft(q, out=q)
         return FieldState(state.t + self.dt, q, state.grid)
 
 
@@ -204,7 +254,7 @@ def make_stepper(cfg: SolverConfig, eps) -> Stepper:
                       Jet("v", 0, 0): np.zeros(grid.N)})
     a, b, coeff = (np.broadcast_to(np.asarray(eval_expr(e, batch, params), float), (grid.N,))
                    for e in (case.a, case.b, case.nonlinearity_coeff))
-    return Stepper(grid, cfg.dt, a, b, -params.mu ** 2 * coeff, eps)
+    return Stepper(grid, cfg.dt, a, b, -params.mu ** 2 * coeff, eps, SCHEMES[cfg.scheme])
 
 
 @dataclass
@@ -277,7 +327,7 @@ def run_members(cfg: SolverConfig, eps_values: Sequence[float],
         if not keep:
             break
         alive, state.q = alive[keep], state.q[keep]
-        stepper.lin, stepper.cub = stepper.lin[keep], stepper.cub[keep]
+        stepper.keep(keep)
         if sample:
             snapshots[len(times), alive] = state.q
             times.append(state.t)

@@ -31,9 +31,14 @@ def _short_cfg(case_id=CaseId.CASE1A, **kw):
     return SolverConfig(**base)
 
 
+# snapshots every 10 steps, for drift scans and the single runs they are compared with
+SAMPLE_EVERY = 10
+
+
 @pytest.fixture(scope="module")
 def charge_scan():
-    [rep] = drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST, cfg=_short_cfg())
+    [rep] = drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST, cfg=_short_cfg(),
+                       sample_every=SAMPLE_EVERY)
     return rep
 
 
@@ -263,8 +268,9 @@ def test_floor_blow_up_keeps_its_time():
 
 
 def _single_run(cfg, eps, kind=Kind.CHARGE):
-    """(Q0, drift_abs, drift_rel) of one member integrated on its own."""
-    traj = run(replace(cfg, params=cfg.params.replace(eps=eps)))
+    """(Q0, drift_abs, drift_rel) of one member integrated on its own, with
+    the snapshots of a scan at SAMPLE_EVERY."""
+    traj = run(replace(cfg, params=cfg.params.replace(eps=eps)), sample_every=SAMPLE_EVERY)
     ts = density_timeseries(traj, cfg.case_id, kind)
     return (float(ts.values[0]), *drift_from_timeseries(ts))
 
@@ -281,11 +287,12 @@ def test_scan_members_match_single_runs(charge_scan):
 def test_failed_member_is_kept_and_left_out_of_the_fit(tmp_path):
     # in a small box only the largest gain carries mass past the boundary bound
     cfg = _short_cfg(grid=Grid(L=6.0, N=128))
-    [rep] = drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST[:-1] + [1.0], cfg=cfg)
+    [rep] = drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST[:-1] + [1.0], cfg=cfg,
+                       sample_every=SAMPLE_EVERY)
     *rest, failed = rep.members
     assert failed.failed and failed.eps == 1.0
     with pytest.raises(BoundaryContaminationError) as exc:
-        run(replace(cfg, params=cfg.params.replace(eps=1.0)))
+        run(replace(cfg, params=cfg.params.replace(eps=1.0)), sample_every=SAMPLE_EVERY)
     assert failed.error == str(exc.value)
 
     for m in rest:

@@ -262,6 +262,49 @@ def test_drift_scan_all_blocks_rows_match_single_block(all_blocks_scan, tmp_path
         assert single and _data_rows(all_dir / name, "case1a", "charge") == single, name
 
 
+def test_drift_scan_reports_name_the_scheme(all_blocks_scan):
+    # no flag sets it, so every output says which scheme stepped the members
+    _, out, out_dir = all_blocks_scan
+    recs = [r for r in _json_records(out) if r["check"] == "drift-scan"]
+    assert {r["config"]["scheme"] for r in recs} == {"yoshida4"}
+    for name in ["drift.csv", "drift_slopes.csv"] + [f"drift_{c}_{k}.svg" for c, k in SCANNED]:
+        text = (out_dir / name).read_text()
+        if name.endswith(".csv"):
+            meta = [line[2:] for line in text.splitlines() if line.startswith("# ")]
+        else:
+            meta = text.split("<metadata>")[1].split("</metadata>")[0].splitlines()
+        assert "scheme=yoshida4" in meta, name  # the settings
+        assert "N=256 L=20 dt=0.002 T_final=0.5 scheme=yoshida4" in meta, name  # each config
+
+
+def test_simulate_steps_strang_at_the_solver_default(tmp_path, capsys, monkeypatch):
+    configs = []
+
+    def recording(cfg, sample_every):
+        configs.append((cfg, sample_every))
+        return run(cfg, sample_every)
+
+    run = cli.run
+    monkeypatch.setattr(cli, "run", recording)
+    assert main(["simulate", "--case", "1a", "--t-final", "0.01",
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    [(cfg, sample_every)] = configs
+    assert (cfg.scheme, cfg.dt, sample_every) == ("strang", 1e-3, 50)
+    assert cfg.initial == analysis.default_scan_config(cfg.case_id).initial
+    (rec, _) = _json_records(capsys.readouterr().out)
+    assert "scheme" not in rec["config"]  # simulate's outputs carry no scheme line
+
+
+def test_t_final_off_the_time_step_names_both_values(tmp_path, capsys):
+    # the scans' default dt is 5e-3, so a T_final that was fine at 1e-3 can miss it
+    assert main(["drift-scan", "--case", "1a", "--kind", "charge", "--t-final", "0.003",
+                 "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ("error: T_final must be an integer multiple of dt, "
+                            "got T_final=0.003 and dt=0.005\n")
+    assert captured.out == ""
+
+
 def test_drift_scan_steps_each_case_once_for_both_kinds(tmp_path, capsys, monkeypatch):
     stepped = []
     run_members = analysis.run_members

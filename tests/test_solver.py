@@ -2,18 +2,20 @@
 invariance, conservation/growth rates, and the health monitors."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ptnls.catalog import CaseId, load_catalog
+from ptnls.analysis import density_timeseries, drift_from_timeseries
+from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import (JetBatch, ParamValues, Sym, eval_expr, expr_equiv, jet,
                            parse_expr)
-from ptnls.solver import (BlowUpError, BoundaryContaminationError, FieldState,
+from ptnls.solver import (SCHEMES, BlowUpError, BoundaryContaminationError, FieldState,
                           Gaussian, Grid, GroundState, SolverConfig, Stepper,
-                          initial_condition, integrate, jet_values, resample,
-                          run, run_members, write_trajectory_csv)
+                          initial_condition, integrate, jet_values, make_stepper,
+                          resample, run, run_members, write_trajectory_csv)
 
 
 def _linear_cfg(**kw):
@@ -50,9 +52,13 @@ def test_config_validation():
         SolverConfig(dt=0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         SolverConfig(T_final=-1.0)
-    with pytest.raises(ValueError, match="integer multiple"):
+    with pytest.raises(ValueError, match="integer multiple") as exc:
         SolverConfig(dt=1e-3, T_final=0.00250001)
+    assert "T_final=0.00250001" in str(exc.value) and "dt=0.001" in str(exc.value)
     assert SolverConfig(dt=1e-3, T_final=2.0).steps == 2000
+    with pytest.raises(ValueError, match="^scheme must be one of 'strang', 'yoshida4', "
+                                         "got 'rk4'$"):
+        SolverConfig(scheme="rk4")
 
 
 def test_initial_conditions():
@@ -77,33 +83,59 @@ def test_zero_time_run_returns_initial_state_only():
 
 
 def test_free_plane_wave_is_exact():
-    # with a = b = nl = 0 the scheme is exact: the kinetic halves telescope
+    # with a = b = nl = 0 every scheme is exact: the kinetic flows telescope
     grid = Grid(L=10.0, N=128)
-    stepper = Stepper(grid, 1e-2, 0.0, 0.0, 0.0, 0.0)
     k = grid.k[5]
-    state = FieldState(0.0, np.exp(1j * k * grid.x), grid)
-    for _ in range(100):
-        state = stepper.step(state)
     exact = np.exp(1j * (k * grid.x - 0.5 * k ** 2 * 1.0))
-    assert np.max(np.abs(state.q - exact)) < 1e-12
+    for weights in SCHEMES.values():
+        stepper = Stepper(grid, 1e-2, 0.0, 0.0, 0.0, 0.0, weights)
+        state = FieldState(0.0, np.exp(1j * k * grid.x), grid)
+        for _ in range(100):
+            state = stepper.step(state)
+        assert np.max(np.abs(state.q - exact)) < 1e-12
 
 
 def test_uniform_field_follows_the_exact_pointwise_flow():
     # only k = 0 is present, so the kinetic factor is 1 and each step is the
-    # exact flow of i q_t = (a + i g) q + nl |q|^2 q: rho0 e^{2 g t} and its phase
+    # exact flow of i q_t = (a + i g) q + nl |q|^2 q: rho0 e^{2 g t} and its
+    # phase, whatever the substeps (Yoshida's middle one runs backwards)
     grid, dt, steps = Grid(L=10.0, N=64), 0.05, 40
     a, b, nl, eps = 0.7, 0.3, -1.5, np.array([0.0, 0.1, -0.2])  # eps = 0: phi(0)
     q0 = 0.8 - 0.6j
-    stepper = Stepper(grid, dt, a, b, nl, eps)
-    state = FieldState(0.0, np.full((eps.size, grid.N), q0), grid)
-    for _ in range(steps):
-        state = stepper.step(state)
     t, g, rho0 = steps * dt, eps * b, abs(q0) ** 2
     growth = np.array([t if gi == 0 else math.expm1(2 * gi * t) / (2 * gi) for gi in g])
     rho = rho0 * np.exp(2 * g * t)
     phase = np.angle(q0) - a * t - nl * rho0 * growth
     exact = np.sqrt(rho) * np.exp(1j * phase)
-    assert np.max(np.abs(state.q / exact[:, None] - 1.0)) < 1e-12
+    for weights in SCHEMES.values():
+        stepper = Stepper(grid, dt, a, b, nl, eps, weights)
+        state = FieldState(0.0, np.full((eps.size, grid.N), q0), grid)
+        for _ in range(steps):
+            state = stepper.step(state)
+        assert np.max(np.abs(state.q / exact[:, None] - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("scheme,ffts", [("strang", 4), ("yoshida4", 8)])
+def test_a_step_allocates_only_the_new_field(scheme, ffts, monkeypatch):
+    # two FFTs per merged kinetic flow, called through np.fft (which the
+    # benchmark's tracer counts), and every intermediate written in place
+    cfg = SolverConfig(case_id=CaseId.CASE2, initial=Gaussian(1.0, 1.0, 0.5), scheme=scheme)
+    stepper = make_stepper(cfg, [0.0, 0.01, 0.1, 1.0])
+    state = stepper.step(FieldState(0.0, np.tile(initial_condition(cfg).q, (4, 1)), cfg.grid))
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(*args, _f=getattr(np.fft, name), **kwargs):
+            calls.append(_f)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    tracemalloc.start()
+    try:
+        state = stepper.step(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == ffts
+    assert state.q.nbytes <= peak < 1.25 * state.q.nbytes
 
 
 def test_norm_is_conserved_without_gain():
@@ -137,6 +169,72 @@ def test_second_order_in_time():
     e1 = np.max(np.abs(final_q(2e-3) - ref))
     e2 = np.max(np.abs(final_q(1e-3) - ref))
     assert 3.3 < e1 / e2 < 4.7
+
+
+@pytest.mark.parametrize("scheme,ratio", [("strang", 4.0), ("yoshida4", 16.0)])
+def test_energy_floor_falls_with_the_order_of_the_scheme(scheme, ratio):
+    # at eps = 0 the energy drift is pure splitting error, O(dt^2) for Strang
+    # and O(dt^4) for Yoshida: halving dt divides it by about 2^order
+    def floor(dt):
+        cfg = SolverConfig(case_id=CaseId.CASE2, params=ParamValues(eps=0.0), dt=dt,
+                           T_final=1.0, grid=Grid(N=256), initial=Gaussian(1.0, 1.0, 0.5),
+                           scheme=scheme)
+        traj = run(cfg, sample_every=int(round(0.05 / dt)))  # the same 21 times
+        return drift_from_timeseries(density_timeseries(traj, CaseId.CASE2, Kind.ENERGY))[1]
+
+    assert floor(5e-3) / floor(2.5e-3) == pytest.approx(ratio, rel=0.15)
+
+
+def _pt(q):
+    """PT on the cell-centred grid: x -> -x reverses the nodes, t -> -t conjugates."""
+    return np.conj(q[..., ::-1])
+
+
+def _pt_round_trip(stepper, q0, steps):
+    """PT S^n PT S^n q0, which is q0 when PT S PT = S^{-1}."""
+    state = FieldState(0.0, q0, None)
+    for _ in range(2):
+        for _ in range(steps):
+            state = stepper.step(state)
+        state = FieldState(0.0, _pt(state.q), None)
+    return state.q
+
+
+PT_EPS = [0.0, 0.05, 0.3]
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("case_id", list(CaseId), ids=lambda c: c.value)
+def test_pt_round_trip_returns_the_initial_data(case_id, scheme):
+    # every a(x) is even, every b(x) odd and e^{-alpha x^2} even, so PT maps
+    # solutions to solutions; each exact substep flow F_h obeys PT F_h PT =
+    # F_{-h}, so a symmetric composition S obeys PT S PT = S^{-1} to rounding
+    # (at N = 512 the eps = 0.3 case1c run is under-resolved: its max |q| at
+    # T = 1 swings from 14 to 56 with dt, and the backward leg amplifies
+    # rounding up to O(1); at N = 2048 it is 7.8 to 9.8 for every dt)
+    cfg = SolverConfig(case_id=case_id, dt=5e-3, T_final=1.0, grid=Grid(N=2048),
+                       initial=Gaussian(1.0, 1.0, 0.5), scheme=scheme)
+    q0 = np.tile(initial_condition(cfg).q, (len(PT_EPS), 1))
+    back = _pt_round_trip(make_stepper(cfg, PT_EPS), q0, cfg.steps)
+    rel = np.max(np.abs(back - q0), axis=-1) / np.max(np.abs(q0), axis=-1)
+    assert np.all(rel < 1e-10), rel
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_pt_round_trip_sees_an_even_gain(scheme):
+    # with b even PT is no symmetry, and the round trip misses by O(eps)
+    grid, dt = Grid(), 5e-3
+    x = grid.x
+    q0 = np.tile(np.exp(-(x - 0.5) ** 2 / 2.0).astype(complex), (len(PT_EPS), 1))
+    rel = []
+    for b in (x * np.exp(-x ** 2 / 2.0), np.abs(x) * np.exp(-x ** 2 / 2.0)):
+        stepper = Stepper(grid, dt, x ** 2 / 2.0, b, -np.exp(-0.5 * x ** 2), PT_EPS,
+                          SCHEMES[scheme])
+        back = _pt_round_trip(stepper, q0, 200)
+        rel.append(np.max(np.abs(back - q0), axis=-1))
+    odd, even = rel
+    assert np.all(odd < 1e-10)
+    assert even[0] < 1e-10 and np.all(even[1:] > 1e-3)
 
 
 def test_resolution_doubling_changes_nothing():
@@ -219,19 +317,21 @@ def test_boundary_contamination_is_an_error():
 def test_failed_member_leaves_the_others_bit_identical():
     # in a small box the largest gain reaches the boundary bound; its row sits
     # between two members that finish, so the rows left behind must realign
-    cfg = SolverConfig(dt=1e-3, T_final=1.0, grid=Grid(L=6.0, N=128),
-                       initial=Gaussian(1.0, 1.0, 0.5))
-    eps = [0.01, 1.0, 0.0]
-    results = run_members(cfg, eps)
-    with pytest.raises(BoundaryContaminationError) as exc:
-        run(replace(cfg, params=cfg.params.replace(eps=1.0)))
-    assert isinstance(results[1], BoundaryContaminationError)
-    assert (results[1].t, str(results[1])) == (exc.value.t, str(exc.value))
-    for e, traj in zip(eps[::2], results[::2]):
-        alone = run(replace(cfg, params=cfg.params.replace(eps=e)))
-        assert traj.cfg == alone.cfg
-        assert [s.t for s in traj] == [s.t for s in alone]
-        assert all(np.array_equal(a.q, b.q) for a, b in zip(traj, alone))
+    # in every substep's arrays
+    for scheme in SCHEMES:
+        cfg = SolverConfig(dt=1e-3, T_final=1.0, grid=Grid(L=6.0, N=128),
+                           initial=Gaussian(1.0, 1.0, 0.5), scheme=scheme)
+        eps = [0.01, 1.0, 0.0]
+        results = run_members(cfg, eps)
+        with pytest.raises(BoundaryContaminationError) as exc:
+            run(replace(cfg, params=cfg.params.replace(eps=1.0)))
+        assert isinstance(results[1], BoundaryContaminationError)
+        assert (results[1].t, str(results[1])) == (exc.value.t, str(exc.value))
+        for e, traj in zip(eps[::2], results[::2]):
+            alone = run(replace(cfg, params=cfg.params.replace(eps=e)))
+            assert traj.cfg == alone.cfg
+            assert [s.t for s in traj] == [s.t for s in alone]
+            assert all(np.array_equal(a.q, b.q) for a, b in zip(traj, alone))
 
 
 def test_boundary_proximity_warns_once():
