@@ -40,6 +40,7 @@ SLOPE_CSV_HEADER = "case,kind,slope,intercept,fit_residual,floor"
 TIMESERIES_CSV_HEADER = "case,kind,form,eps,t,Q"
 
 DRIFT_FLOOR_FACTOR = 10.0
+SCAN_SAMPLE_INTERVAL = 0.05  # time between a scan's snapshots unless sample_every is given
 MIN_FIT_MEMBERS = 4
 
 
@@ -127,6 +128,7 @@ class DriftReport:
     fit_residual: Optional[float]
     slope_valid: bool
     fit_members: int
+    sample_every: int  # steps between the snapshots the densities were taken at
 
     def drop_one_slopes(self) -> list[float]:
         """Fitted slope with each qualifying member removed in turn (fit
@@ -172,13 +174,15 @@ def _qualifying(members: Sequence[DriftMember], floor: float) -> list[DriftMembe
 
 def drift_scan(case_id: CaseId, kinds: Sequence[Kind], eps_list: Sequence[float],
                cfg: Optional[SolverConfig] = None, form: str = "Tt",
-               sample_every: int = 10) -> list[DriftReport]:
+               sample_every: Optional[int] = None) -> list[DriftReport]:
     """Run the solver at eps = 0 and at each eps in eps_list, all members
     stepped together once, then, for each kind in `kinds`, evaluate its
     density along those trajectories and fit log(drift) against log(eps)
     over the members above the noise floor.  Returns one report per kind,
-    in order.  A failed eps > 0 member is kept, marked failed; a failed
-    eps = 0 floor run raises its error."""
+    in order.  Snapshots are `sample_every` steps apart, by default the
+    nearest to SCAN_SAMPLE_INTERVAL whatever the time step.  A failed eps > 0
+    member is kept, marked failed; a failed eps = 0 floor run raises its
+    error."""
     kinds = list(kinds)
     if not kinds:
         raise ValueError("need at least one kind")
@@ -196,6 +200,8 @@ def drift_scan(case_id: CaseId, kinds: Sequence[Kind], eps_list: Sequence[float]
     for kind in kinds:  # a missing density fails before any stepping
         _density_expr(case_id, kind, form)
 
+    if sample_every is None:
+        sample_every = max(1, round(SCAN_SAMPLE_INTERVAL / cfg.dt))
     eps_all = [0.0] + eps_list
     results = run_members(cfg, eps_all, sample_every)
     # without a floor there is no scan: its failure propagates as raised
@@ -212,7 +218,8 @@ def drift_scan(case_id: CaseId, kinds: Sequence[Kind], eps_list: Sequence[float]
             slope, intercept, residual = fit_loglog_slope(
                 [m.eps for m in fit], [m.drift_rel for m in fit])
         reports.append(DriftReport(case_id, kind, form, cfg, tuple(members), floor,
-                                   slope, intercept, residual, slope_valid, len(fit)))
+                                   slope, intercept, residual, slope_valid, len(fit),
+                                   sample_every))
     return reports
 
 
@@ -250,7 +257,7 @@ def _config_lines(cfg: SolverConfig, extra: Sequence[str] = ()) -> list[str]:
 
 def _write_comments(fh, reports: Sequence[DriftReport], header_lines: Sequence[str]) -> None:
     for rep in reports:
-        for line in _config_lines(rep.cfg):
+        for line in _config_lines(rep.cfg, [f"sample_every={rep.sample_every}"]):
             fh.write(f"# {line}\n")
     for line in header_lines:
         fh.write(f"# {line}\n")
@@ -415,7 +422,8 @@ def write_drift_svg(report: DriftReport, path,
 
     parts = _svg_open(
         f"drift vs eps: {report.case_id.value} {report.kind.value} ({report.form})",
-        _config_lines(report.cfg, extra=header_lines))
+        _config_lines(report.cfg, extra=[f"sample_every={report.sample_every}",
+                                         *header_lines]))
     parts += ax.frame("eps", "relative drift")
     parts += ax.xticks(*_decade_ticks(ax.x0, ax.x1))
     parts += ax.yticks(*_decade_ticks(ax.y0, ax.y1))

@@ -122,11 +122,13 @@ class Settings:
         return value
 
 
-def _emit(record: dict, settings: Settings) -> None:
+def _emit(record: dict, settings: Settings, **chosen) -> None:
+    """Print `record` as one JSON line, its "config" the resolved settings
+    and what the command chose where no setting did (`chosen`)."""
     record = dict(record)
     record["config"] = {k: (v if isinstance(v, (int, float, str, bool, type(None)))
                             else repr(v))
-                        for k, v in settings.resolved.items()}
+                        for k, v in {**settings.resolved, **chosen}.items()}
     print(json.dumps(record))
 
 
@@ -276,9 +278,7 @@ def cmd_drift_scan(settings: Settings) -> int:
     form = settings.get("form", "Tt")
     eps_list = _parse_eps_grid(settings.get("eps_grid", "1e-3:1e-1:7"))
     out_dir = settings.get("out_dir", "out")
-    sample_every = settings.get("sample_every", 10)
-    # no flag sets the scans' scheme, but every report names it
-    settings.resolved["scheme"] = default_scan_config(blocks[0][0]).scheme
+    sample_every = settings.get("sample_every")  # None: drift_scan's own spacing
 
     # every block's density is looked up before any block is stepped
     skipped = {}
@@ -299,7 +299,8 @@ def cmd_drift_scan(settings: Settings) -> int:
                for r in drift_scan(case_id, kinds, eps_list,
                                    cfg=_solver_config(settings, default_scan_config(case_id)),
                                    form=form, sample_every=sample_every)}
-    header = [f"{k}={v}" for k, v in settings.resolved.items()]
+    # an unset sample_every is named by each report's config lines instead
+    header = [f"{k}={v}" for k, v in settings.resolved.items() if v is not None]
     paths = emit_report(list(reports.values()), out_dir, header_lines=header)
 
     for case_id, kind in blocks:
@@ -312,7 +313,8 @@ def cmd_drift_scan(settings: Settings) -> int:
                "form": form, "floor": report.floor, "slope": report.slope,
                "intercept": report.intercept, "fit_residual": report.fit_residual,
                "slope_valid": report.slope_valid, "fit_members": report.fit_members,
-               "members": [asdict(m) for m in report.members]}, settings)
+               "members": [asdict(m) for m in report.members]}, settings,
+              scheme=report.cfg.scheme, sample_every=report.sample_every)
         for m in report.members:
             if m.failed:
                 print(f"[skip] eps={m.eps:g}: {m.error}")

@@ -204,44 +204,24 @@ class Stepper:
         # -0.25j exactly, so Strang's halves keep their old bits
         merged = [(u + w) / 2.0 for u, w in zip((0.0, *weights), (*weights, 0.0))]
         self.kinetic = [np.exp(-0.5j * c * grid.k ** 2 * dt) for c in merged]
-        self._work: list[np.ndarray] = []  # see _work_arrays
-
-    def _work_arrays(self, shape) -> list[np.ndarray]:
-        """The kinetic factors broadcast to the field's shape (a ufunc that
-        writes into the field copies it first when another operand is
-        broadcast), then the work buffers rot and phase."""
-        if not self._work or self._work[-1].shape != shape:
-            self._work = [np.ascontiguousarray(np.broadcast_to(k, shape))
-                          for k in self.kinetic] + [np.empty(shape, complex), np.empty(shape)]
-        return self._work
 
     def keep(self, rows: Sequence[int]) -> None:
         """Keep only the members in `rows` (row indices, ascending), in
-        every substep's arrays and in the work arrays."""
+        every substep's arrays."""
         self.lin = [lin[rows] for lin in self.lin]
         self.cub = [cub[rows] for cub in self.cub]
-        self._work = [w[:len(rows)] for w in self._work]  # every row alike
 
     def step(self, state: FieldState) -> FieldState:
-        q = np.fft.fft(state.q)  # the one array a step allocates: the returned field
-        *kinetics, rot, phase = self._work_arrays(q.shape)
-        for kinetic, lin, cub in zip(kinetics, self.lin, self.cub):
-            np.multiply(kinetic, q, out=q)
-            np.fft.ifft(q, out=q)
-            # phase = cub |q|^2, then e^{-i phase} from cos and sin: cheaper
-            # than a complex exp
-            np.square(q.real, out=rot.real)
-            np.square(q.imag, out=rot.imag)
-            np.add(rot.real, rot.imag, out=phase)
-            np.multiply(cub, phase, out=phase)
+        q = np.fft.fft(state.q)
+        for kinetic, lin, cub in zip(self.kinetic, self.lin, self.cub):
+            q = np.fft.ifft(kinetic * q)
+            # e^{-i phase} built from cos and sin: cheaper than a complex exp
+            phase = cub * (q.real ** 2 + q.imag ** 2)
+            rot = np.empty_like(q)
             np.cos(phase, out=rot.real)
-            np.negative(phase, out=phase)
-            np.sin(phase, out=rot.imag)
-            np.multiply(lin, q, out=q)
-            np.multiply(q, rot, out=q)
-            np.fft.fft(q, out=q)
-        np.multiply(kinetics[-1], q, out=q)
-        np.fft.ifft(q, out=q)
+            np.sin(-phase, out=rot.imag)
+            q = np.fft.fft(lin * q * rot)
+        q = np.fft.ifft(self.kinetic[-1] * q)
         return FieldState(state.t + self.dt, q, state.grid)
 
 

@@ -267,6 +267,17 @@ def test_floor_blow_up_keeps_its_time():
     assert exc.value.t > 0
 
 
+@pytest.mark.filterwarnings("ignore:boundary amplitude at:RuntimeWarning")
+@pytest.mark.parametrize("dt,T_final,sample_every", [
+    (5e-3, 0.1, 10), (1e-3, 0.1, 50), (3e-3, 0.06, 17), (0.1, 0.2, 1)])
+def test_scan_snapshots_are_spaced_in_time_whatever_the_step(dt, T_final, sample_every):
+    # the default stride keeps snapshots about 0.05 apart, and at least a
+    # step (the coarse dt = 0.1 run stirs the boundary monitor)
+    cfg = _short_cfg(grid=Grid(N=128), dt=dt, T_final=T_final)
+    [rep] = drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST, cfg=cfg)
+    assert rep.sample_every == sample_every
+
+
 def _single_run(cfg, eps, kind=Kind.CHARGE):
     """(Q0, drift_abs, drift_rel) of one member integrated on its own, with
     the snapshots of a scan at SAMPLE_EVERY."""

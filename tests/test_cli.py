@@ -262,19 +262,22 @@ def test_drift_scan_all_blocks_rows_match_single_block(all_blocks_scan, tmp_path
         assert single and _data_rows(all_dir / name, "case1a", "charge") == single, name
 
 
-def test_drift_scan_reports_name_the_scheme(all_blocks_scan):
-    # no flag sets it, so every output says which scheme stepped the members
+def test_drift_scan_reports_name_the_scheme_and_the_stride(all_blocks_scan):
+    # no flag sets the scheme, and none was given for the stride: each report
+    # names what stepped and sampled its members, snapshots 0.05 apart at dt 2e-3
     _, out, out_dir = all_blocks_scan
     recs = [r for r in _json_records(out) if r["check"] == "drift-scan"]
-    assert {r["config"]["scheme"] for r in recs} == {"yoshida4"}
+    assert {(r["config"]["scheme"], r["config"]["sample_every"]) for r in recs} == {
+        ("yoshida4", 25)}
     for name in ["drift.csv", "drift_slopes.csv"] + [f"drift_{c}_{k}.svg" for c, k in SCANNED]:
         text = (out_dir / name).read_text()
         if name.endswith(".csv"):
             meta = [line[2:] for line in text.splitlines() if line.startswith("# ")]
         else:
             meta = text.split("<metadata>")[1].split("</metadata>")[0].splitlines()
-        assert "scheme=yoshida4" in meta, name  # the settings
-        assert "N=256 L=20 dt=0.002 T_final=0.5 scheme=yoshida4" in meta, name  # each config
+        assert "N=256 L=20 dt=0.002 T_final=0.5 scheme=yoshida4" in meta, name
+        assert "sample_every=25" in meta, name
+        assert not any(line.startswith("scheme=") for line in meta), name  # named once
 
 
 def test_simulate_steps_strang_at_the_solver_default(tmp_path, capsys, monkeypatch):
