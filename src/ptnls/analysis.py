@@ -17,18 +17,19 @@ import functools
 import math
 from dataclasses import dataclass
 from html import escape
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import __version__
 from .catalog import CaseId, Kind, load_catalog
 from .jetexpr import EVAL_BLOCK_POINTS, Expr, JetBatch, eval_expr
-from .solver import (FieldState, Gaussian, MemberResult, SolverConfig, Trajectory,
-                     _fmt as _g, integrate, jet_values, run_members)
+from .solver import (FieldState, Gaussian, Sample, SolverConfig, Trajectory,
+                     _fmt as _g, integrate, jet_values, stream_members)
 
 __all__ = [
-    "DensityUnavailableError", "DensityTimeseries", "DriftMember", "DriftReport",
+    "DensityUnavailableError", "DensityTimeseries", "DensityAccumulator", "DriftMember",
+    "DriftReport",
     "density_timeseries", "drift_from_timeseries", "drift_scan",
     "default_scan_config", "fit_loglog_slope", "emit_report",
     "write_drift_csv", "write_slope_csv", "write_timeseries_csv",
@@ -75,6 +76,22 @@ def _density_expr(case_id: CaseId, kind: Kind, form: str) -> Expr:
     return load_catalog().build_system(case_id).on_shell(e)
 
 
+def _block_rows(grid) -> int:
+    """Snapshots stacked per evaluation: EVAL_BLOCK_POINTS nodes, at least one row."""
+    return max(1, EVAL_BLOCK_POINTS // grid.N)
+
+
+def _block_integrals(exprs: Sequence[Expr], t: np.ndarray, q: np.ndarray, grid,
+                     params) -> list[np.ndarray]:
+    """dx * sum_j density(t_k, x_j, jets) of each expression at each row k of
+    q, (rows, N), at the times t, (rows, 1): one jet_values call for all."""
+    block = FieldState(t, q, grid)
+    batch = JetBatch(block.t, grid.x, 2, jet_values(block))
+    return [integrate(grid, np.broadcast_to(np.asarray(eval_expr(e, batch, params),
+                                                       dtype=float), q.shape))
+            for e in exprs]
+
+
 def density_timeseries(traj: Trajectory, case_id: CaseId, kind: Kind,
                        form: str = "Tt") -> DensityTimeseries:
     """Q(t_k) = dx * sum_j density(t_k, x_j, jets) along the trajectory,
@@ -87,14 +104,66 @@ def density_timeseries(traj: Trajectory, case_id: CaseId, kind: Kind,
     grid = cfg.grid
     times = traj.times
     values = np.empty(len(times))
-    rows = max(1, EVAL_BLOCK_POINTS // grid.N)
+    rows = _block_rows(grid)
     for lo in range(0, len(times), rows):
-        block = FieldState(times[lo:lo + rows, None],
-                           np.stack([s.q for s in traj.snapshots[lo:lo + rows]]), grid)
-        batch = JetBatch(block.t, grid.x, 2, jet_values(block))
-        dens = np.asarray(eval_expr(e, batch, cfg.params), dtype=float)
-        values[lo:lo + rows] = integrate(grid, np.broadcast_to(dens, block.q.shape))
+        [values[lo:lo + rows]] = _block_integrals(
+            [e], times[lo:lo + rows, None],
+            np.stack([s.q for s in traj.snapshots[lo:lo + rows]]), grid, cfg.params)
     return DensityTimeseries(case_id, kind, form, cfg.params.eps, times, values)
+
+
+class DensityAccumulator:
+    """Q(t) of each kind's density for each member of a `stream_members`
+    stream, fed one Sample at a time.  Each member's samples are buffered
+    into blocks of EVAL_BLOCK_POINTS nodes, stacked as `density_timeseries`
+    stacks a trajectory's, so every Q is bit for bit the same; a full block
+    is evaluated for every kind at once and dropped.  Memory is one block
+    per member, whatever T_final or the sample count, plus the Q values."""
+
+    def __init__(self, cfg: SolverConfig, eps_values: Sequence[float],
+                 kinds: Sequence[Kind], form: str = "Tt"):
+        self.cfg, self.kinds, self.form = cfg, list(kinds), form
+        self.exprs = [_density_expr(cfg.case_id, kind, form) for kind in self.kinds]
+        self.params = [cfg.params.replace(eps=float(e)) for e in eps_values]
+        rows = _block_rows(cfg.grid)
+        self.block = np.empty((len(eps_values), rows, cfg.grid.N), complex)
+        self.block_t = np.empty(rows)
+        self.fill = 0  # samples in the current block
+        self.members = ()  # the members of the last sample
+        self.times: list[float] = []
+        # values[m][k]: the Q blocks of member m's density of kind k
+        self.values: list[list[list[np.ndarray]]] = [[[] for _ in self.kinds]
+                                                     for _ in eps_values]
+
+    def add(self, sample: Sample) -> None:
+        self.block[sample.members, self.fill] = sample.q
+        self.block_t[self.fill] = sample.t
+        self.fill += 1
+        self.times.append(sample.t)
+        self.members = sample.members
+        if self.fill == len(self.block_t):
+            self._evaluate(self.members)
+
+    def _evaluate(self, members) -> None:
+        """Evaluate the current block of each of `members`, and empty it."""
+        t = self.block_t[:self.fill, None]
+        for m in members if self.exprs else ():  # no kinds: no jets to take
+            for values, q_of_t in zip(self.values[m], _block_integrals(
+                    self.exprs, t, self.block[m, :self.fill], self.cfg.grid,
+                    self.params[m])):
+                values.append(q_of_t)
+        self.fill = 0
+
+    def series(self, errors: Sequence) -> list[Optional[list[DensityTimeseries]]]:
+        """After the stream: for each member, one timeseries per kind, or
+        None for a member whose slot in `errors` holds an error."""
+        self._evaluate([m for m in self.members if errors[m] is None])
+        times = np.array(self.times)
+        return [None if errors[m] is not None else
+                [DensityTimeseries(self.cfg.case_id, kind, self.form, params.eps, times,
+                                   np.concatenate(values))
+                 for kind, values in zip(self.kinds, self.values[m])]
+                for m, params in enumerate(self.params)]
 
 
 def drift_from_timeseries(ts: DensityTimeseries) -> tuple[float, float]:
@@ -154,15 +223,13 @@ def default_scan_config(case_id: CaseId) -> SolverConfig:
                         scheme="yoshida4", dt=5e-3)
 
 
-def _run_member(eps: float, result: MemberResult, case_id: CaseId, kind: Kind,
-                form: str) -> DriftMember:
-    """The DriftMember of one member's run: its drift along the trajectory,
-    or, if its run failed, the error text."""
+def _run_member(eps: float, result: Union[DensityTimeseries, Exception]) -> DriftMember:
+    """The DriftMember of one member: its drift along its Q(t), or, if its
+    run failed, the error text."""
     if isinstance(result, Exception):
         return DriftMember(eps, failed=True, error=str(result))
-    ts = density_timeseries(result, case_id, kind, form)
-    drift_abs, drift_rel = drift_from_timeseries(ts)
-    return DriftMember(eps, float(ts.values[0]), drift_abs, drift_rel)
+    drift_abs, drift_rel = drift_from_timeseries(result)
+    return DriftMember(eps, float(result.values[0]), drift_abs, drift_rel)
 
 
 def _qualifying(members: Sequence[DriftMember], floor: float) -> list[DriftMember]:
@@ -176,13 +243,14 @@ def drift_scan(case_id: CaseId, kinds: Sequence[Kind], eps_list: Sequence[float]
                cfg: Optional[SolverConfig] = None, form: str = "Tt",
                sample_every: Optional[int] = None) -> list[DriftReport]:
     """Run the solver at eps = 0 and at each eps in eps_list, all members
-    stepped together once, then, for each kind in `kinds`, evaluate its
-    density along those trajectories and fit log(drift) against log(eps)
-    over the members above the noise floor.  Returns one report per kind,
-    in order.  Snapshots are `sample_every` steps apart, by default the
-    nearest to SCAN_SAMPLE_INTERVAL whatever the time step.  A failed eps > 0
-    member is kept, marked failed; a failed eps = 0 floor run raises its
-    error."""
+    stepped together once, evaluate the density of each kind in `kinds`
+    along the way, and fit log(drift) against log(eps) over the members
+    above the noise floor.  Returns one report per kind, in order.  Samples
+    are `sample_every` steps apart, by default the nearest to
+    SCAN_SAMPLE_INTERVAL whatever the time step; they are reduced block by
+    block as the stream yields them (`DensityAccumulator`), so memory does
+    not grow with the sample count.  A failed eps > 0 member is kept, marked
+    failed; a failed eps = 0 floor run raises its error."""
     kinds = list(kinds)
     if not kinds:
         raise ValueError("need at least one kind")
@@ -197,19 +265,21 @@ def drift_scan(case_id: CaseId, kinds: Sequence[Kind], eps_list: Sequence[float]
         cfg = default_scan_config(case_id)
     if cfg.case_id is not case_id:
         raise ValueError("cfg.case_id does not match the scanned case")
-    for kind in kinds:  # a missing density fails before any stepping
-        _density_expr(case_id, kind, form)
-
     if sample_every is None:
         sample_every = max(1, round(SCAN_SAMPLE_INTERVAL / cfg.dt))
     eps_all = [0.0] + eps_list
-    results = run_members(cfg, eps_all, sample_every)
+    errors: list = [None] * len(eps_all)
+    densities = DensityAccumulator(cfg, eps_all, kinds, form)  # a missing density fails here
+    for sample in stream_members(cfg, eps_all, sample_every, errors):
+        densities.add(sample)
     # without a floor there is no scan: its failure propagates as raised
-    if isinstance(results[0], Exception):
-        raise results[0]
+    if errors[0] is not None:
+        raise errors[0]
+    series = densities.series(errors)
     reports = []
-    for kind in kinds:
-        members = [_run_member(e, r, case_id, kind, form) for e, r in zip(eps_all, results)]
+    for k, kind in enumerate(kinds):
+        members = [_run_member(e, error or ts[k])
+                   for e, error, ts in zip(eps_all, errors, series)]
         floor = members[0].drift_rel
         fit = _qualifying(members, floor)
         slope = intercept = residual = None

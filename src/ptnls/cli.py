@@ -35,14 +35,14 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import __version__
-from .analysis import (DRIFT_FLOOR_FACTOR, DensityUnavailableError, _density_expr,
-                       default_scan_config, density_timeseries, drift_from_timeseries,
+from .analysis import (DRIFT_FLOOR_FACTOR, DensityAccumulator, DensityUnavailableError,
+                       _density_expr, default_scan_config, drift_from_timeseries,
                        drift_scan, emit_report)
 from .catalog import CaseId, Kind, load_catalog
 from .jetexpr import (EvalError, JetBatch, ParamValues, ParseError, coord_from_name,
                       eval_expr, parse_expr, to_text)
 from .solver import (BlowUpError, BoundaryContaminationError, Gaussian, Grid,
-                     GroundState, SolverConfig, run, write_trajectory_csv)
+                     GroundState, SolverConfig, TrajectoryWriter, stream_members)
 from .verify import FluxUnavailableError, check_divergence, check_residual
 
 EXIT_OK = 0
@@ -231,23 +231,35 @@ def cmd_simulate(settings: Settings) -> int:
     sample_every = settings.get("sample_every", 50)
     os.makedirs(out_dir, exist_ok=True)
 
-    traj = run(cfg, sample_every=sample_every)
     header = [f"{k}={v}" for k, v in settings.resolved.items()]
-    traj_path = os.path.join(out_dir, "trajectory.csv")
-    write_trajectory_csv(traj, traj_path, header_lines=header)
-
     cat = load_catalog()
-    series = []
-    for kind in Kind:
-        if cat.conserved_vector(case_id, kind) is None:
-            continue
-        ts = density_timeseries(traj, case_id, kind)
-        series.append(ts)
+    densities = DensityAccumulator(cfg, [cfg.params.eps], [
+        kind for kind in Kind if cat.conserved_vector(case_id, kind) is not None])
+    # the trajectory is written as it is stepped, and named only once complete
+    traj_path = os.path.join(out_dir, "trajectory.csv")
+    part_path = traj_path + ".tmp"
+    errors = [None]
+    fh = open(part_path, "w")
+    try:
+        with fh:
+            writer = TrajectoryWriter(fh, cfg, header)
+            for sample in stream_members(cfg, [cfg.params.eps], sample_every, errors):
+                writer.write(sample.t, sample.q[0])
+                densities.add(sample)
+        if errors[0] is not None:
+            raise errors[0]
+    except BaseException:
+        os.remove(part_path)
+        raise
+    os.replace(part_path, traj_path)
+
+    [series] = densities.series(errors)
+    for ts in series:
         drift_abs, drift_rel = drift_from_timeseries(ts)
         _emit({"check": "simulate-density", "case": case_id.value,
-               "kind": kind.value, "form": ts.form, "Q0": float(ts.values[0]),
+               "kind": ts.kind.value, "form": ts.form, "Q0": float(ts.values[0]),
                "drift_abs": drift_abs, "drift_rel": drift_rel}, settings)
-        print(f"[ok] {kind.value} density: Q0 = {ts.values[0]:.6g}, "
+        print(f"[ok] {ts.kind.value} density: Q0 = {ts.values[0]:.6g}, "
               f"drift {drift_abs:.3e} (rel {drift_rel:.3e})")
     paths = [traj_path]
     if series:

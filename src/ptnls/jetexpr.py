@@ -181,9 +181,12 @@ class Const(Expr):
         elif not isinstance(value, (float, Fraction)):
             raise TypeError(f"constant must be rational or float, got {type(value)}")
         # 1 and 1.0, or 0.0 and -0.0, compare equal but print differently; a
-        # rational's sign is in its value
-        sign = math.copysign(1.0, value) if isinstance(value, float) else 0
-        return _interned((cls, type(value), value, sign), 0, value=value)
+        # rational is keyed by its ints, whose hash and equality run in C
+        if isinstance(value, float):
+            key = (cls, type(value), value, math.copysign(1.0, value))
+        else:
+            key = (cls, type(value), value.numerator, value.denominator)
+        return _interned(key, 0, value=value)
 
 
 class Sym(Expr):

@@ -17,6 +17,12 @@ Every run steps an ensemble: members that differ only in eps are the rows
 of one (members, N) array, and a single run is an ensemble of one.  Each
 row's arithmetic is that of a run of its own, bit for bit.
 
+Stepping is a stream: `stream_members` yields each sample of the live
+members as it is reached and holds only the current step, whatever T_final
+or the sample count.  Consumers that reduce samples as they come (the drift
+scans, `ptnls simulate`) keep memory at that bound; `run_members` and `run`
+collect the whole stream into Trajectory objects.
+
 The grid is periodic on [-L, L) with nodes offset by half a cell so that
 x = 0 is never a node; several cataloged densities carry 1/x^k prefactors
 and stay finite only as limits there.
@@ -25,10 +31,11 @@ and stay finite only as limits there.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,9 +44,9 @@ from .jetexpr import Jet, JetBatch, ParamValues, eval_expr
 
 __all__ = [
     "Grid", "FieldState", "Gaussian", "GroundState", "SCHEMES", "SolverConfig", "Stepper",
-    "Trajectory", "BlowUpError", "BoundaryContaminationError",
-    "initial_condition", "make_stepper", "run", "run_members", "integrate", "resample",
-    "jet_values", "write_trajectory_csv",
+    "Trajectory", "Sample", "BlowUpError", "BoundaryContaminationError",
+    "initial_condition", "make_stepper", "stream_members", "run", "run_members",
+    "integrate", "resample", "jet_values", "TrajectoryWriter", "write_trajectory_csv",
 ]
 
 BOUNDARY_WARN = 1e-8
@@ -253,6 +260,22 @@ class Trajectory:
         return len(self.snapshots)
 
 
+# the modules that step and reduce the stream; a solver warning names the
+# first frame outside them: the caller of run, run_members or drift_scan, or
+# the loop over stream_members
+_STREAM_MODULES = (__name__, f"{__package__}.analysis")
+
+
+def _warn(message: str) -> None:
+    """A RuntimeWarning attributed to the innermost caller outside
+    _STREAM_MODULES, however many of their frames (generators included) lie
+    between."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_globals.get("__name__") in _STREAM_MODULES:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
+
+
 def _check_boundary(t: float, q: np.ndarray, warned: list) -> Optional[Exception]:
     """The boundary error that ends the member whose field is q, if any; `warned` is its own."""
     amax = float(np.max(np.abs(q)))
@@ -264,33 +287,44 @@ def _check_boundary(t: float, q: np.ndarray, warned: list) -> Optional[Exception
         return BoundaryContaminationError(t, level)
     if level > BOUNDARY_WARN and not warned:
         warned.append(t)
-        warnings.warn(
-            f"boundary amplitude at {level:.3e} of the field maximum at t = {t:.6g}",
-            RuntimeWarning, stacklevel=4)
+        _warn(
+            f"boundary amplitude at {level:.3e} of the field maximum at t = {t:.6g}")
     return None
 
 
 MemberResult = Union[Trajectory, BlowUpError, BoundaryContaminationError]
 
 
-def run_members(cfg: SolverConfig, eps_values: Sequence[float],
-                sample_every: int = 50) -> list[MemberResult]:
-    """Integrate `cfg` once per eps value, the members stepped together.
-    Each member's result is its Trajectory (a snapshot every `sample_every`
-    steps, plus the initial and final states), or the error that ended it
-    while the others went on: a BlowUpError at the step where its field
-    stopped being finite, a BoundaryContaminationError at a snapshot.
-    All snapshots share one array; a trajectory's fields are row views."""
+@dataclass(frozen=True)
+class Sample:
+    """The live members' fields at one sampled time: row r of q, (rows, N),
+    is member members[r] (indices into the stream's eps values, ascending)."""
+
+    t: float
+    members: np.ndarray
+    q: np.ndarray
+
+
+def stream_members(cfg: SolverConfig, eps_values: Sequence[float], sample_every: int,
+                   errors: list) -> Iterator[Sample]:
+    """Integrate `cfg` once per eps value, the members stepped together, and
+    yield a Sample every `sample_every` steps, plus the initial and final
+    states.  `errors` holds one slot per member; the error that ends a
+    member is put in its slot where it happens, while the others go on: a
+    BlowUpError at the step where its field stopped being finite, a
+    BoundaryContaminationError at a sample.  A failed member is in no later
+    Sample, and the stream ends early once every member has failed.
+
+    Only the current step is held, so memory does not grow with T_final or
+    the sample count.  A Sample's q is never written after it is yielded: a
+    consumer may keep it."""
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
-    grid, members, steps = cfg.grid, len(eps_values), cfg.steps
+    steps = cfg.steps
     stepper = make_stepper(cfg, eps_values)
-    state = FieldState(0.0, np.tile(initial_condition(cfg).q, (members, 1)), grid)
-    snapshots = np.empty((steps // sample_every + 2, members, grid.N), complex)
-    times: list[float] = []
-    alive = np.arange(members)  # the member of each row of state.q
-    errors: list = [None] * members
-    warned: list[list] = [[] for _ in range(members)]
+    state = FieldState(0.0, np.tile(initial_condition(cfg).q, (len(eps_values), 1)), cfg.grid)
+    alive = np.arange(len(eps_values))  # the member of each row of state.q
+    warned: list[list] = [[] for _ in eps_values]
     for n in range(steps + 1):
         if n:
             state = stepper.step(state)
@@ -305,15 +339,27 @@ def run_members(cfg: SolverConfig, eps_values: Sequence[float],
                          _check_boundary(state.t, state.q[row], warned[m]) if sample else None)
         keep = [row for row, m in enumerate(alive) if errors[m] is None]
         if not keep:
-            break
-        alive, state.q = alive[keep], state.q[keep]
-        stepper.keep(keep)
+            return
+        if len(keep) < len(alive):
+            alive, state.q = alive[keep], state.q[keep]
+            stepper.keep(keep)
         if sample:
-            snapshots[len(times), alive] = state.q
-            times.append(state.t)
+            yield Sample(state.t, alive, state.q)
+
+
+def run_members(cfg: SolverConfig, eps_values: Sequence[float],
+                sample_every: int = 50) -> list[MemberResult]:
+    """Each member's result of `stream_members`: its Trajectory (a snapshot
+    every `sample_every` steps, plus the initial and final states), or the
+    error that ended it.  The stream collected whole: a trajectory's fields
+    are rows of the samples' arrays, so this holds every sample."""
+    errors: list = [None] * len(eps_values)
+    snapshots: list[list[FieldState]] = [[] for _ in eps_values]
+    for sample in stream_members(cfg, eps_values, sample_every, errors):
+        for row, m in enumerate(sample.members):
+            snapshots[m].append(FieldState(sample.t, sample.q[row], cfg.grid))
     return [errors[m] or Trajectory(replace(cfg, params=cfg.params.replace(eps=float(e))),
-                                        [FieldState(t, snapshots[k, m], grid)
-                                         for k, t in enumerate(times)])
+                                        snapshots[m])
             for m, e in enumerate(eps_values)]
 
 
@@ -367,10 +413,13 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def write_trajectory_csv(traj: Trajectory, path, header_lines=()) -> None:
-    """Long-format CSV: one row per (snapshot, node), 17 significant digits."""
-    cfg = traj.cfg
-    with open(path, "w") as fh:
+class TrajectoryWriter:
+    """Long-format CSV on an open text file: the header at construction, then
+    one row per node of each snapshot given to `write`, 17 significant
+    digits."""
+
+    def __init__(self, fh, cfg: SolverConfig, header_lines=()):
+        self.fh = fh
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(f"# case={cfg.case_id.value} N={cfg.grid.N} L={_fmt(cfg.grid.L)}"
@@ -380,7 +429,17 @@ def write_trajectory_csv(traj: Trajectory, path, header_lines=()) -> None:
                  f" alpha={_fmt(p.alpha)} g={_fmt(p.g)}\n")
         fh.write("t,x,re_q,im_q\n")
         # one %-format per snapshot; "%.17g" prints what format(v, ".17g") does
-        rows = [f",{_fmt(xj)},%.17g,%.17g\n" for xj in cfg.grid.x]
+        self.rows = [f",{_fmt(xj)},%.17g,%.17g\n" for xj in cfg.grid.x]
+
+    def write(self, t: float, q: np.ndarray) -> None:
+        """The rows of the snapshot q, one field of N nodes, at time t."""
+        t = _fmt(t)
+        self.fh.write((t + t.join(self.rows)) % tuple(q.view(float).tolist()))
+
+
+def write_trajectory_csv(traj: Trajectory, path, header_lines=()) -> None:
+    """A trajectory's snapshots as a TrajectoryWriter CSV."""
+    with open(path, "w") as fh:
+        writer = TrajectoryWriter(fh, traj.cfg, header_lines)
         for state in traj.snapshots:
-            t = _fmt(state.t)
-            fh.write((t + t.join(rows)) % tuple(state.q.view(float).tolist()))
+            writer.write(state.t, state.q)

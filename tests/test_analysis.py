@@ -1,6 +1,7 @@
 """Tests for density timeseries, drift scans, the log-log fit, and the CSV
 and SVG emitters."""
 
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import EVAL_BLOCK_POINTS, EvalError, JetBatch, ParamValues, eval_expr
 from ptnls.solver import (BlowUpError, BoundaryContaminationError, FieldState,
                           Gaussian, Grid, GroundState, SolverConfig, Trajectory,
-                          jet_values, run, run_members)
+                          jet_values, run, stream_members)
 
 EPS_LIST = [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1]
 
@@ -197,7 +198,7 @@ def test_scan_without_density_fails_before_stepping(monkeypatch):
     def no_stepping(*args, **kwargs):
         raise AssertionError("members were stepped")
 
-    monkeypatch.setattr(analysis, "run_members", no_stepping)
+    monkeypatch.setattr(analysis, "stream_members", no_stepping)
     with pytest.raises(ValueError, match="no conserved density"):
         drift_scan(CaseId.CASE1C, [Kind.CHARGE], EPS_LIST)
     with pytest.raises(ValueError, match="form"):
@@ -209,9 +210,9 @@ def test_scan_of_two_kinds_steps_the_case_once(monkeypatch):
 
     def counting(cfg, *args, **kwargs):
         stepped.append(cfg.case_id)
-        return run_members(cfg, *args, **kwargs)
+        return stream_members(cfg, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "run_members", counting)
+    monkeypatch.setattr(analysis, "stream_members", counting)
     kw = dict(cfg=_short_cfg(T_final=0.5, dt=2e-3))
     both = drift_scan(CaseId.CASE1A, [Kind.ENERGY, Kind.CHARGE], EPS_LIST[:4], **kw)
     assert stepped == [CaseId.CASE1A]
@@ -276,6 +277,39 @@ def test_scan_snapshots_are_spaced_in_time_whatever_the_step(dt, T_final, sample
     cfg = _short_cfg(grid=Grid(N=128), dt=dt, T_final=T_final)
     [rep] = drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST, cfg=cfg)
     assert rep.sample_every == sample_every
+
+
+def test_scan_boundary_proximity_warns_once_per_member():
+    # every member starts near the edge of the box and stays there
+    cfg = _short_cfg(T_final=0.01, initial=Gaussian(1.0, 1.0, 14.0))
+    with pytest.warns(RuntimeWarning, match="boundary amplitude") as rec:
+        [rep] = drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST, cfg=cfg, sample_every=1)
+    boundary = [w for w in rec if "boundary" in str(w.message)]
+    assert len(boundary) == len(rep.members) and not any(m.failed for m in rep.members)
+    assert all(w.filename == __file__ for w in boundary)  # the caller of drift_scan
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_does_not_grow_with_the_sample_count():
+    # samples are reduced a block at a time as they are stepped, so 401 of
+    # them per member take no more memory than 41
+    cfg = replace(default_scan_config(CaseId.CASE1A), T_final=2.0)
+
+    def scan(sample_every, cfg=cfg):
+        return lambda: drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST, cfg=cfg,
+                                  sample_every=sample_every)
+
+    scan(10, replace(cfg, T_final=0.05))()  # first-call caches stay out of the peaks
+    sparse, dense = _traced_peak(scan(10)), _traced_peak(scan(1))
+    assert dense <= 1.25 * sparse, (dense, sparse)
 
 
 def _single_run(cfg, eps, kind=Kind.CHARGE):

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from ptnls import __version__, analysis, cli
+from ptnls.catalog import CaseId, Kind
 from ptnls.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_FLUX_UNAVAILABLE,
                        EXIT_NUMERICAL, EXIT_OK, main)
+from ptnls.solver import Grid, SolverConfig, run, write_trajectory_csv
 
 
 def _json_records(out: str) -> list[dict]:
@@ -115,6 +117,38 @@ def test_simulate_blow_up_is_exit_4(tmp_path, capsys):
                      "--out-dir", str(tmp_path / "out")])
     assert code == EXIT_NUMERICAL
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_streams_what_a_collected_run_gives(tmp_path, capsys):
+    # 11 samples at N = 4096 are evaluated in blocks of 4, 4 and 3 rows; the
+    # trajectory rows and both kinds' Q(t) match the collected run bit for bit
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--case", "2", "--N", "4096", "--t-final", "0.01",
+                 "--sample-every", "1", "--out-dir", str(out_dir)]) == EXIT_OK
+    recs = _json_records(capsys.readouterr().out)
+    cfg = SolverConfig(case_id=CaseId.CASE2, T_final=0.01, grid=Grid(N=4096),
+                       initial=analysis.default_scan_config(CaseId.CASE2).initial)
+    traj = run(cfg, sample_every=1)
+    assert len(recs) == 2
+    for rec in recs:
+        ts = analysis.density_timeseries(traj, CaseId.CASE2, Kind.parse(rec["kind"]))
+        assert (rec["Q0"], rec["drift_abs"], rec["drift_rel"]) == (
+            ts.values[0], *analysis.drift_from_timeseries(ts))
+    write_trajectory_csv(traj, tmp_path / "collected.csv")
+    rows = [(tmp_path / name).read_text().split("t,x,re_q,im_q\n")[1]
+            for name in ("out/trajectory.csv", "collected.csv")]
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.filterwarnings("ignore:boundary amplitude at:RuntimeWarning")
+def test_simulate_failing_mid_run_leaves_no_trajectory(tmp_path, capsys):
+    # in a small box the gain carries mass past the boundary bound at t = 0.75,
+    # after some of the trajectory was written
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--case", "1a", "--eps", "1", "--L", "6", "--N", "128",
+                 "--t-final", "1", "--out-dir", str(out_dir)]) == EXIT_NUMERICAL
+    assert "boundary amplitude reached" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_seed_comes_from_environment(tmp_path, capsys, monkeypatch):
@@ -283,12 +317,12 @@ def test_drift_scan_reports_name_the_scheme_and_the_stride(all_blocks_scan):
 def test_simulate_steps_strang_at_the_solver_default(tmp_path, capsys, monkeypatch):
     configs = []
 
-    def recording(cfg, sample_every):
+    def recording(cfg, eps_values, sample_every, errors):
         configs.append((cfg, sample_every))
-        return run(cfg, sample_every)
+        return stream_members(cfg, eps_values, sample_every, errors)
 
-    run = cli.run
-    monkeypatch.setattr(cli, "run", recording)
+    stream_members = cli.stream_members
+    monkeypatch.setattr(cli, "stream_members", recording)
     assert main(["simulate", "--case", "1a", "--t-final", "0.01",
                  "--out-dir", str(tmp_path)]) == EXIT_OK
     [(cfg, sample_every)] = configs
@@ -310,13 +344,13 @@ def test_t_final_off_the_time_step_names_both_values(tmp_path, capsys):
 
 def test_drift_scan_steps_each_case_once_for_both_kinds(tmp_path, capsys, monkeypatch):
     stepped = []
-    run_members = analysis.run_members
+    stream_members = analysis.stream_members
 
     def counting(cfg, *args, **kwargs):
         stepped.append(cfg.case_id.value)
-        return run_members(cfg, *args, **kwargs)
+        return stream_members(cfg, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "run_members", counting)
+    monkeypatch.setattr(analysis, "stream_members", counting)
     assert main(["drift-scan", "--case", "1a", "--kind", "both", *QUICK_SCAN,
                  "--out-dir", str(tmp_path)]) == EXIT_OK
     recs = [r for r in _json_records(capsys.readouterr().out) if r["check"] == "drift-scan"]
@@ -328,7 +362,7 @@ def test_drift_scan_named_block_without_density_is_exit_2(tmp_path, capsys, monk
     def no_stepping(*args, **kwargs):
         raise AssertionError("members were stepped")
 
-    monkeypatch.setattr(analysis, "run_members", no_stepping)
+    monkeypatch.setattr(analysis, "stream_members", no_stepping)
     out_dir = tmp_path / "scan"
     assert main(["drift-scan", "--case", "1c", *QUICK_SCAN,
                  "--out-dir", str(out_dir)]) == EXIT_CONFIG
@@ -353,7 +387,7 @@ def test_drift_scan_checks_every_named_block_before_stepping(tmp_path, capsys,
         raise AssertionError("members were stepped")
 
     monkeypatch.setattr(cli, "_density_expr", lookup)
-    monkeypatch.setattr(analysis, "run_members", no_stepping)
+    monkeypatch.setattr(analysis, "stream_members", no_stepping)
     out_dir = tmp_path / "scan"
     assert main(["drift-scan", "--case", "1a", *QUICK_SCAN,
                  "--out-dir", str(out_dir)]) == EXIT_CONFIG

@@ -329,7 +329,8 @@ def test_boundary_proximity_warns_once():
     cfg = _linear_cfg(dt=1e-3, T_final=0.01, initial=Gaussian(1.0, 1.0, 14.0))
     with pytest.warns(RuntimeWarning, match="boundary amplitude") as rec:
         run(cfg, sample_every=1)
-    assert len([w for w in rec if "boundary" in str(w.message)]) == 1
+    [w] = [w for w in rec if "boundary" in str(w.message)]
+    assert w.filename == __file__  # the caller of run, not a frame of the stream
 
 
 # ---------------------------------------------------------------------------
