@@ -885,12 +885,29 @@ def _eval_pow(base, expo: Fraction):
         p = int(expo)
         if p < 0 and np.any(np.asarray(base) == 0):
             raise EvalError("zero raised to a negative power")
-        return np.power(base, p)
+        return _int_pow(base, p)
     if np.any(np.asarray(base) < 0):
         raise EvalError("fractional power of a negative base")
     if expo < 0 and np.any(np.asarray(base) == 0):
         raise EvalError("zero raised to a negative power")
     return np.power(base, float(expo))
+
+
+def _int_pow(base, p: int):
+    """base^p for p != 0 (`pow_` folds x^0 to 1) by repeated squaring, and
+    1 / base^|p| for p < 0: np.power calls libm pow for every integer
+    exponent but 2, several times slower than the few products.  A scalar
+    base gives a numpy float, as np.power does, so an overflow is inf."""
+    x = base if isinstance(base, np.ndarray) else np.float64(base)
+    n, acc = abs(p), None
+    while True:
+        if n & 1:
+            acc = x if acc is None else acc * x
+        n >>= 1
+        if not n:
+            break
+        x = x * x
+    return 1.0 / acc if p < 0 else acc
 
 
 # ---------------------------------------------------------------------------

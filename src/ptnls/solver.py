@@ -19,9 +19,11 @@ row's arithmetic is that of a run of its own, bit for bit.
 
 Stepping is a stream: `stream_members` yields each sample of the live
 members as it is reached and holds only the current step, whatever T_final
-or the sample count.  Consumers that reduce samples as they come (the drift
-scans, `ptnls simulate`) keep memory at that bound; `run_members` and `run`
-collect the whole stream into Trajectory objects.
+or the sample count.  It holds the field's spectrum: a step maps spectrum
+to spectrum in 2 FFTs per substep (2 for Strang, 6 for Yoshida), and the
+field is transformed back once per sample.  Consumers that reduce samples
+as they come (the drift scans, `ptnls simulate`) keep memory at that bound;
+`run_members` and `run` collect the whole stream into Trajectory objects.
 
 The grid is periodic on [-L, L) with nodes offset by half a cell so that
 x = 0 is never a node; several cataloged densities carry 1/x^k prefactors
@@ -184,9 +186,13 @@ class Stepper:
     """One step of a symmetric splitting: the pointwise flow for each
     substep weight w (fractions of dt; `SCHEMES`), between exact kinetic
     flows.  The kinetic flows of neighbouring substeps are merged, so a step
-    of s substeps is s + 1 kinetic flows, 2 (s + 1) FFTs: with weights (1,)
-    it is Strang's K(1/2) N(1) K(1/2), with Yoshida's (w1, w0, w1) it is
+    of s substeps is s + 1 kinetic flows: with weights (1,) it is Strang's
+    K(1/2) N(1) K(1/2), with Yoshida's (w1, w0, w1) it is
     K(w1/2) N(w1) K((w1 + w0)/2) N(w0) K((w1 + w0)/2) N(w1) K(w1/2).
+    `step` maps the spectrum q-hat to the spectrum one step later; the
+    kinetic flows are products in Fourier space and each pointwise flow
+    runs on the nodes between an inverse and a forward FFT, so a step of s
+    substeps is 2 s FFTs.
 
     Built either from a case (arrays evaluated from the catalog) or from raw
     arrays (a, b, nonlinear coefficient) for contrived test systems.  With
@@ -198,7 +204,6 @@ class Stepper:
 
     def __init__(self, grid: Grid, dt: float, a: np.ndarray, b: np.ndarray,
                  nl: np.ndarray, eps, weights: Sequence[float] = SCHEMES["strang"]):
-        self.dt = dt
         self.lin, self.cub = [], []  # one array of each per substep
         for w in weights:
             h = w * dt
@@ -218,18 +223,19 @@ class Stepper:
         self.lin = [lin[rows] for lin in self.lin]
         self.cub = [cub[rows] for cub in self.cub]
 
-    def step(self, state: FieldState) -> FieldState:
-        q = np.fft.fft(state.q)
+    def step(self, qhat: np.ndarray) -> np.ndarray:
+        """The spectrum one step after `qhat`: each substep is an inverse FFT
+        of the kinetic flow, the pointwise flow on the nodes and a forward
+        FFT, 2 FFTs, and the closing kinetic flow stays in Fourier space."""
         for kinetic, lin, cub in zip(self.kinetic, self.lin, self.cub):
-            q = np.fft.ifft(kinetic * q)
+            q = np.fft.ifft(kinetic * qhat)
             # e^{-i phase} built from cos and sin: cheaper than a complex exp
             phase = cub * (q.real ** 2 + q.imag ** 2)
             rot = np.empty_like(q)
             np.cos(phase, out=rot.real)
             np.sin(-phase, out=rot.imag)
-            q = np.fft.fft(lin * q * rot)
-        q = np.fft.ifft(self.kinetic[-1] * q)
-        return FieldState(state.t + self.dt, q, state.grid)
+            qhat = np.fft.fft(lin * q * rot)
+        return self.kinetic[-1] * qhat
 
 
 def make_stepper(cfg: SolverConfig, eps) -> Stepper:
@@ -315,36 +321,45 @@ def stream_members(cfg: SolverConfig, eps_values: Sequence[float], sample_every:
     BoundaryContaminationError at a sample.  A failed member is in no later
     Sample, and the stream ends early once every member has failed.
 
-    Only the current step is held, so memory does not grow with T_final or
-    the sample count.  A Sample's q is never written after it is yielded: a
-    consumer may keep it."""
+    Only the current step's spectrum is held, so memory does not grow with
+    T_final or the sample count: one FFT of the initial data, then 2 FFTs
+    per substep of each step and one inverse FFT per later sample.  The
+    t = 0 sample is the initial data itself.  A Sample's q is never written
+    after it is yielded: a consumer may keep it."""
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
     steps = cfg.steps
     stepper = make_stepper(cfg, eps_values)
-    state = FieldState(0.0, np.tile(initial_condition(cfg).q, (len(eps_values), 1)), cfg.grid)
-    alive = np.arange(len(eps_values))  # the member of each row of state.q
+    q = np.tile(initial_condition(cfg).q, (len(eps_values), 1))  # the t = 0 sample
+    qhat = np.fft.fft(q)
+    alive = np.arange(len(eps_values))  # the member of each row of qhat and q
     warned: list[list] = [[] for _ in eps_values]
     for n in range(steps + 1):
+        # walltime drift of repeated addition is avoided: t from the count
+        t = n * cfg.dt
         if n:
-            state = stepper.step(state)
-            # walltime drift of repeated addition is avoided: t from the count
-            state.t = n * cfg.dt
-        finite = np.isfinite(state.q.view(float)).all(axis=-1)
+            qhat = stepper.step(qhat)
+        # a non-finite node spreads to every mode, so q-hat shows a blow-up
+        finite = np.isfinite(qhat.view(float)).all(axis=-1)
         sample = n % sample_every == 0 or n == steps
         if not sample and finite.all():
             continue
+        if sample:
+            if n:
+                q = np.fft.ifft(qhat)
+            # the inverse FFT of a finite spectrum can still overflow
+            finite &= np.isfinite(q.view(float)).all(axis=-1)
         for row, m in enumerate(alive):
-            errors[m] = (BlowUpError(state.t) if not finite[row] else
-                         _check_boundary(state.t, state.q[row], warned[m]) if sample else None)
+            errors[m] = (BlowUpError(t) if not finite[row] else
+                         _check_boundary(t, q[row], warned[m]) if sample else None)
         keep = [row for row, m in enumerate(alive) if errors[m] is None]
         if not keep:
             return
         if len(keep) < len(alive):
-            alive, state.q = alive[keep], state.q[keep]
+            alive, qhat, q = alive[keep], qhat[keep], q[keep]
             stepper.keep(keep)
         if sample:
-            yield Sample(state.t, alive, state.q)
+            yield Sample(t, alive, q)
 
 
 def run_members(cfg: SolverConfig, eps_values: Sequence[float],

@@ -315,12 +315,60 @@ def test_eval_missing_coord_raises():
     ("sqrt(u)", -1.0, "sqrt of a negative value"),
     ("u^(1/2)", -1.0, "fractional power of a negative"),
     ("u^(-2)", 0.0, "zero raised to a negative power"),
+    ("u^(-5)", 0.0, "zero raised to a negative power"),
+    ("u^(-1/2)", 0.0, "zero raised to a negative power"),
+    ("u^(-3/2)", -1.0, "fractional power of a negative"),
 ])
 def test_eval_domain_errors(text, u, message):
     e = parse_expr(text)
     point = JetPoint.from_names(1.0, 0.5, 0, {"u": u, "v": 0.0})
     with pytest.raises(EvalError, match=message):
         eval_expr(e, point, ParamValues())
+
+
+@pytest.mark.parametrize("p", range(-3, 9))
+def test_integer_powers_are_the_plain_product(p):
+    # repeated squaring rounds in another order than the product u*u*...*u,
+    # a few ulps at most for |p| <= 8; small integers and p = 2, 3 are exact
+    # (pow_ folds u^0 to 1 and u^1 to u)
+    e = pow_(U, Fraction(p))
+    rng = np.random.default_rng(p + 3)
+    u = np.concatenate([rng.uniform(-3.0, 3.0, 200), [-2.0, -1.0, 1.0, 3.0, 1e-30, -7e20]])
+    product = np.ones_like(u)
+    for _ in range(abs(p)):
+        product = product * u
+    want = 1.0 / product if p < 0 else product
+    got = np.broadcast_to(eval_expr(e, JetBatch(np.zeros(u.size), np.zeros(u.size), 0,
+                                                {U: u})), u.shape)
+    np.testing.assert_allclose(got, want, rtol=16 * np.finfo(float).eps, atol=0.0)
+    exact = np.isin(u, [-2.0, -1.0, 1.0, 3.0])
+    assert np.array_equal(got[exact], want[exact])
+    if p in (2, 3):
+        assert np.array_equal(got, want)
+    for value, expected in zip(u[::25], want[::25]):
+        scalar = eval_expr(e, JetPoint.from_names(0.0, 0.0, 0, {"u": float(value), "v": 0.0}))
+        assert type(scalar) is float
+        assert scalar == pytest.approx(expected, rel=16 * np.finfo(float).eps, abs=0.0)
+
+
+def test_power_domain_errors_and_overflow_on_batches():
+    # one bad point fails the batch, as a scalar point fails alone
+    zero_in = JetBatch(np.zeros(3), np.zeros(3), 0, {U: np.array([1.0, 0.0, 2.0])})
+    for expo in (Fraction(-1), Fraction(-2), Fraction(-5), Fraction(-1, 2)):
+        with pytest.raises(EvalError, match="zero raised to a negative power"):
+            eval_expr(pow_(U, expo), zero_in)
+    negative_in = JetBatch(np.zeros(2), np.zeros(2), 0, {U: np.array([4.0, -1.0])})
+    for expo in (Fraction(1, 2), Fraction(-3, 2)):
+        with pytest.raises(EvalError, match="fractional power of a negative"):
+            eval_expr(pow_(U, expo), negative_in)
+    # a nonzero base whose power underflows gives inf, as np.power does, on
+    # a scalar point as on a batch
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        tiny = eval_expr(pow_(U, Fraction(-2)),
+                         JetPoint.from_names(0.0, 0.0, 0, {"u": 1e-200, "v": 0.0}))
+        tinies = eval_expr(pow_(U, Fraction(-2)), JetBatch(np.zeros(1), np.zeros(1), 0,
+                                                           {U: np.array([1e-200])}))
+    assert tiny == math.inf and tinies[0] == math.inf
 
 
 def test_param_values_validation():
