@@ -76,11 +76,6 @@ def _density_expr(case_id: CaseId, kind: Kind, form: str) -> Expr:
     return load_catalog().build_system(case_id).on_shell(e)
 
 
-def _block_rows(grid) -> int:
-    """Snapshots stacked per evaluation: EVAL_BLOCK_POINTS nodes, at least one row."""
-    return max(1, EVAL_BLOCK_POINTS // grid.N)
-
-
 def _block_integrals(exprs: Sequence[Expr], t: np.ndarray, q: np.ndarray, grid,
                      params) -> list[np.ndarray]:
     """dx * sum_j density(t_k, x_j, jets) of each expression at each row k of
@@ -92,48 +87,26 @@ def _block_integrals(exprs: Sequence[Expr], t: np.ndarray, q: np.ndarray, grid,
             for e in exprs]
 
 
-def density_timeseries(traj: Trajectory, case_id: CaseId, kind: Kind,
-                       form: str = "Tt") -> DensityTimeseries:
-    """Q(t_k) = dx * sum_j density(t_k, x_j, jets) along the trajectory,
-    evaluated over blocks of stacked snapshots of EVAL_BLOCK_POINTS nodes."""
-    cfg = traj.cfg
-    if case_id is not cfg.case_id:
-        raise ValueError(f"trajectory was integrated for {cfg.case_id.value}, "
-                         f"not {case_id.value}")
-    e = _density_expr(case_id, kind, form)
-    grid = cfg.grid
-    times = traj.times
-    values = np.empty(len(times))
-    rows = _block_rows(grid)
-    for lo in range(0, len(times), rows):
-        [values[lo:lo + rows]] = _block_integrals(
-            [e], times[lo:lo + rows, None],
-            np.stack([s.q for s in traj.snapshots[lo:lo + rows]]), grid, cfg.params)
-    return DensityTimeseries(case_id, kind, form, cfg.params.eps, times, values)
-
-
 class DensityAccumulator:
-    """Q(t) of each kind's density for each member of a `stream_members`
-    stream, fed one Sample at a time.  Each member's samples are buffered
-    into blocks of EVAL_BLOCK_POINTS nodes, stacked as `density_timeseries`
-    stacks a trajectory's, so every Q is bit for bit the same; a full block
-    is evaluated for every kind at once and dropped.  Memory is one block
-    per member, whatever T_final or the sample count, plus the Q values."""
+    """Q(t_k) = dx * sum_j density(t_k, x_j, jets) of each kind's density for
+    each member of a `stream_members` stream, fed one Sample at a time.  Each
+    member's samples are buffered into blocks of EVAL_BLOCK_POINTS nodes; a
+    full block is evaluated for every kind at once and dropped.  Memory is one
+    block per member, whatever T_final or the sample count, plus the Q values."""
 
     def __init__(self, cfg: SolverConfig, eps_values: Sequence[float],
                  kinds: Sequence[Kind], form: str = "Tt"):
         self.cfg, self.kinds, self.form = cfg, list(kinds), form
         self.exprs = [_density_expr(cfg.case_id, kind, form) for kind in self.kinds]
         self.params = [cfg.params.replace(eps=float(e)) for e in eps_values]
-        rows = _block_rows(cfg.grid)
+        rows = max(1, EVAL_BLOCK_POINTS // cfg.grid.N)
         self.block = np.empty((len(eps_values), rows, cfg.grid.N), complex)
         self.block_t = np.empty(rows)
         self.fill = 0  # samples in the current block
         self.members = ()  # the members of the last sample
         self.times: list[float] = []
-        # values[m][k]: the Q blocks of member m's density of kind k
-        self.values: list[list[list[np.ndarray]]] = [[[] for _ in self.kinds]
-                                                     for _ in eps_values]
+        # blocks[m]: member m's evaluated blocks, each a Q array per kind
+        self.blocks: list[list[list[np.ndarray]]] = [[] for _ in eps_values]
 
     def add(self, sample: Sample) -> None:
         self.block[sample.members, self.fill] = sample.q
@@ -148,10 +121,8 @@ class DensityAccumulator:
         """Evaluate the current block of each of `members`, and empty it."""
         t = self.block_t[:self.fill, None]
         for m in members if self.exprs else ():  # no kinds: no jets to take
-            for values, q_of_t in zip(self.values[m], _block_integrals(
-                    self.exprs, t, self.block[m, :self.fill], self.cfg.grid,
-                    self.params[m])):
-                values.append(q_of_t)
+            self.blocks[m].append(_block_integrals(
+                self.exprs, t, self.block[m, :self.fill], self.cfg.grid, self.params[m]))
         self.fill = 0
 
     def series(self, errors: Sequence) -> list[Optional[list[DensityTimeseries]]]:
@@ -161,9 +132,25 @@ class DensityAccumulator:
         times = np.array(self.times)
         return [None if errors[m] is not None else
                 [DensityTimeseries(self.cfg.case_id, kind, self.form, params.eps, times,
-                                   np.concatenate(values))
-                 for kind, values in zip(self.kinds, self.values[m])]
+                                   np.concatenate([b[k] for b in self.blocks[m]]))
+                 for k, kind in enumerate(self.kinds)]
                 for m, params in enumerate(self.params)]
+
+
+def density_timeseries(traj: Trajectory, case_id: CaseId, kind: Kind,
+                       form: str = "Tt") -> DensityTimeseries:
+    """Q(t) along a collected trajectory, its snapshots fed to a one-member
+    DensityAccumulator.  No command calls it: the benchmark's tracer
+    (`perfbench/tracing.py`) wraps it by name."""
+    cfg = traj.cfg
+    if case_id is not cfg.case_id:
+        raise ValueError(f"trajectory was integrated for {cfg.case_id.value}, "
+                         f"not {case_id.value}")
+    densities = DensityAccumulator(cfg, [cfg.params.eps], [kind], form)
+    for state in traj.snapshots:
+        densities.add(Sample(state.t, np.zeros(1, int), state.q[None]))
+    [[series]] = densities.series([None])
+    return series
 
 
 def drift_from_timeseries(ts: DensityTimeseries) -> tuple[float, float]:
@@ -198,19 +185,6 @@ class DriftReport:
     slope_valid: bool
     fit_members: int
     sample_every: int  # steps between the snapshots the densities were taken at
-
-    def drop_one_slopes(self) -> list[float]:
-        """Fitted slope with each qualifying member removed in turn (fit
-        stability diagnostic)."""
-        fit = _qualifying(self.members, self.floor)
-        out = []
-        for i in range(len(fit)):
-            rest = fit[:i] + fit[i + 1:]
-            if len(rest) >= 2:
-                s, _, _ = fit_loglog_slope([m.eps for m in rest],
-                                           [m.drift_rel for m in rest])
-                out.append(s)
-        return out
 
 
 def default_scan_config(case_id: CaseId) -> SolverConfig:
@@ -480,14 +454,14 @@ def _linear_ticks(lo: float, hi: float, n: int = 6) -> tuple[list[float], list[s
 def write_drift_svg(report: DriftReport, path,
                     header_lines: Sequence[str] = ()) -> None:
     """Log-log drift chart: members as a marked line, noise floor dashed,
-    fitted power law overlaid when valid."""
+    fitted power law overlaid when valid.  With every eps > 0 member failed
+    only the floor is drawn, over the scanned eps values."""
     ok = [m for m in report.members if not m.failed and m.eps > 0]
-    eps = np.array([m.eps for m in ok])
-    drift = np.array([max(m.drift_rel, 1e-300) for m in ok])
-    lx, ly = np.log10(eps), np.log10(drift)
+    lx = np.log10([m.eps for m in ok or report.members[1:]])
+    ly = np.log10([max(m.drift_rel, 1e-300) for m in ok])
     floor_y = math.log10(max(report.floor, 1e-300))
-    ymin = min(float(ly.min()), floor_y) - 0.3
-    ymax = float(ly.max()) + 0.3
+    ymin = float(ly.min(initial=floor_y)) - 0.3
+    ymax = float(ly.max() if ok else floor_y) + 0.3
     ax = _Axes(float(lx.min()) - 0.1, float(lx.max()) + 0.1, ymin, ymax)
 
     parts = _svg_open(
@@ -498,7 +472,8 @@ def write_drift_svg(report: DriftReport, path,
     parts += ax.xticks(*_decade_ticks(ax.x0, ax.x1))
     parts += ax.yticks(*_decade_ticks(ax.y0, ax.y1))
     parts.append(_polyline([ax.x0, ax.x1], [floor_y, floor_y], ax, "#888888", dash="6,4"))
-    parts.append(_polyline(lx, ly, ax, _COLORS[0]))
+    if ok:
+        parts.append(_polyline(lx, ly, ax, _COLORS[0]))
     for x, y in zip(lx, ly):
         parts.append(f'<circle cx="{ax.px(x):.2f}" cy="{ax.py(y):.2f}" r="3" '
                      f'fill="{_COLORS[0]}"/>')

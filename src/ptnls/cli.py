@@ -321,11 +321,14 @@ def cmd_drift_scan(settings: Settings) -> int:
             print(f"[skip] drift scan {name}: {skipped[case_id, kind]}")
             continue
         report = reports[case_id, kind]
+        # NaN is not JSON: a failed member's numbers are null
+        members = [{k: None if isinstance(v, float) and math.isnan(v) else v
+                    for k, v in asdict(m).items()} for m in report.members]
         _emit({"check": "drift-scan", "case": case_id.value, "kind": kind.value,
                "form": form, "floor": report.floor, "slope": report.slope,
                "intercept": report.intercept, "fit_residual": report.fit_residual,
                "slope_valid": report.slope_valid, "fit_members": report.fit_members,
-               "members": [asdict(m) for m in report.members]}, settings,
+               "members": members}, settings,
               scheme=report.cfg.scheme, sample_every=report.sample_every)
         for m in report.members:
             if m.failed:

@@ -22,8 +22,9 @@ members as it is reached and holds only the current step, whatever T_final
 or the sample count.  It holds the field's spectrum: a step maps spectrum
 to spectrum in 2 FFTs per substep (2 for Strang, 6 for Yoshida), and the
 field is transformed back once per sample.  Consumers that reduce samples
-as they come (the drift scans, `ptnls simulate`) keep memory at that bound;
-`run_members` and `run` collect the whole stream into Trajectory objects.
+as they come (the drift scans, `ptnls simulate`) keep memory at that bound.
+`run` collects one member's stream into a Trajectory.  No command calls it
+or `write_trajectory_csv`: the benchmark's tracer wraps them by name.
 
 The grid is periodic on [-L, L) with nodes offset by half a cell so that
 x = 0 is never a node; several cataloged densities carry 1/x^k prefactors
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
@@ -47,7 +48,7 @@ from .jetexpr import Jet, JetBatch, ParamValues, eval_expr
 __all__ = [
     "Grid", "FieldState", "Gaussian", "GroundState", "SCHEMES", "SolverConfig", "Stepper",
     "Trajectory", "Sample", "BlowUpError", "BoundaryContaminationError",
-    "initial_condition", "make_stepper", "stream_members", "run", "run_members",
+    "initial_condition", "make_stepper", "stream_members", "run",
     "integrate", "resample", "jet_values", "TrajectoryWriter", "write_trajectory_csv",
 ]
 
@@ -267,8 +268,8 @@ class Trajectory:
 
 
 # the modules that step and reduce the stream; a solver warning names the
-# first frame outside them: the caller of run, run_members or drift_scan, or
-# the loop over stream_members
+# first frame outside them: the caller of run or drift_scan, or the loop over
+# stream_members
 _STREAM_MODULES = (__name__, f"{__package__}.analysis")
 
 
@@ -296,9 +297,6 @@ def _check_boundary(t: float, q: np.ndarray, warned: list) -> Optional[Exception
         _warn(
             f"boundary amplitude at {level:.3e} of the field maximum at t = {t:.6g}")
     return None
-
-
-MemberResult = Union[Trajectory, BlowUpError, BoundaryContaminationError]
 
 
 @dataclass(frozen=True)
@@ -362,29 +360,16 @@ def stream_members(cfg: SolverConfig, eps_values: Sequence[float], sample_every:
             yield Sample(t, alive, q)
 
 
-def run_members(cfg: SolverConfig, eps_values: Sequence[float],
-                sample_every: int = 50) -> list[MemberResult]:
-    """Each member's result of `stream_members`: its Trajectory (a snapshot
-    every `sample_every` steps, plus the initial and final states), or the
-    error that ended it.  The stream collected whole: a trajectory's fields
-    are rows of the samples' arrays, so this holds every sample."""
-    errors: list = [None] * len(eps_values)
-    snapshots: list[list[FieldState]] = [[] for _ in eps_values]
-    for sample in stream_members(cfg, eps_values, sample_every, errors):
-        for row, m in enumerate(sample.members):
-            snapshots[m].append(FieldState(sample.t, sample.q[row], cfg.grid))
-    return [errors[m] or Trajectory(replace(cfg, params=cfg.params.replace(eps=float(e))),
-                                        snapshots[m])
-            for m, e in enumerate(eps_values)]
-
-
 def run(cfg: SolverConfig, sample_every: int = 50) -> Trajectory:
     """Integrate to T_final, keeping a snapshot every `sample_every` steps
-    (plus the initial and final states); an ensemble of one."""
-    (result,) = run_members(cfg, [cfg.params.eps], sample_every)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    (plus the initial and final states): the stream of an ensemble of one,
+    collected whole.  The error that ends the run is raised."""
+    errors = [None]
+    snapshots = [FieldState(s.t, s.q[0], cfg.grid)
+                 for s in stream_members(cfg, [cfg.params.eps], sample_every, errors)]
+    if errors[0] is not None:
+        raise errors[0]
+    return Trajectory(cfg, snapshots)
 
 
 def integrate(grid: Grid, values: np.ndarray):

@@ -148,12 +148,11 @@ def _eps_slope(exprs: tuple[Expr, ...], sampler: JetSampler,
     return slope, fit_res
 
 
-def euler_residual(case, kind: Kind, params: Optional[ParamValues] = None,
-                   catalog: Optional[Catalog] = None) -> tuple[Expr, Expr]:
+def euler_residual(case, kind: Kind) -> tuple[Expr, Expr]:
     """euler_operator(Q1*E1 + Q2*E2) for one case and multiplier kind."""
-    cat = catalog or load_catalog()
+    cat = load_catalog()
     mult = cat.multiplier(kind)
-    action = _q_dot_e(mult.Q1, mult.Q2, cat.build_system(case, params))
+    action = _q_dot_e(mult.Q1, mult.Q2, cat.build_system(case))
     return euler_operator(action, max_order=_EULER_MAX_ORDER)
 
 
@@ -199,11 +198,11 @@ def _raw_target_comparisons(cat: Catalog, case_id: CaseId, kind: Kind,
 
 
 def check_residual(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-10,
-                   seed: int = 0, catalog: Optional[Catalog] = None) -> ResidualReport:
+                   seed: int = 0) -> ResidualReport:
     """Compare the engine's euler residual against the cataloged target and
     fit its magnitude against eps."""
-    cat = catalog or load_catalog()
-    ru, rv = euler_residual(case_id, kind, catalog=cat)
+    cat = load_catalog()
+    ru, rv = euler_residual(case_id, kind)
     target = cat.residual_target(case_id, kind)
 
     sampler = JetSampler(seed=seed)
@@ -228,10 +227,9 @@ def check_residual(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-10
     )
 
 
-def divergence_residual(case_id: CaseId, kind: Kind,
-                        catalog: Optional[Catalog] = None) -> tuple[Expr, Expr]:
+def divergence_residual(case_id: CaseId, kind: Kind) -> tuple[Expr, Expr]:
     """(D_t Tt + D_x Tx, Q1*E1 + Q2*E2) as expressions on the jet space."""
-    cat = catalog or load_catalog()
+    cat = load_catalog()
     cv = cat.conserved_vector(case_id, kind)
     if cv is None or cv.Tx is None:
         raise FluxUnavailableError(
@@ -261,11 +259,11 @@ def _raw_vector_comparisons(cat: Catalog, case_id: CaseId, kind: Kind, n: int) -
 
 
 def check_divergence(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-9,
-                     seed: int = 0, catalog: Optional[Catalog] = None) -> DivergenceReport:
+                     seed: int = 0) -> DivergenceReport:
     """Measure D_t Tt + D_x Tx against +/- Q.E at eps=0, then fit the
     surviving residual's magnitude against eps."""
-    cat = catalog or load_catalog()
-    divergence, qe = divergence_residual(case_id, kind, catalog=cat)
+    cat = load_catalog()
+    divergence, qe = divergence_residual(case_id, kind)
     order = max(divergence.order, qe.order)
     sampler = JetSampler(seed=seed)
     batch = sampler.batch(n, order)

@@ -246,11 +246,6 @@ def test_drift_grows_with_eps(charge_scan):
     assert drifts == sorted(drifts)
 
 
-def test_drop_one_slopes_are_stable(charge_scan):
-    for s in charge_scan.drop_one_slopes():
-        assert abs(s - charge_scan.slope) < 0.1
-
-
 def test_floor_boundary_failure_keeps_its_type():
     cfg = _short_cfg(grid=Grid(L=3.0, N=64), T_final=0.01)
     with pytest.raises(BoundaryContaminationError):

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import xml.etree.ElementTree as ET
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -412,6 +413,49 @@ def test_drift_scan_floor_failure_is_exit_4(tmp_path, capsys):
                  "--N", "64", "--t-final", "0.01", "--out-dir", str(tmp_path)])
     assert code == EXIT_NUMERICAL
     assert "boundary amplitude" in capsys.readouterr().err
+
+
+# in a box of half-width 6 every gain from eps = 0.1 up reaches the boundary
+# bound before T = 1, while the eps = 0 floor finishes
+FAILING_SCAN = ["drift-scan", "--case", "1a", "--kind", "charge", "--L", "6",
+                "--N", "128", "--t-final", "1"]
+
+
+@pytest.mark.filterwarnings("ignore:boundary amplitude at:RuntimeWarning")
+def test_drift_scan_with_every_member_failed_reports_them(tmp_path, capsys):
+    code = main(FAILING_SCAN + ["--eps-grid", "1:3:4", "--out-dir", str(tmp_path)])
+    assert code == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    (rec,) = _json_records(out)
+    assert [m["failed"] for m in rec["members"]] == [False, True, True, True, True]
+    assert out.count("[skip] eps=") == 4
+    assert "[FAIL] drift scan case1a/charge: only 0 members above" in out
+    # the chart is the floor alone, over the scanned eps values
+    root = ET.parse(tmp_path / "drift_case1a_charge.svg").getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    assert not list(root.iter(f"{ns}circle"))
+    [floor] = root.iter(f"{ns}polyline")
+    assert floor.get("stroke-dasharray") == "6,4"
+    ticks = [t.text for t in root.iter(f"{ns}text")]
+    assert "1e+0" in ticks and "1e+1" in ticks
+
+
+@pytest.mark.filterwarnings("ignore:boundary amplitude at:RuntimeWarning")
+def test_drift_scan_prints_a_failed_members_numbers_as_null(tmp_path, capsys):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    code = main(FAILING_SCAN + ["--eps-grid", "0.01:1:5", "--out-dir", str(tmp_path)])
+    assert code == EXIT_CHECK_FAILED
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
+    (rec,) = [json.loads(line, parse_constant=reject) for line in lines]
+    failed = [m for m in rec["members"] if m["failed"]]
+    assert len(failed) == 3
+    assert all(m[k] is None for m in failed for k in ("Q0", "drift_abs", "drift_rel"))
+    assert all(isinstance(m["Q0"], float) for m in rec["members"] if not m["failed"])
+    # the CSV keeps nan
+    rows = _data_rows(tmp_path / "drift.csv", "case1a", "charge")
+    assert sum(row.endswith(",nan,nan,nan") for row in rows) == 3
 
 
 def test_drift_scan_has_no_jobs_option(tmp_path, capsys):

@@ -15,8 +15,7 @@ from ptnls.jetexpr import (JetBatch, ParamValues, Sym, eval_expr, expr_equiv, je
 from ptnls.solver import (SCHEMES, BlowUpError, BoundaryContaminationError, FieldState,
                           Gaussian, Grid, GroundState, SolverConfig, Stepper,
                           initial_condition, integrate, jet_values, make_stepper,
-                          resample, run, run_members, stream_members,
-                          write_trajectory_csv)
+                          resample, run, stream_members, write_trajectory_csv)
 
 
 def _linear_cfg(**kw):
@@ -367,16 +366,20 @@ def test_failed_member_leaves_the_others_bit_identical():
         cfg = SolverConfig(dt=1e-3, T_final=1.0, grid=Grid(L=6.0, N=128),
                            initial=Gaussian(1.0, 1.0, 0.5), scheme=scheme)
         eps = [0.01, 1.0, 0.0]
-        results = run_members(cfg, eps)
+        errors = [None] * len(eps)
+        kept = [[] for _ in eps]  # (t, q) of each member's samples
+        for sample in stream_members(cfg, eps, 50, errors):
+            for row, m in enumerate(sample.members):
+                kept[m].append((sample.t, sample.q[row]))
         with pytest.raises(BoundaryContaminationError) as exc:
             run(replace(cfg, params=cfg.params.replace(eps=1.0)))
-        assert isinstance(results[1], BoundaryContaminationError)
-        assert (results[1].t, str(results[1])) == (exc.value.t, str(exc.value))
-        for e, traj in zip(eps[::2], results[::2]):
-            alone = run(replace(cfg, params=cfg.params.replace(eps=e)))
-            assert traj.cfg == alone.cfg
-            assert [s.t for s in traj] == [s.t for s in alone]
-            assert all(np.array_equal(a.q, b.q) for a, b in zip(traj, alone))
+        assert isinstance(errors[1], BoundaryContaminationError)
+        assert (errors[1].t, str(errors[1])) == (exc.value.t, str(exc.value))
+        for m in (0, 2):
+            alone = run(replace(cfg, params=cfg.params.replace(eps=eps[m])))
+            assert errors[m] is None
+            assert [t for t, _ in kept[m]] == [s.t for s in alone]
+            assert all(np.array_equal(q, s.q) for (_, q), s in zip(kept[m], alone))
 
 
 def test_boundary_proximity_warns_once():
