@@ -437,12 +437,12 @@ def _polyline(xs, ys, ax: _Axes, color: str, dash: str = "") -> str:
 
 
 def _decade_ticks(lo: float, hi: float) -> tuple[list[float], list[str]]:
-    d0, d1 = math.floor(lo), math.ceil(hi)
-    if d1 - d0 > 12:
-        step = math.ceil((d1 - d0) / 12)
-    else:
-        step = 1
-    decades = list(range(d0, d1 + 1, step))
+    """Ticks of a log10 axis from lo to hi: the whole decades inside it, at
+    most 13, or its two ends when it spans less than one decade."""
+    if hi - lo < 1:
+        return [lo, hi], [f"{10 ** v:.2e}" for v in (lo, hi)]
+    d0, d1 = math.ceil(lo), math.floor(hi)
+    decades = list(range(d0, d1 + 1, max(1, math.ceil((d1 - d0) / 12))))
     return [float(d) for d in decades], [f"1e{d:+d}" for d in decades]
 
 

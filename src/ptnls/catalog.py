@@ -24,9 +24,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
-from .jetexpr import (Const, Expr, ExprError, Jet, ParamValues, Var, as_expr,
-                      collect_coords, contains_t_derivative, neg, nodes, parse_expr,
-                      partial, substitute)
+from .jetexpr import (Const, Expr, ExprError, Jet, Var, collect_coords,
+                      contains_t_derivative, neg, nodes, parse_expr, partial, substitute)
 
 __all__ = [
     "CaseId", "Kind", "CaseSpec", "PdeSystem", "Multiplier", "ConservedVector",
@@ -217,19 +216,11 @@ class Catalog:
         q2 = self._by_key[("all", kind.value, "Q2")].expr
         return Multiplier(kind, q1, q2)
 
-    def build_system(self, case_id: CaseId, params: Optional[ParamValues] = None) -> PdeSystem:
-        """The split system of a case, as stored in its E1/E2 records.  With
-        `params` given, the five model parameters are substituted numerically
-        (eps=0 removes the b-terms outright, since they fold away with the
-        zero factor)."""
-        e1 = self._by_key[(case_id.value, None, "E1")].expr
-        e2 = self._by_key[(case_id.value, None, "E2")].expr
-        if params is not None:
-            binds = {name: as_expr(params.get(name))
-                     for name in ("eps", "mu", "sigma", "alpha", "g")}
-            e1 = substitute(e1, binds)
-            e2 = substitute(e2, binds)
-        return PdeSystem(case_id, e1, e2)
+    def build_system(self, case_id: CaseId) -> PdeSystem:
+        """The split system of a case, symbolic in the model parameters, as
+        stored in its E1/E2 records."""
+        return PdeSystem(case_id, self._by_key[(case_id.value, None, "E1")].expr,
+                         self._by_key[(case_id.value, None, "E2")].expr)
 
     def conserved_vector(self, case_id: CaseId, kind: Kind) -> Optional[ConservedVector]:
         """The block's Tt, Tx and PhiT records where shipped; None without Tt."""

@@ -231,7 +231,7 @@ def cmd_simulate(settings: Settings) -> int:
     sample_every = settings.get("sample_every", 50)
     os.makedirs(out_dir, exist_ok=True)
 
-    header = [f"{k}={v}" for k, v in settings.resolved.items()]
+    header = [f"{k}={v}" for k, v in settings.resolved.items()] + [f"scheme={cfg.scheme}"]
     cat = load_catalog()
     densities = DensityAccumulator(cfg, [cfg.params.eps], [
         kind for kind in Kind if cat.conserved_vector(case_id, kind) is not None])
@@ -258,7 +258,7 @@ def cmd_simulate(settings: Settings) -> int:
         drift_abs, drift_rel = drift_from_timeseries(ts)
         _emit({"check": "simulate-density", "case": case_id.value,
                "kind": ts.kind.value, "form": ts.form, "Q0": float(ts.values[0]),
-               "drift_abs": drift_abs, "drift_rel": drift_rel}, settings)
+               "drift_abs": drift_abs, "drift_rel": drift_rel}, settings, scheme=cfg.scheme)
         print(f"[ok] {ts.kind.value} density: Q0 = {ts.values[0]:.6g}, "
               f"drift {drift_abs:.3e} (rel {drift_rel:.3e})")
     paths = [traj_path]

@@ -134,11 +134,10 @@ def _q_dot_e(q1: Expr, q2: Expr, system: PdeSystem) -> Expr:
     return add(mul(q1, system.E1), mul(q2, system.E2))
 
 
-def _eps_slope(exprs: tuple[Expr, ...], sampler: JetSampler,
-               order: int) -> tuple[float, float]:
+def _eps_slope(exprs: tuple[Expr, ...], seed: int, order: int) -> tuple[float, float]:
     """(slope, rms residual) of the log-log fit of max |e| over `exprs` and
-    50 fixed jet points against eps on EPS_GRID."""
-    batch = sampler.batch(50, order)
+    50 seeded jet points against eps on EPS_GRID."""
+    batch = JetSampler(seed).batch(50, order)
     mags = []
     for eps in EPS_GRID:
         params = ParamValues(eps=float(eps))
@@ -157,7 +156,8 @@ def euler_residual(case, kind: Kind) -> tuple[Expr, Expr]:
 
 
 def _raw_target_comparisons(cat: Catalog, case_id: CaseId, kind: Kind,
-                            computed: tuple[Expr, Expr], n: int) -> list[RawComparison]:
+                            computed: tuple[Expr, Expr], n: int,
+                            seed: int) -> list[RawComparison]:
     out = []
     for slot, comp in (("Ru", computed[0]), ("Rv", computed[1])):
         rec = cat.raw_reading(case_id, kind, slot)
@@ -167,7 +167,7 @@ def _raw_target_comparisons(cat: Catalog, case_id: CaseId, kind: Kind,
             out.append(RawComparison(slot, False, error=rec.error,
                                      note="as-displayed text is not grammatical"))
             continue
-        res = expr_equiv(comp, rec.expr, n=n)
+        res = expr_equiv(comp, rec.expr, n=n, seed=seed)
         out.append(RawComparison(slot, True, matches_corrected=res.equal,
                                  worst_rel_error=res.worst_rel_error,
                                  note="as-displayed reading vs engine residual"))
@@ -179,15 +179,15 @@ def _raw_target_comparisons(cat: Catalog, case_id: CaseId, kind: Kind,
         action = _q_dot_e(raw_q1.expr, raw_q2.expr, cat.build_system(case_id))
         ru_raw, rv_raw = euler_operator(action, max_order=_EULER_MAX_ORDER)
         stated = cat.residual_target(case_id, kind)
-        res_u = expr_equiv(ru_raw, stated.Ru, n=n)
-        res_v = expr_equiv(rv_raw, stated.Rv, n=n)
+        res_u = expr_equiv(ru_raw, stated.Ru, n=n, seed=seed)
+        res_v = expr_equiv(rv_raw, stated.Rv, n=n, seed=seed)
         matches = bool(res_u.equal and res_v.equal)
         note = "residual from the block-header multipliers vs this block's target"
         if not matches:
             other = Kind.CHARGE if kind is Kind.ENERGY else Kind.ENERGY
             tgt = cat.residual_target(case_id, other)
-            ou = expr_equiv(ru_raw, tgt.Ru, n=n)
-            ov = expr_equiv(rv_raw, tgt.Rv, n=n)
+            ou = expr_equiv(ru_raw, tgt.Ru, n=n, seed=seed)
+            ov = expr_equiv(rv_raw, tgt.Rv, n=n, seed=seed)
             if ou.equal and ov.equal:
                 note += f"; it reproduces the {other.value} target instead"
         out.append(RawComparison(
@@ -205,14 +205,13 @@ def check_residual(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-10
     ru, rv = euler_residual(case_id, kind)
     target = cat.residual_target(case_id, kind)
 
-    sampler = JetSampler(seed=seed)
-    res_u = expr_equiv(ru, target.Ru, n=n, tol=tol, sampler=sampler)
-    res_v = expr_equiv(rv, target.Rv, n=n, tol=tol, sampler=sampler)
+    res_u = expr_equiv(ru, target.Ru, n=n, tol=tol, seed=seed)
+    res_v = expr_equiv(rv, target.Rv, n=n, tol=tol, seed=seed)
     worse = res_u if res_u.worst_rel_error >= res_v.worst_rel_error else res_v
 
     # the residuals carry a factor eps, so the fitted exponent should be 1
     # to roundoff
-    slope, fit_res = _eps_slope((ru, rv), sampler, max(ru.order, rv.order))
+    slope, fit_res = _eps_slope((ru, rv), seed, max(ru.order, rv.order))
 
     return ResidualReport(
         case_id=case_id, kind=kind,
@@ -223,7 +222,7 @@ def check_residual(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-10
         epsilon_slope=slope, slope_fit_residual=fit_res,
         target_derived=target.derived,
         residual_u=ru, residual_v=rv,
-        raw_comparisons=tuple(_raw_target_comparisons(cat, case_id, kind, (ru, rv), n)),
+        raw_comparisons=tuple(_raw_target_comparisons(cat, case_id, kind, (ru, rv), n, seed)),
     )
 
 
@@ -240,7 +239,8 @@ def divergence_residual(case_id: CaseId, kind: Kind) -> tuple[Expr, Expr]:
     return divergence, _q_dot_e(mult.Q1, mult.Q2, cat.build_system(case_id))
 
 
-def _raw_vector_comparisons(cat: Catalog, case_id: CaseId, kind: Kind, n: int) -> list[RawComparison]:
+def _raw_vector_comparisons(cat: Catalog, case_id: CaseId, kind: Kind, n: int,
+                            seed: int) -> list[RawComparison]:
     out = []
     for slot in ("Tt", "Tx", "PhiT"):
         rec = cat.raw_reading(case_id, kind, slot)
@@ -251,7 +251,7 @@ def _raw_vector_comparisons(cat: Catalog, case_id: CaseId, kind: Kind, n: int) -
                                      note="as-displayed text is not grammatical"))
             continue
         corrected = cat.corrected_reading(case_id, kind, slot)
-        res = expr_equiv(rec.expr, corrected.expr, n=n)
+        res = expr_equiv(rec.expr, corrected.expr, n=n, seed=seed)
         out.append(RawComparison(slot, True, matches_corrected=res.equal,
                                  worst_rel_error=res.worst_rel_error,
                                  note="as-displayed reading vs corrected reading"))
@@ -265,8 +265,7 @@ def check_divergence(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-
     cat = load_catalog()
     divergence, qe = divergence_residual(case_id, kind)
     order = max(divergence.order, qe.order)
-    sampler = JetSampler(seed=seed)
-    batch = sampler.batch(n, order)
+    batch = JetSampler(seed).batch(n, order)
 
     p0 = ParamValues(eps=0.0)
     dv = np.asarray(eval_expr(divergence, batch, p0), dtype=float)
@@ -287,14 +286,14 @@ def check_divergence(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-
         discrepancies = tuple((batch.point(int(i)), float(errs[int(i)])) for i in top)
 
     residual = sub(divergence, qe) if orientation == 1 else add(divergence, qe)
-    slope, fit_res = _eps_slope((residual,), sampler, order)
+    slope, fit_res = _eps_slope((residual,), seed, order)
 
     return DivergenceReport(
         case_id=case_id, kind=kind, zero_at_eps0=zero_at_eps0,
         orientation=orientation, worst_rel_error=worst, n=n, tol=tol,
         leading_order=slope, slope_fit_residual=fit_res,
         discrepancy_terms=discrepancies,
-        raw_comparisons=tuple(_raw_vector_comparisons(cat, case_id, kind, n)),
+        raw_comparisons=tuple(_raw_vector_comparisons(cat, case_id, kind, n, seed)),
     )
 
 
@@ -314,6 +313,7 @@ def complete_point(p: JetPoint, order: int) -> JetPoint:
 
 
 _BUMP_WIDTH = 0.15
+_FD_STEP = 1e-2  # step of the 5-point stencil in the perturbation size s
 _DRAW_LOW = (-0.05, -0.05, 0.7, 0.7)
 _DRAW_HIGH = (0.05, 0.05, 1.3, 1.3)
 # monomial exponents of the quartic collocation model; bumps stay within
@@ -387,8 +387,8 @@ class _PolyBackground:
 
 
 def _bump_block(e: Expr, params: ParamValues, bg: _PolyBackground, dep: str,
-                p: JetPoint, draws: np.ndarray, quad: tuple[np.ndarray, np.ndarray],
-                fd_step: float) -> tuple[np.ndarray, np.ndarray]:
+                p: JetPoint, draws: np.ndarray,
+                quad: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Collocation rows and stencil derivatives of the action for a block of
     bumps on the (nodes, weights) Gauss-Legendre rule `quad`; row k of
     `draws` is bump k's (t offset, x offset, t width factor, x width factor).
@@ -432,7 +432,7 @@ def _bump_block(e: Expr, params: ParamValues, bg: _PolyBackground, dep: str,
         vals = np.asarray(eval_expr(e, JetBatch(T, X, 2, values), params), dtype=float)
         return row_sums(w2d * vals)
 
-    h = fd_step
+    h = _FD_STEP
     rhs = (-action(2 * h) + 8 * action(h) - 8 * action(-h) + action(-2 * h)) / (12 * h)
     tp = [(T - p.t) ** i for i in range(5)]
     xp = [(X - p.x) ** j for j in range(5)]
@@ -444,7 +444,7 @@ def _bump_block(e: Expr, params: ParamValues, bg: _PolyBackground, dep: str,
 def independent_variational_check(e: Expr, p: JetPoint,
                                   params: Optional[ParamValues] = None,
                                   n_bumps: int = 20, quad_n: int = 24,
-                                  fd_step: float = 1e-2, seed: int = 0) -> OracleResult:
+                                  seed: int = 0) -> OracleResult:
     """Pointwise variational derivatives (delta e/delta u, delta e/delta v)
     at p, computed without the symbolic euler machinery.
 
@@ -478,8 +478,7 @@ def independent_variational_check(e: Expr, p: JetPoint,
     for dep in ("u", "v"):
         # bump by bump: t offset, x offset, t width factor, x width factor
         draws = rng.uniform(_DRAW_LOW, _DRAW_HIGH, size=(n_bumps, 4))
-        blocks = [_bump_block(e, params, bg, dep, p, draws[lo:lo + per_block],
-                              quad, fd_step)
+        blocks = [_bump_block(e, params, bg, dep, p, draws[lo:lo + per_block], quad)
                   for lo in range(0, n_bumps, per_block)]
         rows, rhs = (np.concatenate(parts) for parts in zip(*blocks))
         coeffs, *_ = np.linalg.lstsq(rows, rhs, rcond=None)

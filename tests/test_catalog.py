@@ -8,6 +8,8 @@ from ptnls.jetexpr import (JetSampler, ParamValues, Var, collect_coords,
                            contains_t_derivative, eval_expr, expr_equiv,
                            parse_expr, to_text)
 
+from helpers import with_params
+
 CAT = load_catalog()
 
 ALL_BLOCKS = [(c, k) for c in CaseId for k in Kind]
@@ -106,17 +108,17 @@ def test_system_template_matches_stored_records(case_id):
 
 def test_system_at_eps_zero_drops_gain_terms():
     for case_id in CaseId:
-        system = CAT.build_system(case_id, ParamValues(eps=0.0))
+        system = with_params(CAT.build_system(case_id), ParamValues(eps=0.0))
         assert "eps" not in to_text(system.E1)
         assert "eps" not in to_text(system.E2)
 
 
 def test_system_numeric_params_fold():
-    system = CAT.build_system(CaseId.CASE2, ParamValues(eps=0.0, g=0.0))
+    system = with_params(CAT.build_system(CaseId.CASE2), ParamValues(eps=0.0, g=0.0))
     # both wells vanish with g = 0, leaving the plain harmonic trap
     sampler = JetSampler(seed=1)
     batch = sampler.batch(20, 2)
-    ref = CAT.build_system(CaseId.CASE1A, ParamValues(eps=0.0))
+    ref = with_params(CAT.build_system(CaseId.CASE1A), ParamValues(eps=0.0))
     for lhs, rhs in ((system.E1, ref.E1), (system.E2, ref.E2)):
         a = eval_expr(lhs, batch, ParamValues(eps=0.0, g=0.0))
         b = eval_expr(rhs, batch, ParamValues(eps=0.0, g=0.0, alpha=0.5))

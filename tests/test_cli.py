@@ -330,7 +330,11 @@ def test_simulate_steps_strang_at_the_solver_default(tmp_path, capsys, monkeypat
     assert (cfg.scheme, cfg.dt, sample_every) == ("strang", 1e-3, 50)
     assert cfg.initial == analysis.default_scan_config(cfg.case_id).initial
     (rec, _) = _json_records(capsys.readouterr().out)
-    assert "scheme" not in rec["config"]  # simulate's outputs carry no scheme line
+    assert rec["config"]["scheme"] == "strang"
+    for name in ("trajectory.csv", "density_timeseries.csv"):
+        assert "# scheme=strang" in (tmp_path / name).read_text().splitlines(), name
+    svg = ET.parse(tmp_path / "density_timeseries.svg").getroot()
+    assert "scheme=strang" in svg.find("{http://www.w3.org/2000/svg}metadata").text.splitlines()
 
 
 def test_t_final_off_the_time_step_names_both_values(tmp_path, capsys):
@@ -415,6 +419,26 @@ def test_drift_scan_floor_failure_is_exit_4(tmp_path, capsys):
     assert "boundary amplitude" in capsys.readouterr().err
 
 
+def _assert_ticks_inside_frame(root):
+    """Every tick of a chart sits inside its frame along its own axis."""
+    ns = "{http://www.w3.org/2000/svg}"
+    frame = next(r for r in root.iter(f"{ns}rect") if r.get("fill") == "none")
+    left, top = float(frame.get("x")), float(frame.get("y"))
+    right, bottom = left + float(frame.get("width")), top + float(frame.get("height"))
+    lines = list(root.iter(f"{ns}line"))
+    xs = [float(ln.get("x1")) for ln in lines if ln.get("x1") == ln.get("x2")]
+    ys = [float(ln.get("y1")) for ln in lines if ln.get("y1") == ln.get("y2")]
+    assert len(xs) >= 2 and len(ys) >= 2
+    assert all(left <= x <= right for x in xs), xs
+    assert all(top <= y <= bottom for y in ys), ys
+
+
+def test_drift_svg_ticks_stay_inside_the_frame(tmp_path):
+    assert main(["drift-scan", "--case", "1a", "--kind", "charge", "--sample-every", "1",
+                 "--t-final", "1", "--out-dir", str(tmp_path)]) == EXIT_OK
+    _assert_ticks_inside_frame(ET.parse(tmp_path / "drift_case1a_charge.svg").getroot())
+
+
 # in a box of half-width 6 every gain from eps = 0.1 up reaches the boundary
 # bound before T = 1, while the eps = 0 floor finishes
 FAILING_SCAN = ["drift-scan", "--case", "1a", "--kind", "charge", "--L", "6",
@@ -436,8 +460,10 @@ def test_drift_scan_with_every_member_failed_reports_them(tmp_path, capsys):
     assert not list(root.iter(f"{ns}circle"))
     [floor] = root.iter(f"{ns}polyline")
     assert floor.get("stroke-dasharray") == "6,4"
-    ticks = [t.text for t in root.iter(f"{ns}text")]
-    assert "1e+0" in ticks and "1e+1" in ticks
+    # the x axis spans less than a decade, so its two ends are ticked
+    xlabels = [float(t.text) for t in root.iter(f"{ns}text") if t.get("y") == "460"]
+    assert len(xlabels) == 2 and xlabels[0] < 1 and xlabels[1] > 3
+    _assert_ticks_inside_frame(root)
 
 
 @pytest.mark.filterwarnings("ignore:boundary amplitude at:RuntimeWarning")

@@ -1,9 +1,10 @@
 """Lint: every name a package module imports is used in it or exported in
 its `__all__`, every name in an `__all__` is defined at its module's top
-level, and every module-level definition is exported or referenced
-somewhere in the package.  Read from the source with `ast`, so nothing is
-imported, except by the check that a fresh interpreter leaves heavy modules
-out of `sys.modules`."""
+level, every module-level definition is exported or referenced somewhere in
+the package, and every defaulted parameter of an exported function is set by
+some call in the source, the tests or the benchmark.  Read from the source
+with `ast`, so nothing is imported, except by the check that a fresh
+interpreter leaves heavy modules out of `sys.modules`."""
 
 import ast
 import os
@@ -11,10 +12,14 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Iterable, Optional
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ptnls").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "ptnls").glob("*.py"))
+# every file whose calls may set an option of the package
+CALLERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -90,6 +95,52 @@ def undefined_exports(source: str) -> list[str]:
     return sorted(_exported(tree) - defined)
 
 
+def _options(tree: ast.Module) -> dict[str, dict[str, Optional[int]]]:
+    """For each function named in the module's `__all__`, its parameters
+    with a default, each mapped to its position, or to None if it is
+    keyword-only."""
+    exported = _exported(tree)
+    out = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and stmt.name in exported:
+            a = stmt.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            options = {p.arg: i for i, p in enumerate(positional) if i >= first}
+            options.update({p.arg: None for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                            if d is not None})
+            if options:
+                out[stmt.name] = options
+    return out
+
+
+def unset_options(modules: Iterable[str], callers: Iterable[str]) -> list[str]:
+    """`function.parameter` for each defaulted parameter of a function in a
+    module's `__all__` that no call in `callers` sets.  A call is matched by
+    the called name (`f(...)` or `obj.f(...)`); a positional argument or a
+    keyword sets its parameter, and `*args` or `**kwargs` sets them all."""
+    options: dict[str, dict[str, Optional[int]]] = {}
+    for src in modules:
+        options.update(_options(ast.parse(src)))
+    unset = {(f, p) for f, params in options.items() for p in params}
+    for src in callers:
+        for node in ast.walk(ast.parse(src)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            params = options.get(name, {})
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                given = set(params)
+            else:
+                given = {k.arg for k in node.keywords} | {
+                    p for p, i in params.items() if i is not None and i < len(node.args)}
+            unset -= {(name, p) for p in given}
+    return sorted(f"{f}.{p}" for f, p in unset)
+
+
 def test_lint_flags_an_unused_import():
     src = "import os\nfrom typing import Optional, Union\nx: Optional[int] = os.sep\n"
     assert unused_imports(src) == ["line 2: Union"]
@@ -128,6 +179,23 @@ def test_no_unused_imports(path):
 def test_no_unreferenced_definitions():
     sources = {p.stem: p.read_text("utf-8") for p in SOURCES}
     assert unreferenced_definitions(sources) == []
+
+
+def test_lint_flags_an_option_no_call_sets():
+    module = ("__all__ = ['f', 'g', 'h']\n"
+              "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+              "def g(a=1, b=2): pass\n"
+              "def h(a=1): pass\n"
+              "def _private(a=1): pass\n")
+    assert unset_options([module], []) == ["f.b", "f.c", "f.d", "f.e", "g.a", "g.b", "h.a"]
+    callers = ["f(0, 1, e=5)\nobj.g(**kw)\nh(*args)\n", "f(0, d=None)\n"]
+    assert unset_options([module], callers) == ["f.c"]
+    assert unset_options([module], callers + ["m.f(0, 1, 2)\n"]) == []
+
+
+def test_every_option_has_a_caller():
+    assert unset_options([p.read_text("utf-8") for p in SOURCES],
+                         [p.read_text("utf-8") for p in CALLERS]) == []
 
 
 def test_cli_import_leaves_heavy_modules_out():

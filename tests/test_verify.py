@@ -110,6 +110,22 @@ def test_divergence_raw_comparisons(divergence_reports):
     assert rc2["Tx"].parses is False
 
 
+def test_raw_comparisons_draw_at_the_checks_seed():
+    cat = load_catalog()
+    rep = check_residual(CaseId.CASE2, Kind.ENERGY, seed=1)
+    rc = {c.slot: c for c in rep.raw_comparisons}
+    raw_ru = cat.raw_reading(CaseId.CASE2, Kind.ENERGY, "Ru").expr
+    want = expr_equiv(rep.residual_u, raw_ru, seed=1).worst_rel_error
+    assert rc["Ru"].worst_rel_error == want
+    assert want != expr_equiv(rep.residual_u, raw_ru, seed=0).worst_rel_error
+    rc = {c.slot: c for c in check_divergence(CaseId.CASE1A, Kind.ENERGY, seed=1).raw_comparisons}
+    raw_phi, phi = (read(CaseId.CASE1A, Kind.ENERGY, "PhiT").expr
+                    for read in (cat.raw_reading, cat.corrected_reading))
+    want = expr_equiv(raw_phi, phi, seed=1).worst_rel_error
+    assert rc["PhiT"].worst_rel_error == want
+    assert want != expr_equiv(raw_phi, phi, seed=0).worst_rel_error
+
+
 @pytest.mark.parametrize("case_id", [CaseId.CASE1B, CaseId.CASE1C])
 @pytest.mark.parametrize("kind", list(Kind))
 def test_divergence_unavailable_without_flux(case_id, kind):
@@ -278,18 +294,18 @@ def test_bump_block_sums_each_grid_t_major(index, block):
     # last bits somewhere, so this pins the orientation of the t and x axes
     p = JetSampler(seed=1).batch(len(ALL_BLOCKS), 2).point(index)
     e = _q_dot_e(*block)
-    quad_n, fd_step = 24, 1e-2
+    quad_n = 24
     draws = np.random.default_rng(index).uniform(
         verify._DRAW_LOW, verify._DRAW_HIGH, size=(6, 4))
     bg = verify._PolyBackground(p)
     quad = np.polynomial.legendre.leggauss(quad_n)
     for dep in ("u", "v"):
-        rows, rhs = verify._bump_block(e, ParamValues(), bg, dep, p, draws, quad, fd_step)
+        rows, rhs = verify._bump_block(e, ParamValues(), bg, dep, p, draws, quad)
         assert rows.shape == (len(draws), len(verify._POWERS)) and rhs.shape == (len(draws),)
         swapped = []
         for k, (dt, dx, ft, fx) in enumerate(draws.tolist()):
             args = (e, p, ParamValues(), bg, dep, p.t + dt, p.x + dx,
-                    verify._BUMP_WIDTH * ft, verify._BUMP_WIDTH * fx, fd_step, quad_n)
+                    verify._BUMP_WIDTH * ft, verify._BUMP_WIDTH * fx, verify._FD_STEP, quad_n)
             row, r = _per_bump(*args)
             assert rows[k].tolist() == row and rhs[k] == r, (dep, k)
             swapped.append(_per_bump(*args, indexing="xy"))
