@@ -39,8 +39,8 @@ from .analysis import (DRIFT_FLOOR_FACTOR, DensityAccumulator, DensityUnavailabl
                        _density_expr, default_scan_config, drift_from_timeseries,
                        drift_scan, emit_report)
 from .catalog import CaseId, Kind, load_catalog
-from .jetexpr import (EvalError, JetBatch, ParamValues, ParseError, coord_from_name,
-                      eval_expr, parse_expr, to_text)
+from .jetexpr import (EvalError, JetBatch, JetOrderError, ParamValues, ParseError,
+                      coord_from_name, eval_expr, parse_expr, to_text)
 from .solver import (BlowUpError, BoundaryContaminationError, Gaussian, Grid,
                      GroundState, SolverConfig, TrajectoryWriter, stream_members)
 from .verify import FluxUnavailableError, check_divergence, check_residual
@@ -380,7 +380,7 @@ def cmd_parse_expr(settings: Settings) -> int:
             raise ConfigError(f"--params: unknown parameter {name!r} "
                               f"(expected one of: {', '.join(names)})")
     params = ParamValues(**pvals)
-    batch = JetBatch(np.array([args.t]), np.array([args.x]), e.order,
+    batch = JetBatch(np.array([args.t]), np.array([args.x]),
                      {c: np.array([v]) for c, v in values.items()})
     try:
         value = float(np.asarray(eval_expr(e, batch, params)).ravel()[0])
@@ -475,10 +475,7 @@ def main(argv=None) -> int:
         file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
         settings = Settings(args, file_values)
         return _COMMANDS[args.command](settings)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, ParseError, JetOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FluxUnavailableError as exc:

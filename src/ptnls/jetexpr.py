@@ -19,7 +19,8 @@ The module provides
 
   * a line-oriented text grammar (`parse_expr` / `to_text`) with byte-offset
     error reporting,
-  * pointwise evaluation on scalar jet points or vectorized batches,
+  * vectorized pointwise evaluation on batches of jet points (one point is
+    a batch of one),
   * partial derivatives with respect to any coordinate or parameter, and
     every jet-coordinate partial of an expression from one walk,
   * total derivatives D_t and D_x,
@@ -54,7 +55,7 @@ __all__ = [
     "const", "jet", "add", "sub", "mul", "div", "neg", "pow_", "exp", "erf", "sqrt",
     "parse_expr", "to_text", "eval_expr", "partial", "gradient", "total_derivative",
     "euler_operator", "substitute", "collect_coords", "contains_t_derivative",
-    "nodes", "expr_equiv", "EquivResult", "JetPoint", "JetBatch", "JetSampler",
+    "nodes", "expr_equiv", "EquivResult", "JetBatch", "JetSampler",
     "ParamValues", "complete_coords", "random_polynomial", "EVAL_BLOCK_POINTS",
 ]
 
@@ -744,37 +745,6 @@ def complete_coords(order: int) -> tuple[Jet, ...]:
                  for i in range(order + 1) for j in range(order + 1 - i))
 
 
-@dataclass
-class JetPoint:
-    """One point of the jet space: values for t, x, and every jet coordinate
-    of both dependent variables up to `order`, keyed by `Jet` leaf.  Lookups
-    of coordinates that were never supplied raise, they are never silently
-    zero."""
-
-    t: float
-    x: float
-    order: int
-    values: Mapping[Jet, float]
-
-    def __post_init__(self):
-        missing = [c.name() for c in complete_coords(self.order) if c not in self.values]
-        if missing:
-            raise ValueError(f"jet point is missing coordinates: {', '.join(missing)}")
-
-    @classmethod
-    def from_names(cls, t: float, x: float, order: int, values: Mapping[str, float]) -> "JetPoint":
-        coords = {}
-        for name, val in values.items():
-            c = coord_from_name(name)
-            if c is None:
-                raise ValueError(f"{name!r} does not name a jet coordinate")
-            coords[c] = float(val)
-        return cls(t, x, order, coords)
-
-    def named(self) -> dict[str, float]:
-        return {c.name(): float(v) for c, v in sorted(self.values.items())}
-
-
 # The catalog applies erf to x-only arguments, one grid row at most, so the
 # standard library's erf per element costs little and keeps SciPy off the
 # import path.
@@ -791,11 +761,10 @@ EVAL_BLOCK_POINTS = 16384
 class JetBatch:
     """Vectorized jet points; t, x and the coordinate arrays, keyed by `Jet`
     leaf, broadcast to one shape (a stack of rows may carry t as a column
-    and x as one row)."""
+    and x as one row).  A single point is a batch of one."""
 
     t: np.ndarray
     x: np.ndarray
-    order: int
     values: Mapping[Jet, np.ndarray]
 
     def __len__(self):
@@ -804,16 +773,20 @@ class JetBatch:
                                     *(np.shape(a) for a in self.values.values()))
         return math.prod(shape)
 
-    def point(self, i: int) -> JetPoint:
-        """Point i of a one-dimensional batch."""
-        return JetPoint(float(self.t[i]), float(self.x[i]), self.order,
-                        {c: float(a[i]) for c, a in self.values.items()})
+    def point(self, i: int) -> "JetBatch":
+        """Point i of a one-dimensional batch, as a batch of one."""
+        return JetBatch(self.t[[i]], self.x[[i]], {c: a[[i]] for c, a in self.values.items()})
+
+    def named(self) -> dict[str, float]:
+        """The coordinate values of a batch of one by name, in `Jet` order."""
+        return {c.name(): float(self.values[c][0]) for c in sorted(self.values)}
 
 
 def eval_expr(e: Expr, point, params: Optional[ParamValues] = None):
-    """Evaluate at a JetPoint/JetBatch.  Scalar points give floats, batches
-    give ndarrays.  Missing coordinates, division by zero, sqrt/fractional
-    powers of negative values all raise EvalError."""
+    """Evaluate at a JetBatch: an ndarray, or a float when every value the
+    expression reads is a scalar (constants and parameters alone, say).
+    Missing coordinates, division by zero, sqrt/fractional powers of
+    negative values all raise EvalError."""
     if params is None:
         params = ParamValues()
     val: dict[Expr, object] = {}
@@ -1155,7 +1128,7 @@ class JetSampler:
         if n < 1:
             raise ValueError(f"n must be at least 1, got {n}")
         t, x, draws = _sampler_draws(self.seed, n, order)
-        return JetBatch(t, x, order, dict(zip(complete_coords(order), draws)))
+        return JetBatch(t, x, dict(zip(complete_coords(order), draws)))
 
 
 @dataclass
@@ -1163,7 +1136,7 @@ class EquivResult:
     equal: bool
     worst_rel_error: float
     n: int
-    witness: Optional[JetPoint] = None
+    witness: Optional[JetBatch] = None
 
     def __bool__(self):
         return self.equal

@@ -243,9 +243,8 @@ def make_stepper(cfg: SolverConfig, eps) -> Stepper:
     """The stepper of `cfg` for one eps value, or for a vector of members,
     with a, b and the nonlinear coefficient evaluated from the catalog."""
     case, grid, params = load_catalog().case(cfg.case_id), cfg.grid, cfg.params
-    batch = JetBatch(np.zeros(grid.N), grid.x, 0,
-                     {Jet("u", 0, 0): np.zeros(grid.N),
-                      Jet("v", 0, 0): np.zeros(grid.N)})
+    # the catalog keeps jet coordinates out of a, b and the coefficient
+    batch = JetBatch(np.zeros(grid.N), grid.x, {})
     a, b, coeff = (np.broadcast_to(np.asarray(eval_expr(e, batch, params), float), (grid.N,))
                    for e in (case.a, case.b, case.nonlinearity_coeff))
     return Stepper(grid, cfg.dt, a, b, -params.mu ** 2 * coeff, eps, SCHEMES[cfg.scheme])

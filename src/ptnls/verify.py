@@ -31,7 +31,7 @@ import numpy as np
 
 from .analysis import fit_loglog_slope
 from .catalog import CaseId, Catalog, Kind, PdeSystem, load_catalog
-from .jetexpr import (EVAL_BLOCK_POINTS, Expr, Jet, JetBatch, JetPoint, JetSampler,
+from .jetexpr import (EVAL_BLOCK_POINTS, Expr, Jet, JetBatch, JetSampler,
                       ParamValues, add, complete_coords, euler_operator, eval_expr,
                       expr_equiv, mul, sub, total_derivative)
 
@@ -72,7 +72,7 @@ class ResidualReport:
     n: int
     tol: float
     worst_rel_error: float
-    worst_point: Optional[JetPoint]
+    worst_point: Optional[JetBatch]  # a batch of one
     epsilon_slope: float
     slope_fit_residual: float
     target_derived: bool
@@ -89,7 +89,7 @@ class ResidualReport:
             "n": self.n,
             "tol": self.tol,
             "worst_rel_error": self.worst_rel_error,
-            "worst_point": self.worst_point.named() if self.worst_point else None,
+            "worst_point": self.worst_point.named() if self.worst_point is not None else None,
             "epsilon_slope": self.epsilon_slope,
             "slope_fit_residual": self.slope_fit_residual,
             "target_derived": self.target_derived,
@@ -108,7 +108,7 @@ class DivergenceReport:
     tol: float
     leading_order: float
     slope_fit_residual: float
-    discrepancy_terms: tuple[tuple[JetPoint, float], ...]
+    discrepancy_terms: tuple[tuple[JetBatch, float], ...]  # (a batch of one, error)
     raw_comparisons: tuple[RawComparison, ...] = ()
 
     def as_record(self) -> dict:
@@ -301,15 +301,15 @@ def check_divergence(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-
 # independent variational oracle
 
 
-def complete_point(p: JetPoint, order: int) -> JetPoint:
-    """Extend a jet point with zeros up to `order` (a polynomial background
-    of low degree has vanishing higher derivatives)."""
-    if order < p.order:
+def complete_point(p: JetBatch, order: int) -> JetBatch:
+    """Extend a jet point, a batch of one, with zeros up to `order` (a
+    polynomial background of low degree has vanishing higher derivatives)."""
+    if order < max((c.order for c in p.values), default=0):
         raise ValueError("cannot reduce a jet point's order")
     values = dict(p.values)
     for c in complete_coords(order):
         values.setdefault(c, 0.0)
-    return JetPoint(p.t, p.x, order, values)
+    return JetBatch(p.t, p.x, values)
 
 
 _BUMP_WIDTH = 0.15
@@ -344,23 +344,20 @@ class OracleResult:
     engine_dv: float
     rel_error: float
 
-    def __iter__(self):
-        yield self.du
-        yield self.dv
-
 
 class _PolyBackground:
     """Polynomial fields u0, v0 whose Taylor jets at (t0, x0) equal a given
-    jet point; degree = the point's order, so the point determines the full
-    jet of the background there (higher derivatives vanish)."""
+    jet point, a batch of one; degree = the point's order, so the point
+    determines the full jet of the background there (higher derivatives
+    vanish)."""
 
-    def __init__(self, point: JetPoint):
-        self.t0, self.x0 = point.t, point.x
+    def __init__(self, point: JetBatch):
+        self.t0, self.x0 = point.t[0], point.x[0]
         self.degree = max((c.order for c in point.values), default=0)
         self.coeff = {"u": {}, "v": {}}
         for c, val in point.values.items():
             self.coeff[c.dep][(c.t_order, c.x_order)] = (
-                val / (math.factorial(c.t_order) * math.factorial(c.x_order)))
+                val[0] / (math.factorial(c.t_order) * math.factorial(c.x_order)))
 
     def jets(self, t: np.ndarray, x: np.ndarray,
              coords: Iterable[Jet]) -> dict[Jet, np.ndarray]:
@@ -387,7 +384,7 @@ class _PolyBackground:
 
 
 def _bump_block(e: Expr, params: ParamValues, bg: _PolyBackground, dep: str,
-                p: JetPoint, draws: np.ndarray,
+                p: JetBatch, draws: np.ndarray,
                 quad: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Collocation rows and stencil derivatives of the action for a block of
     bumps on the (nodes, weights) Gauss-Legendre rule `quad`; row k of
@@ -400,7 +397,8 @@ def _bump_block(e: Expr, params: ParamValues, bg: _PolyBackground, dep: str,
     Integrals sum each bump's grid as one C-order row of quad_n^2 values."""
     quad_nodes, quad_weights = quad
     bumps = len(draws)
-    tc, xc = p.t + draws[:, 0, None, None], p.x + draws[:, 1, None, None]
+    t0, x0 = p.t[0], p.x[0]
+    tc, xc = t0 + draws[:, 0, None, None], x0 + draws[:, 1, None, None]
     wt, wx = _BUMP_WIDTH * draws[:, 2, None, None], _BUMP_WIDTH * draws[:, 3, None, None]
     T = tc + wt * quad_nodes[:, None]
     X = xc + wx * quad_nodes[None, :]
@@ -429,24 +427,24 @@ def _bump_block(e: Expr, params: ParamValues, bg: _PolyBackground, dep: str,
         for (i, j), phi in phi_jets.items():
             c = Jet(dep, i, j)
             values[c] = background[c] + s * phi
-        vals = np.asarray(eval_expr(e, JetBatch(T, X, 2, values), params), dtype=float)
+        vals = np.asarray(eval_expr(e, JetBatch(T, X, values), params), dtype=float)
         return row_sums(w2d * vals)
 
     h = _FD_STEP
     rhs = (-action(2 * h) + 8 * action(h) - 8 * action(-h) + action(-2 * h)) / (12 * h)
-    tp = [(T - p.t) ** i for i in range(5)]
-    xp = [(X - p.x) ** j for j in range(5)]
+    tp = [(T - t0) ** i for i in range(5)]
+    xp = [(X - x0) ** j for j in range(5)]
     rows = np.stack([row_sums(w2d * (tp[i] * xp[j]) * phi_jets[(0, 0)])
                      for i, j in _POWERS], axis=-1)
     return rows, rhs
 
 
-def independent_variational_check(e: Expr, p: JetPoint,
+def independent_variational_check(e: Expr, p: JetBatch,
                                   params: Optional[ParamValues] = None,
                                   n_bumps: int = 20, quad_n: int = 24,
                                   seed: int = 0) -> OracleResult:
     """Pointwise variational derivatives (delta e/delta u, delta e/delta v)
-    at p, computed without the symbolic euler machinery.
+    at p, a batch of one, computed without the symbolic euler machinery.
 
     Method: realize p as a polynomial background, perturb one field by
     s*phi for compactly supported C^2 bumps phi, differentiate the action
@@ -468,9 +466,11 @@ def independent_variational_check(e: Expr, p: JetPoint,
     bg = _PolyBackground(p)
 
     engine_u, engine_v = euler_operator(e, max_order=2 * e.order if e.order else 2)
-    point4 = complete_point(p, max(p.order, max(engine_u.order, engine_v.order, 1)))
-    engine_vals = {"u": eval_expr(engine_u, point4, params),
-                   "v": eval_expr(engine_v, point4, params)}
+    point4 = complete_point(p, max(bg.degree, engine_u.order, engine_v.order, 1))
+    # a residual that reads only scalars (constants, the zeros complete_point
+    # adds) evaluates to a float, any other to an array of one value
+    engine_vals = {dep: float(np.ravel(eval_expr(r, point4, params))[0])
+                   for dep, r in (("u", engine_u), ("v", engine_v))}
 
     quad = np.polynomial.legendre.leggauss(quad_n)
     per_block = max(1, EVAL_BLOCK_POINTS // quad_n ** 2)

@@ -78,7 +78,7 @@ def _density_per_snapshot(traj, case_id, kind, form):
     grid = traj.cfg.grid
     out = []
     for state in traj.snapshots:
-        batch = JetBatch(np.full(grid.N, state.t), grid.x, 2, jet_values(state))
+        batch = JetBatch(np.full(grid.N, state.t), grid.x, jet_values(state))
         dens = np.asarray(eval_expr(e, batch, traj.cfg.params), dtype=float)
         out.append(float(grid.dx * np.sum(np.broadcast_to(dens, (grid.N,)))))
     return np.array(out)
@@ -157,7 +157,7 @@ def test_flux_needs_jets_the_solver_does_not_carry():
     cfg = _short_cfg(T_final=0.0)
     state = run(cfg).snapshots[0]
     jets = jet_values(state)
-    batch = JetBatch(np.zeros(cfg.grid.N), cfg.grid.x, 2, jets)
+    batch = JetBatch(np.zeros(cfg.grid.N), cfg.grid.x, jets)
     tx = load_catalog().conserved_vector(CaseId.CASE1A, Kind.ENERGY).Tx
     with pytest.raises(EvalError):
         eval_expr(tx, batch, cfg.params)

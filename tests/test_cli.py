@@ -9,10 +9,11 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from ptnls import __version__, analysis, cli
-from ptnls.catalog import CaseId, Kind
+from ptnls import __version__, analysis, cli, verify
+from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_FLUX_UNAVAILABLE,
                        EXIT_NUMERICAL, EXIT_OK, main)
+from ptnls.jetexpr import JetSampler, complete_coords, coord_from_name, jet
 from ptnls.solver import Grid, SolverConfig, run, write_trajectory_csv
 
 
@@ -86,6 +87,45 @@ def test_divergence_all_skips_missing_fluxes(capsys):
     assert out.count("[skip] divergence") == 4  # case1b and case1c, both kinds
     assert out.count("[ok] divergence") == 4
     assert "[skip] divergence case1c/charge" in out
+
+
+def _assert_sampled_point(named: dict, seed: int, n: int, order: int):
+    """`named` is one point of JetSampler(seed).batch(n, order): every
+    coordinate of that order, in `Jet` order, with that point's values."""
+    coords = sorted(complete_coords(order))
+    assert list(named) == [c.name() for c in coords]
+    batch = JetSampler(seed).batch(n, order)
+    (i,) = np.flatnonzero(batch.values[jet("u")] == named["u"])
+    assert named == {c.name(): batch.values[c][i] for c in coords}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_failing_checks_print_their_sampled_points(capsys, seed):
+    # at tol 1e-300 roundoff fails every block, so each euler record names
+    # its worst point and each divergence record its three worst
+    cat = load_catalog()
+    assert main(["verify-euler", "--seed", str(seed), "--tol", "1e-300"]) == EXIT_CHECK_FAILED
+    records = _json_records(capsys.readouterr().out)
+    assert len(records) == 8
+    for rec in records:
+        case_id, kind = CaseId(rec["case"]), Kind(rec["kind"])
+        ru, rv = verify.euler_residual(case_id, kind)
+        target = cat.residual_target(case_id, kind)
+        point = rec["worst_point"]
+        order = max(coord_from_name(name).order for name in point)
+        # the witness of the u or the v comparison, whichever is worse
+        assert order in (max(ru.order, target.Ru.order), max(rv.order, target.Rv.order))
+        _assert_sampled_point(point, seed, rec["n"], order)
+
+    assert main(["verify-divergence", "--seed", str(seed),
+                 "--tol", "1e-300"]) == EXIT_CHECK_FAILED
+    records = _json_records(capsys.readouterr().out)
+    assert len(records) == 4
+    for rec in records:
+        divergence, qe = verify.divergence_residual(CaseId(rec["case"]), Kind(rec["kind"]))
+        assert len(rec["discrepancies"]) == 3
+        for d in rec["discrepancies"]:
+            _assert_sampled_point(d["point"], seed, rec["n"], max(divergence.order, qe.order))
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +587,12 @@ def test_parse_expr_uses_params(capsys):
 def test_parse_expr_syntax_error(capsys):
     assert main(["parse-expr", "u+*v"]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+def test_parse_expr_over_the_jet_order_limit_is_config_error(capsys):
+    assert main(["parse-expr", "u_xxxxx"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: jet order 5 of 'u_xxxxx' exceeds the limit 4 at offset 0\n")
 
 
 def test_parse_expr_missing_jet_value(capsys):

@@ -20,7 +20,7 @@ from ptnls import jetexpr
 from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import (DEFAULT_MAX_JET_ORDER, Binary, Const,
                            EvalError, Jet, JetBatch, JetOrderError,
-                           JetPoint, JetSampler, ParamValues, ParseError, Sym,
+                           JetSampler, ParamValues, ParseError, Sym,
                            Unary, Var, add, collect_coords, complete_coords, const,
                            contains_t_derivative,
                            coord_from_name, div, erf, euler_operator, eval_expr,
@@ -239,7 +239,7 @@ _ERF_TABLE = [
 def test_erf_against_reference_table():
     e = erf(Var("x"))
     xs = np.array([x for x, _ in _ERF_TABLE])
-    batch = JetBatch(np.zeros_like(xs), xs, 0, {})
+    batch = JetBatch(np.zeros_like(xs), xs, {})
     got = eval_expr(e, batch, ParamValues())
     want = np.array([y for _, y in _ERF_TABLE])
     assert np.max(np.abs(got - want)) < 1e-12
@@ -252,7 +252,7 @@ def test_eval_vectorized_matches_scalar():
     params = ParamValues(eps=0.3, mu=4.0)
     vec = eval_expr(e, batch, params)
     for i in (0, 5, 16):
-        assert eval_expr(e, batch.point(i), params) == pytest.approx(vec[i], rel=1e-15)
+        assert eval_expr(e, batch.point(i), params)[0] == pytest.approx(vec[i], rel=1e-15)
 
 
 def test_eval_shared_child_and_leaf_roots():
@@ -270,7 +270,7 @@ def test_eval_shared_child_and_leaf_roots():
     assert np.array_equal(eval_expr(square, batch), u * u)
     want = (u + v) * (u + v) + ((u + v) - u * u)
     assert np.array_equal(eval_expr(e, batch), want)
-    assert eval_expr(e, batch.point(2)) == want[2]
+    assert np.array_equal(eval_expr(e, batch.point(2)), want[2:3])
     assert eval_expr(U, batch) is u
     assert np.array_equal(eval_expr(Var("x"), batch), batch.x)
     assert eval_expr(Const(2.5), batch) == 2.5
@@ -280,7 +280,7 @@ def test_eval_shared_child_and_leaf_roots():
 def test_eval_frees_intermediates_after_last_use():
     points = 10_000
     rng = np.random.default_rng(0)
-    batch = JetBatch(np.zeros(points), np.zeros(points), 0,
+    batch = JetBatch(np.zeros(points), np.zeros(points),
                      {jet("u", 0, 0): rng.standard_normal(points),
                       jet("v", 0, 0): rng.standard_normal(points)})
     e = U
@@ -298,7 +298,7 @@ def test_eval_frees_intermediates_after_last_use():
 
 def test_batch_length_is_the_broadcast_point_count():
     rows, n = 3, 5
-    batch = JetBatch(np.zeros((rows, 1)), np.zeros(n), 0,
+    batch = JetBatch(np.zeros((rows, 1)), np.zeros(n),
                      {jet("u", 0, 0): np.zeros((rows, n))})
     assert len(batch) == rows * n
     assert len(JetSampler(seed=0).batch(7, 1)) == 7
@@ -306,7 +306,7 @@ def test_batch_length_is_the_broadcast_point_count():
 
 def test_eval_missing_coord_raises():
     e = parse_expr("u_tt")
-    batch = JetBatch(np.array([1.0]), np.array([0.5]), 2,
+    batch = JetBatch(np.array([1.0]), np.array([0.5]),
                      {jet("u", 0, 0): np.array([1.0])})
     with pytest.raises(EvalError, match="u_tt"):
         eval_expr(e, batch, ParamValues())
@@ -323,7 +323,7 @@ def test_eval_missing_coord_raises():
 ])
 def test_eval_domain_errors(text, u, message):
     e = parse_expr(text)
-    point = JetPoint.from_names(1.0, 0.5, 0, {"u": u, "v": 0.0})
+    point = JetBatch(np.array([1.0]), np.array([0.5]), {U: np.array([u]), V: np.zeros(1)})
     with pytest.raises(EvalError, match=message):
         eval_expr(e, point, ParamValues())
 
@@ -340,7 +340,7 @@ def test_integer_powers_are_the_plain_product(p):
     for _ in range(abs(p)):
         product = product * u
     want = 1.0 / product if p < 0 else product
-    got = np.broadcast_to(eval_expr(e, JetBatch(np.zeros(u.size), np.zeros(u.size), 0,
+    got = np.broadcast_to(eval_expr(e, JetBatch(np.zeros(u.size), np.zeros(u.size),
                                                 {U: u})), u.shape)
     np.testing.assert_allclose(got, want, rtol=16 * np.finfo(float).eps, atol=0.0)
     exact = np.isin(u, [-2.0, -1.0, 1.0, 3.0])
@@ -348,29 +348,31 @@ def test_integer_powers_are_the_plain_product(p):
     if p in (2, 3):
         assert np.array_equal(got, want)
     for value, expected in zip(u[::25], want[::25]):
-        scalar = eval_expr(e, JetPoint.from_names(0.0, 0.0, 0, {"u": float(value), "v": 0.0}))
-        assert type(scalar) is float
-        assert scalar == pytest.approx(expected, rel=16 * np.finfo(float).eps, abs=0.0)
+        one = np.broadcast_to(eval_expr(e, JetBatch(np.zeros(1), np.zeros(1),
+                                                    {U: np.array([value]), V: np.zeros(1)})),
+                              (1,))
+        assert one[0] == pytest.approx(expected, rel=16 * np.finfo(float).eps, abs=0.0)
 
 
 def test_power_domain_errors_and_overflow_on_batches():
-    # one bad point fails the batch, as a scalar point fails alone
-    zero_in = JetBatch(np.zeros(3), np.zeros(3), 0, {U: np.array([1.0, 0.0, 2.0])})
+    # one bad point fails the batch, as a point fails alone
+    zero_in = JetBatch(np.zeros(3), np.zeros(3), {U: np.array([1.0, 0.0, 2.0])})
     for expo in (Fraction(-1), Fraction(-2), Fraction(-5), Fraction(-1, 2)):
         with pytest.raises(EvalError, match="zero raised to a negative power"):
             eval_expr(pow_(U, expo), zero_in)
-    negative_in = JetBatch(np.zeros(2), np.zeros(2), 0, {U: np.array([4.0, -1.0])})
+    negative_in = JetBatch(np.zeros(2), np.zeros(2), {U: np.array([4.0, -1.0])})
     for expo in (Fraction(1, 2), Fraction(-3, 2)):
         with pytest.raises(EvalError, match="fractional power of a negative"):
             eval_expr(pow_(U, expo), negative_in)
     # a nonzero base whose power underflows gives inf, as np.power does, on
-    # a scalar point as on a batch
+    # one point as on a batch
     with np.errstate(over="ignore", divide="ignore", under="ignore"):
         tiny = eval_expr(pow_(U, Fraction(-2)),
-                         JetPoint.from_names(0.0, 0.0, 0, {"u": 1e-200, "v": 0.0}))
-        tinies = eval_expr(pow_(U, Fraction(-2)), JetBatch(np.zeros(1), np.zeros(1), 0,
-                                                           {U: np.array([1e-200])}))
-    assert tiny == math.inf and tinies[0] == math.inf
+                         JetBatch(np.zeros(1), np.zeros(1), {U: np.array([1e-200]),
+                                                             V: np.zeros(1)}))
+        tinies = eval_expr(pow_(U, Fraction(-2)), JetBatch(np.zeros(2), np.zeros(2),
+                                                           {U: np.array([1e-200, 2.0])}))
+    assert tiny[0] == math.inf and tinies[0] == math.inf and tinies[1] == 0.25
 
 
 def test_param_values_validation():
@@ -380,15 +382,6 @@ def test_param_values_validation():
     assert p.get("eps") == 0.2
     assert p.replace(mu=3.0).mu == 3.0
     assert p.replace(mu=3.0).eps == 0.2
-
-
-def test_jet_point_completeness():
-    with pytest.raises(ValueError):
-        JetPoint.from_names(0.0, 1.0, 1, {"u": 1.0, "v": 2.0, "u_x": 0.5})
-    p = JetPoint.from_names(0.0, 1.0, 1,
-                            {"u": 1.0, "v": 2.0, "u_t": 0.0, "v_t": 0.0,
-                             "u_x": 0.5, "v_x": -1.0})
-    assert p.named()["u_x"] == 0.5
 
 
 def _batch_per_coordinate(sampler, n, order):
@@ -412,7 +405,7 @@ def test_jet_sampler_batch_matches_per_coordinate_draws(seed, n, order):
     sampler = JetSampler(seed=seed)
     batch = sampler.batch(n, order)
     t, x, values = _batch_per_coordinate(sampler, n, order)
-    assert batch.order == order and len(batch) == n
+    assert len(batch) == n
     assert np.array_equal(batch.t, t) and np.array_equal(batch.x, x)
     assert list(batch.values) == list(values)  # same coordinates, same order
     for c, want in values.items():

@@ -397,7 +397,7 @@ def test_boundary_proximity_warns_once():
 def _on_shell_rates(state, cfg):
     """u_t and v_t of the state from the catalog's E1/E2, put on shell."""
     system = load_catalog().build_system(cfg.case_id)
-    batch = JetBatch(np.full(cfg.grid.N, state.t), cfg.grid.x, 2, jet_values(state))
+    batch = JetBatch(np.full(cfg.grid.N, state.t), cfg.grid.x, jet_values(state))
     return [eval_expr(system.on_shell(jet(dep, 1, 0)), batch, cfg.params) for dep in "uv"]
 
 

@@ -226,7 +226,7 @@ def _per_bump(e, p, params, bg, dep, tc, xc, wt, wx, fd_step, quad_n, indexing="
             if c.dep == dep:
                 arr = arr + s * phi[(c.t_order, c.x_order)]
             values[c] = arr
-        vals = np.asarray(eval_expr(e, JetBatch(Tf, Xf, 2, values), params), dtype=float)
+        vals = np.asarray(eval_expr(e, JetBatch(Tf, Xf, values), params), dtype=float)
         return float(np.sum(w2d * np.broadcast_to(vals, w2d.shape)))
 
     h = fd_step
