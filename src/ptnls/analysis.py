@@ -24,13 +24,13 @@ import numpy as np
 from . import __version__
 from .catalog import CaseId, Kind, load_catalog
 from .jetexpr import EVAL_BLOCK_POINTS, Expr, JetBatch, eval_expr
-from .solver import (FieldState, Gaussian, Sample, SolverConfig, Trajectory,
-                     _fmt as _g, integrate, jet_values, stream_members)
+from .solver import (Gaussian, Sample, SolverConfig, Trajectory, fmt17, integrate,
+                     jet_values, stream_members)
 
 __all__ = [
     "DensityUnavailableError", "DensityTimeseries", "DensityAccumulator", "DriftMember",
     "DriftReport",
-    "density_timeseries", "drift_from_timeseries", "drift_scan",
+    "density_expr", "density_timeseries", "drift_from_timeseries", "drift_scan",
     "default_scan_config", "fit_loglog_slope", "emit_report",
     "write_drift_csv", "write_slope_csv", "write_timeseries_csv",
     "DRIFT_CSV_HEADER", "SLOPE_CSV_HEADER",
@@ -60,7 +60,7 @@ class DensityUnavailableError(ValueError):
 
 
 @functools.cache
-def _density_expr(case_id: CaseId, kind: Kind, form: str) -> Expr:
+def density_expr(case_id: CaseId, kind: Kind, form: str) -> Expr:
     """The block's density in `form`, on shell; reduced once per process
     (the catalog is immutable)."""
     if form not in ("Tt", "PhiT"):
@@ -80,8 +80,7 @@ def _block_integrals(exprs: Sequence[Expr], t: np.ndarray, q: np.ndarray, grid,
                      params) -> list[np.ndarray]:
     """dx * sum_j density(t_k, x_j, jets) of each expression at each row k of
     q, (rows, N), at the times t, (rows, 1): one jet_values call for all."""
-    block = FieldState(t, q, grid)
-    batch = JetBatch(block.t, grid.x, jet_values(block))
+    batch = JetBatch(t, grid.x, jet_values(q, grid))
     return [integrate(grid, np.broadcast_to(np.asarray(eval_expr(e, batch, params),
                                                        dtype=float), q.shape))
             for e in exprs]
@@ -97,7 +96,7 @@ class DensityAccumulator:
     def __init__(self, cfg: SolverConfig, eps_values: Sequence[float],
                  kinds: Sequence[Kind], form: str = "Tt"):
         self.cfg, self.kinds, self.form = cfg, list(kinds), form
-        self.exprs = [_density_expr(cfg.case_id, kind, form) for kind in self.kinds]
+        self.exprs = [density_expr(cfg.case_id, kind, form) for kind in self.kinds]
         self.params = [cfg.params.replace(eps=float(e)) for e in eps_values]
         rows = max(1, EVAL_BLOCK_POINTS // cfg.grid.N)
         self.block = np.empty((len(eps_values), rows, cfg.grid.N), complex)
@@ -139,16 +138,16 @@ class DensityAccumulator:
 
 def density_timeseries(traj: Trajectory, case_id: CaseId, kind: Kind,
                        form: str = "Tt") -> DensityTimeseries:
-    """Q(t) along a collected trajectory, its snapshots fed to a one-member
-    DensityAccumulator.  No command calls it: the benchmark's tracer
-    (`perfbench/tracing.py`) wraps it by name."""
+    """Q(t) along a collected trajectory: its snapshots, one-member Samples,
+    fed as they are to a one-member DensityAccumulator.  No command calls
+    it: the benchmark's tracer (`perfbench/tracing.py`) wraps it by name."""
     cfg = traj.cfg
     if case_id is not cfg.case_id:
         raise ValueError(f"trajectory was integrated for {cfg.case_id.value}, "
                          f"not {case_id.value}")
     densities = DensityAccumulator(cfg, [cfg.params.eps], [kind], form)
-    for state in traj.snapshots:
-        densities.add(Sample(state.t, np.zeros(1, int), state.q[None]))
+    for sample in traj.snapshots:
+        densities.add(sample)
     [[series]] = densities.series([None])
     return series
 
@@ -182,9 +181,14 @@ class DriftReport:
     slope: Optional[float]
     intercept: Optional[float]
     fit_residual: Optional[float]
-    slope_valid: bool
     fit_members: int
     sample_every: int  # steps between the snapshots the densities were taken at
+
+    @property
+    def slope_valid(self) -> bool:
+        """Whether at least MIN_FIT_MEMBERS members rose above the floor, so
+        a slope was fitted."""
+        return self.slope is not None
 
 
 def default_scan_config(case_id: CaseId) -> SolverConfig:
@@ -257,12 +261,11 @@ def drift_scan(case_id: CaseId, kinds: Sequence[Kind], eps_list: Sequence[float]
         floor = members[0].drift_rel
         fit = _qualifying(members, floor)
         slope = intercept = residual = None
-        slope_valid = len(fit) >= MIN_FIT_MEMBERS
-        if slope_valid:
+        if len(fit) >= MIN_FIT_MEMBERS:
             slope, intercept, residual = fit_loglog_slope(
                 [m.eps for m in fit], [m.drift_rel for m in fit])
         reports.append(DriftReport(case_id, kind, form, cfg, tuple(members), floor,
-                                   slope, intercept, residual, slope_valid, len(fit),
+                                   slope, intercept, residual, len(fit),
                                    sample_every))
     return reports
 
@@ -291,8 +294,9 @@ def _config_lines(cfg: SolverConfig, extra: Sequence[str] = ()) -> list[str]:
     return [
         f"version={__version__}",
         f"case={cfg.case_id.value}",
-        f"eps={_g(p.eps)} mu={_g(p.mu)} sigma={_g(p.sigma)} alpha={_g(p.alpha)} g={_g(p.g)}",
-        f"N={cfg.grid.N} L={_g(cfg.grid.L)} dt={_g(cfg.dt)} T_final={_g(cfg.T_final)}"
+        f"eps={fmt17(p.eps)} mu={fmt17(p.mu)} sigma={fmt17(p.sigma)} alpha={fmt17(p.alpha)}"
+        f" g={fmt17(p.g)}",
+        f"N={cfg.grid.N} L={fmt17(cfg.grid.L)} dt={fmt17(cfg.dt)} T_final={fmt17(cfg.T_final)}"
         f" scheme={cfg.scheme}",
         f"initial={cfg.initial!r}",
         *extra,
@@ -317,12 +321,12 @@ def write_drift_csv(reports: Sequence[DriftReport], path,
             p = rep.cfg.params
             for m in rep.members:
                 if m.failed:
-                    fh.write(f"# failed eps={_g(m.eps)}: {m.error}\n")
+                    fh.write(f"# failed eps={fmt17(m.eps)}: {m.error}\n")
                 fh.write(",".join([
-                    rep.case_id.value, rep.kind.value, _g(m.eps), _g(p.mu),
-                    _g(p.sigma), _g(p.alpha), _g(p.g), str(rep.cfg.grid.N),
-                    _g(rep.cfg.grid.L), _g(rep.cfg.dt), _g(rep.cfg.T_final),
-                    _g(m.Q0), _g(m.drift_abs), _g(m.drift_rel)]) + "\n")
+                    rep.case_id.value, rep.kind.value, fmt17(m.eps), fmt17(p.mu),
+                    fmt17(p.sigma), fmt17(p.alpha), fmt17(p.g), str(rep.cfg.grid.N),
+                    fmt17(rep.cfg.grid.L), fmt17(rep.cfg.dt), fmt17(rep.cfg.T_final),
+                    fmt17(m.Q0), fmt17(m.drift_abs), fmt17(m.drift_rel)]) + "\n")
 
 
 def write_slope_csv(reports: Sequence[DriftReport], path,
@@ -332,11 +336,11 @@ def write_slope_csv(reports: Sequence[DriftReport], path,
         fh.write(SLOPE_CSV_HEADER + "\n")
         for rep in reports:
             if rep.slope_valid:
-                row = [rep.case_id.value, rep.kind.value, _g(rep.slope),
-                       _g(rep.intercept), _g(rep.fit_residual), _g(rep.floor)]
+                row = [rep.case_id.value, rep.kind.value, fmt17(rep.slope),
+                       fmt17(rep.intercept), fmt17(rep.fit_residual), fmt17(rep.floor)]
             else:
                 row = [rep.case_id.value, rep.kind.value, "nan", "nan", "nan",
-                       _g(rep.floor)]
+                       fmt17(rep.floor)]
             fh.write(",".join(row) + "\n")
 
 
@@ -349,7 +353,7 @@ def write_timeseries_csv(series: Sequence[DensityTimeseries], path,
         for ts in series:
             for t, q in zip(ts.times, ts.values):
                 fh.write(",".join([ts.case_id.value, ts.kind.value, ts.form,
-                                   _g(ts.eps), _g(t), _g(q)]) + "\n")
+                                   fmt17(ts.eps), fmt17(t), fmt17(q)]) + "\n")
 
 
 # SVG emission: hand-rolled line charts, 800x500, config embedded as metadata.

@@ -35,9 +35,9 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import __version__
-from .analysis import (DRIFT_FLOOR_FACTOR, DensityAccumulator, DensityUnavailableError,
-                       _density_expr, default_scan_config, drift_from_timeseries,
-                       drift_scan, emit_report)
+from .analysis import (DRIFT_FLOOR_FACTOR, MIN_FIT_MEMBERS, DensityAccumulator,
+                       DensityUnavailableError, default_scan_config, density_expr,
+                       drift_from_timeseries, drift_scan, emit_report)
 from .catalog import CaseId, Kind, load_catalog
 from .jetexpr import (EvalError, JetBatch, JetOrderError, ParamValues, ParseError,
                       coord_from_name, eval_expr, parse_expr, to_text)
@@ -276,8 +276,8 @@ def _parse_eps_grid(text: str) -> list[float]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad eps-grid {text!r}: {exc}") from None
-    if start <= 0 or stop <= start or count < 2:
-        raise ConfigError("eps-grid needs 0 < start < stop and count >= 2")
+    if start <= 0 or stop <= start or count < MIN_FIT_MEMBERS:
+        raise ConfigError(f"eps-grid needs 0 < start < stop and count >= {MIN_FIT_MEMBERS}")
     return list(np.logspace(np.log10(start), np.log10(stop), count))
 
 
@@ -296,7 +296,7 @@ def cmd_drift_scan(settings: Settings) -> int:
     skipped = {}
     for block in blocks:
         try:
-            _density_expr(*block, form)
+            density_expr(*block, form)
         except DensityUnavailableError as exc:
             if explicit:
                 raise

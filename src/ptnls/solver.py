@@ -15,7 +15,9 @@ discrete L2 norm is conserved to rounding.  The scheme is Strang splitting
 
 Every run steps an ensemble: members that differ only in eps are the rows
 of one (members, N) array, and a single run is an ensemble of one.  Each
-row's arithmetic is that of a run of its own, bit for bit.
+row's arithmetic is that of a run of its own, bit for bit.  A sampled field
+is a `Sample` everywhere; the field helpers (`initial_condition`,
+`jet_values`, `resample`) take and return plain arrays.
 
 Stepping is a stream: `stream_members` yields each sample of the live
 members as it is reached and holds only the current step, whatever T_final
@@ -23,8 +25,9 @@ or the sample count.  It holds the field's spectrum: a step maps spectrum
 to spectrum in 2 FFTs per substep (2 for Strang, 6 for Yoshida), and the
 field is transformed back once per sample.  Consumers that reduce samples
 as they come (the drift scans, `ptnls simulate`) keep memory at that bound.
-`run` collects one member's stream into a Trajectory.  No command calls it
-or `write_trajectory_csv`: the benchmark's tracer wraps them by name.
+`run` collects one member's stream into a Trajectory, a list of the
+one-member Samples it yields.  No command calls it or
+`write_trajectory_csv`: the benchmark's tracer wraps them by name.
 
 The grid is periodic on [-L, L) with nodes offset by half a cell so that
 x = 0 is never a node; several cataloged densities carry 1/x^k prefactors
@@ -46,10 +49,10 @@ from .catalog import CaseId, load_catalog
 from .jetexpr import Jet, JetBatch, ParamValues, eval_expr
 
 __all__ = [
-    "Grid", "FieldState", "Gaussian", "GroundState", "SCHEMES", "SolverConfig", "Stepper",
+    "Grid", "Gaussian", "GroundState", "SCHEMES", "SolverConfig", "Stepper",
     "Trajectory", "Sample", "BlowUpError", "BoundaryContaminationError",
     "initial_condition", "make_stepper", "stream_members", "run",
-    "integrate", "resample", "jet_values", "TrajectoryWriter", "write_trajectory_csv",
+    "integrate", "resample", "jet_values", "TrajectoryWriter", "write_trajectory_csv", "fmt17",
 ]
 
 BOUNDARY_WARN = 1e-8
@@ -106,17 +109,6 @@ class Grid:
         return 2.0 * math.pi * np.fft.fftfreq(self.N, d=self.dx)
 
 
-@dataclass
-class FieldState:
-    """The field q = u + iv on the grid at time t.  q may stack rows as
-    (rows, N): ensemble members at one time, or snapshots with t a
-    (rows, 1) column of their times."""
-
-    t: float
-    q: np.ndarray
-    grid: Grid
-
-
 @dataclass(frozen=True)
 class Gaussian:
     """A e^{-(x-x0)^2 / (2 w^2)}, real and nodeless."""
@@ -171,7 +163,8 @@ class SolverConfig:
         return int(round(self.T_final / self.dt))
 
 
-def initial_condition(cfg: SolverConfig) -> FieldState:
+def initial_condition(cfg: SolverConfig) -> np.ndarray:
+    """The field q = u + iv at t = 0 on the grid's nodes, complex (N,)."""
     x = cfg.grid.x
     if isinstance(cfg.initial, GroundState):
         q = math.pi ** -0.25 * np.exp(-x ** 2 / 2.0)
@@ -180,7 +173,7 @@ def initial_condition(cfg: SolverConfig) -> FieldState:
         q = g.amplitude * np.exp(-(x - g.center) ** 2 / (2.0 * g.width ** 2))
     else:
         raise TypeError(f"unsupported initial data: {cfg.initial!r}")
-    return FieldState(0.0, q.astype(complex), cfg.grid)
+    return q.astype(complex)
 
 
 class Stepper:
@@ -250,22 +243,6 @@ def make_stepper(cfg: SolverConfig, eps) -> Stepper:
     return Stepper(grid, cfg.dt, a, b, -params.mu ** 2 * coeff, eps, SCHEMES[cfg.scheme])
 
 
-@dataclass
-class Trajectory:
-    cfg: SolverConfig
-    snapshots: list[FieldState]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
-
-    def __iter__(self):
-        return iter(self.snapshots)
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-
 # the modules that step and reduce the stream; a solver warning names the
 # first frame outside them: the caller of run or drift_scan, or the loop over
 # stream_members
@@ -301,7 +278,8 @@ def _check_boundary(t: float, q: np.ndarray, warned: list) -> Optional[Exception
 @dataclass(frozen=True)
 class Sample:
     """The live members' fields at one sampled time: row r of q, (rows, N),
-    is member members[r] (indices into the stream's eps values, ascending)."""
+    is member members[r] (indices into the stream's eps values, ascending).
+    A collected run (`Trajectory`) is a list of one-member Samples."""
 
     t: float
     members: np.ndarray
@@ -327,7 +305,7 @@ def stream_members(cfg: SolverConfig, eps_values: Sequence[float], sample_every:
         raise ValueError("sample_every must be at least 1")
     steps = cfg.steps
     stepper = make_stepper(cfg, eps_values)
-    q = np.tile(initial_condition(cfg).q, (len(eps_values), 1))  # the t = 0 sample
+    q = np.tile(initial_condition(cfg), (len(eps_values), 1))  # the t = 0 sample
     qhat = np.fft.fft(q)
     alive = np.arange(len(eps_values))  # the member of each row of qhat and q
     warned: list[list] = [[] for _ in eps_values]
@@ -359,13 +337,21 @@ def stream_members(cfg: SolverConfig, eps_values: Sequence[float], sample_every:
             yield Sample(t, alive, q)
 
 
+@dataclass
+class Trajectory:
+    """A collected run: the one-member Samples of its stream, in time order."""
+
+    cfg: SolverConfig
+    snapshots: list[Sample]
+
+
 def run(cfg: SolverConfig, sample_every: int = 50) -> Trajectory:
     """Integrate to T_final, keeping a snapshot every `sample_every` steps
     (plus the initial and final states): the stream of an ensemble of one,
-    collected whole.  The error that ends the run is raised."""
+    collected whole as its one-member Samples (the field is `q[0]`).  The
+    error that ends the run is raised."""
     errors = [None]
-    snapshots = [FieldState(s.t, s.q[0], cfg.grid)
-                 for s in stream_members(cfg, [cfg.params.eps], sample_every, errors)]
+    snapshots = list(stream_members(cfg, [cfg.params.eps], sample_every, errors))
     if errors[0] is not None:
         raise errors[0]
     return Trajectory(cfg, snapshots)
@@ -377,38 +363,38 @@ def integrate(grid: Grid, values: np.ndarray):
     return grid.dx * np.sum(values, axis=-1)
 
 
-def resample(state: FieldState, grid: Grid) -> FieldState:
-    """Evaluate the trigonometric interpolant of the state on another grid
-    with the same box.  Exact for resolved fields; the half-cell offset
-    means grids of different N share no nodes, so comparisons across
-    resolutions go through this."""
-    src = state.grid
+def resample(q: np.ndarray, src: Grid, grid: Grid) -> np.ndarray:
+    """Evaluate the trigonometric interpolant of the field q on `src` at the
+    nodes of another grid with the same box.  Exact for resolved fields; the
+    half-cell offset means grids of different N share no nodes, so
+    comparisons across resolutions go through this.  Each row of a stacked
+    q, (rows, src.N), gives the same row of the (rows, grid.N) result."""
     if grid.L != src.L:
         raise ValueError("resample requires the same box half-width L")
-    c = np.fft.fft(state.q) / src.N
+    c = np.fft.fft(q) / src.N
     # samples live at src.x[0] + j dx, so the interpolant is
     # sum_k c_k e^{i k (y - src.x[0])}
-    phase = np.exp(1j * np.outer(grid.x - src.x[0], src.k))
-    return FieldState(state.t, phase @ c, grid)
+    return c @ np.exp(1j * np.outer(src.k, grid.x - src.x[0]))
 
 
-def jet_values(state: FieldState) -> dict[Jet, np.ndarray]:
-    """The x-jets of the field on the grid, to order 2, taken spectrally.
+def jet_values(q: np.ndarray, grid: Grid) -> dict[Jet, np.ndarray]:
+    """The x-jets of the field q on the grid, to order 2, taken spectrally.
     A density's t-jets are eliminated on shell through the catalog's E1/E2
     (`PdeSystem.on_shell`) before it is evaluated on these.  Each row of a
-    stacked state gives the same row of every array."""
-    grid = state.grid
-    qh = np.fft.fft(state.q)
+    stacked q, (rows, N), gives the same row of every array, so a Sample's
+    q, one-member ones from a collected run included, goes in as it is."""
+    qh = np.fft.fft(q)
     dq = np.fft.ifft(1j * grid.k * qh)
     d2q = np.fft.ifft(-grid.k ** 2 * qh)
     return {
-        Jet("u", 0, 0): state.q.real, Jet("v", 0, 0): state.q.imag,
+        Jet("u", 0, 0): q.real, Jet("v", 0, 0): q.imag,
         Jet("u", 0, 1): dq.real, Jet("v", 0, 1): dq.imag,
         Jet("u", 0, 2): d2q.real, Jet("v", 0, 2): d2q.imag,
     }
 
 
-def _fmt(value: float) -> str:
+def fmt17(value: float) -> str:
+    """A float in 17 significant digits, which round-trips it."""
     return format(value, ".17g")
 
 
@@ -421,18 +407,18 @@ class TrajectoryWriter:
         self.fh = fh
         for line in header_lines:
             fh.write(f"# {line}\n")
-        fh.write(f"# case={cfg.case_id.value} N={cfg.grid.N} L={_fmt(cfg.grid.L)}"
-                 f" dt={_fmt(cfg.dt)} T_final={_fmt(cfg.T_final)}\n")
+        fh.write(f"# case={cfg.case_id.value} N={cfg.grid.N} L={fmt17(cfg.grid.L)}"
+                 f" dt={fmt17(cfg.dt)} T_final={fmt17(cfg.T_final)}\n")
         p = cfg.params
-        fh.write(f"# eps={_fmt(p.eps)} mu={_fmt(p.mu)} sigma={_fmt(p.sigma)}"
-                 f" alpha={_fmt(p.alpha)} g={_fmt(p.g)}\n")
+        fh.write(f"# eps={fmt17(p.eps)} mu={fmt17(p.mu)} sigma={fmt17(p.sigma)}"
+                 f" alpha={fmt17(p.alpha)} g={fmt17(p.g)}\n")
         fh.write("t,x,re_q,im_q\n")
         # one %-format per snapshot; "%.17g" prints what format(v, ".17g") does
-        self.rows = [f",{_fmt(xj)},%.17g,%.17g\n" for xj in cfg.grid.x]
+        self.rows = [f",{fmt17(xj)},%.17g,%.17g\n" for xj in cfg.grid.x]
 
     def write(self, t: float, q: np.ndarray) -> None:
         """The rows of the snapshot q, one field of N nodes, at time t."""
-        t = _fmt(t)
+        t = fmt17(t)
         self.fh.write((t + t.join(self.rows)) % tuple(q.view(float).tolist()))
 
 
@@ -440,5 +426,5 @@ def write_trajectory_csv(traj: Trajectory, path, header_lines=()) -> None:
     """A trajectory's snapshots as a TrajectoryWriter CSV."""
     with open(path, "w") as fh:
         writer = TrajectoryWriter(fh, traj.cfg, header_lines)
-        for state in traj.snapshots:
-            writer.write(state.t, state.q)
+        for s in traj.snapshots:
+            writer.write(s.t, s.q[0])

@@ -128,9 +128,9 @@ def test_criterion_06_ground_state_stationary():
                        params=ParamValues(eps=0.0, mu=0.0),
                        dt=1e-3, T_final=5.0, initial=GroundState())
     traj = run(cfg)
-    q0 = initial_condition(cfg).q
-    err = max(float(np.max(np.abs(s.q - q0 * np.exp(-0.5j * s.t))))
-              for s in traj)
+    q0 = initial_condition(cfg)
+    err = max(float(np.max(np.abs(s.q[0] - q0 * np.exp(-0.5j * s.t))))
+              for s in traj.snapshots)
     elapsed = time.perf_counter() - t0
     ok = err < 1e-6 and elapsed < 30.0
     _verdict("criterion 6", ok,

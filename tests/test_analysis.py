@@ -18,9 +18,9 @@ from ptnls.analysis import (DRIFT_CSV_HEADER, SLOPE_CSV_HEADER,
                             write_timeseries_csv)
 from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import EVAL_BLOCK_POINTS, EvalError, JetBatch, ParamValues, eval_expr
-from ptnls.solver import (BlowUpError, BoundaryContaminationError, FieldState,
-                          Gaussian, Grid, GroundState, SolverConfig, Trajectory,
-                          jet_values, run, stream_members)
+from ptnls.solver import (BlowUpError, BoundaryContaminationError, Gaussian, Grid,
+                          GroundState, Sample, SolverConfig, Trajectory, jet_values, run,
+                          stream_members)
 
 EPS_LIST = [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1]
 
@@ -78,7 +78,7 @@ def _density_per_snapshot(traj, case_id, kind, form):
     grid = traj.cfg.grid
     out = []
     for state in traj.snapshots:
-        batch = JetBatch(np.full(grid.N, state.t), grid.x, jet_values(state))
+        batch = JetBatch(np.full(grid.N, state.t), grid.x, jet_values(state.q[0], grid))
         dens = np.asarray(eval_expr(e, batch, traj.cfg.params), dtype=float)
         out.append(float(grid.dx * np.sum(np.broadcast_to(dens, (grid.N,)))))
     return np.array(out)
@@ -96,15 +96,16 @@ _STACKS = ([(c, k, f, 256, 0.1) for c, k, f in _cataloged_densities()]
 def test_stacked_density_matches_per_snapshot_loop(case_id, kind, form, n, t_final):
     traj = run(_short_cfg(case_id, T_final=t_final, grid=Grid(N=n)), sample_every=1)
     rows = EVAL_BLOCK_POINTS // n
-    assert len(traj) > rows and len(traj) % rows  # a full block and a partial one
+    count = len(traj.snapshots)
+    assert count > rows and count % rows  # a full block and a partial one
     ts = density_timeseries(traj, case_id, kind, form)
-    assert np.array_equal(ts.times, traj.times)
+    assert np.array_equal(ts.times, [s.t for s in traj.snapshots])
     assert np.array_equal(ts.values, _density_per_snapshot(traj, case_id, kind, form))
 
 
 def test_zero_field_has_zero_density():
     cfg = _short_cfg()
-    states = [FieldState(0.1 * i, np.zeros(cfg.grid.N, complex), cfg.grid)
+    states = [Sample(0.1 * i, np.zeros(1, int), np.zeros((1, cfg.grid.N), complex))
               for i in range(3)]
     ts = density_timeseries(Trajectory(cfg, states), CaseId.CASE1A, Kind.ENERGY)
     assert np.all(ts.values == 0.0)
@@ -156,7 +157,7 @@ def test_flux_needs_jets_the_solver_does_not_carry():
     # is why fluxes are not offered as scan densities
     cfg = _short_cfg(T_final=0.0)
     state = run(cfg).snapshots[0]
-    jets = jet_values(state)
+    jets = jet_values(state.q[0], cfg.grid)
     batch = JetBatch(np.zeros(cfg.grid.N), cfg.grid.x, jets)
     tx = load_catalog().conserved_vector(CaseId.CASE1A, Kind.ENERGY).Tx
     with pytest.raises(EvalError):

@@ -426,12 +426,12 @@ def test_drift_scan_checks_every_named_block_before_stepping(tmp_path, capsys,
     def lookup(case_id, kind, form):
         if kind.value == "charge":
             raise analysis.DensityUnavailableError(f"{case_id.value}/{kind.value}")
-        return analysis._density_expr(case_id, kind, form)
+        return analysis.density_expr(case_id, kind, form)
 
     def no_stepping(*args, **kwargs):
         raise AssertionError("members were stepped")
 
-    monkeypatch.setattr(cli, "_density_expr", lookup)
+    monkeypatch.setattr(cli, "density_expr", lookup)
     monkeypatch.setattr(analysis, "stream_members", no_stepping)
     out_dir = tmp_path / "scan"
     assert main(["drift-scan", "--case", "1a", *QUICK_SCAN,
@@ -538,6 +538,17 @@ def test_drift_scan_rejects_bad_eps_grid(tmp_path, capsys):
     assert main(base + ["--eps-grid", "1e-3:1e-1"]) == EXIT_CONFIG
     assert main(base + ["--eps-grid", "a:b:4"]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_eps_grid_needs_as_many_values_as_a_fit(tmp_path, capsys):
+    # a scan fits its slope over at least MIN_FIT_MEMBERS members, so three
+    # eps values are refused where the grid is parsed, before anything runs
+    out_dir = tmp_path / "scan"
+    assert main(["drift-scan", "--eps-grid", "1e-3:1e-1:3",
+                 "--out-dir", str(out_dir)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: eps-grid needs 0 < start < stop and count >= {analysis.MIN_FIT_MEMBERS}\n")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", [["simulate", "--case", "1a"],

@@ -1,7 +1,8 @@
 """Lint: every name a package module imports is used in it or exported in
-its `__all__`, every name in an `__all__` is defined at its module's top
-level, every module-level definition is exported or referenced somewhere in
-the package, and every defaulted parameter of an exported function is set by
+its `__all__`, no package module imports another's private name (test files
+may), every name in an `__all__` is defined at its module's top level,
+every module-level definition is exported or referenced somewhere in the
+package, and every defaulted parameter of an exported function is set by
 some call in the source, the tests or the benchmark.  Read from the source
 with `ast`, so nothing is imported, except by the check that a fresh
 interpreter leaves heavy modules out of `sys.modules`."""
@@ -46,6 +47,16 @@ def unused_imports(source: str) -> list[str]:
     exported = _exported(tree)
     return [f"line {line}: {name}" for name, line in sorted(imported.items())
             if name not in used and name not in exported]
+
+
+def private_imports(source: str) -> list[str]:
+    """`line n: name` for each private name, one with a leading underscore
+    that is not a dunder, taken by a relative import from another package
+    module."""
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
 
 
 def _defined_names(stmt: ast.stmt) -> list[str]:
@@ -147,6 +158,13 @@ def test_lint_flags_an_unused_import():
     assert unused_imports("from math import pi\n__all__ = ['pi']\n") == []
 
 
+def test_lint_flags_a_private_import():
+    src = ("from __future__ import annotations\nfrom . import __version__\n"
+           "from .a import pub, _priv as _p\nfrom math import _private_ok\n"
+           "from ..b import (x,\n    _y)\n")
+    assert private_imports(src) == ["line 3: _priv", "line 5: _y"]
+
+
 def test_lint_flags_an_unreferenced_definition():
     sources = {
         "a": "__all__ = ['pub']\ndef pub(): return _used()\ndef _used(): pass\n"
@@ -174,6 +192,11 @@ def test_no_undefined_exports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text("utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text("utf-8")) == []
 
 
 def test_no_unreferenced_definitions():

@@ -12,10 +12,10 @@ from ptnls.analysis import density_timeseries, drift_from_timeseries
 from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import (JetBatch, ParamValues, Sym, eval_expr, expr_equiv, jet,
                            parse_expr)
-from ptnls.solver import (SCHEMES, BlowUpError, BoundaryContaminationError, FieldState,
-                          Gaussian, Grid, GroundState, SolverConfig, Stepper,
-                          initial_condition, integrate, jet_values, make_stepper,
-                          resample, run, stream_members, write_trajectory_csv)
+from ptnls.solver import (SCHEMES, BlowUpError, BoundaryContaminationError, Gaussian,
+                          Grid, GroundState, SolverConfig, Stepper, initial_condition,
+                          integrate, jet_values, make_stepper, resample, run,
+                          stream_members, write_trajectory_csv)
 
 
 def _linear_cfg(**kw):
@@ -63,11 +63,12 @@ def test_config_validation():
 
 def test_initial_conditions():
     cfg = _linear_cfg()
-    state = initial_condition(cfg)
-    assert state.t == 0.0
-    assert integrate(cfg.grid, np.abs(state.q) ** 2) == pytest.approx(1.0, abs=1e-12)
+    q = initial_condition(cfg)
+    first = next(stream_members(cfg, [0.0], 1, [None]))
+    assert first.t == 0.0 and np.array_equal(first.q[0], q)
+    assert integrate(cfg.grid, np.abs(q) ** 2) == pytest.approx(1.0, abs=1e-12)
     gauss = initial_condition(_linear_cfg(initial=Gaussian(2.0, 0.5, 1.0)))
-    peak = np.argmax(np.abs(gauss.q))
+    peak = np.argmax(np.abs(gauss))
     assert abs(cfg.grid.x[peak] - 1.0) < cfg.grid.dx
     with pytest.raises(TypeError):
         initial_condition(_linear_cfg(initial="gaussian"))  # type: ignore[arg-type]
@@ -75,7 +76,7 @@ def test_initial_conditions():
 
 def test_zero_time_run_returns_initial_state_only():
     traj = run(_linear_cfg(T_final=0.0))
-    assert len(traj) == 1 and traj.snapshots[0].t == 0.0
+    assert len(traj.snapshots) == 1 and traj.snapshots[0].t == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,27 @@ def test_free_plane_wave_is_exact():
         for _ in range(100):
             qhat = stepper.step(qhat)
         assert np.max(np.abs(np.fft.ifft(qhat) - exact)) < 1e-12
+
+
+def test_linear_pt_mode_of_case1a_is_exact():
+    # at mu = 0, x^2/2 + i eps x = (x + i eps)^2/2 + eps^2/2, so the ground
+    # state shifted to x + i eps is a stationary mode with gain and loss:
+    # q = pi^{-1/4} e^{-(x + i eps)^2/2} e^{-i (1/2 + eps^2/2) t}
+    eps = np.array([0.0, 0.1, 0.3])
+    cfg = SolverConfig(case_id=CaseId.CASE1A, params=ParamValues(mu=0.0), dt=5e-3,
+                       T_final=1.0, scheme="yoshida4")
+    x = cfg.grid.x
+    mode = math.pi ** -0.25 * np.exp(-(x + 1j * eps[:, None]) ** 2 / 2.0)
+    stepper = make_stepper(cfg, eps)
+    qhat = np.fft.fft(mode)
+    for _ in range(cfg.steps):
+        qhat = stepper.step(qhat)
+    q = np.fft.ifft(qhat)
+    exact = mode * np.exp(-1j * (0.5 + eps[:, None] ** 2 / 2.0) * cfg.T_final)
+    assert np.max(np.abs(q - exact)) < 1e-10
+    # the frequency without the eps^2/2 shift misses wherever there is gain
+    unshifted = mode * np.exp(-0.5j * cfg.T_final)
+    assert np.all(np.max(np.abs(q - unshifted), axis=-1)[1:] > 1e-3)
 
 
 def test_uniform_field_follows_the_exact_pointwise_flow():
@@ -131,7 +153,7 @@ def _count_ffts(monkeypatch) -> list:
 def test_a_step_makes_two_ffts_per_substep(scheme, ffts, monkeypatch):
     cfg = SolverConfig(case_id=CaseId.CASE2, initial=Gaussian(1.0, 1.0, 0.5), scheme=scheme)
     stepper = make_stepper(cfg, [0.0, 0.01, 0.1, 1.0])
-    qhat = np.fft.fft(np.tile(initial_condition(cfg).q, (4, 1)))
+    qhat = np.fft.fft(np.tile(initial_condition(cfg), (4, 1)))
     calls = _count_ffts(monkeypatch)
     stepper.step(qhat)
     assert len(calls) == ffts == 2 * len(SCHEMES[scheme])
@@ -144,7 +166,7 @@ def test_stream_steps_the_spectrum_and_transforms_each_sample_once(scheme, monke
     cfg = SolverConfig(case_id=CaseId.CASE2, dt=1e-3, T_final=0.01, grid=Grid(N=256),
                        initial=Gaussian(1.0, 1.0, 0.5), scheme=scheme)
     eps, sample_every = [0.0, 0.1], 4
-    q0 = np.tile(initial_condition(cfg).q, (len(eps), 1))
+    q0 = np.tile(initial_condition(cfg), (len(eps), 1))
     stepper, qhat, by_hand = make_stepper(cfg, eps), np.fft.fft(q0), {}
     for n in range(1, cfg.steps + 1):
         qhat = stepper.step(qhat)
@@ -170,7 +192,8 @@ def test_norm_is_conserved_without_gain():
     # RK4 on the pointwise flow drifted 2.7e-9 on this run.
     cfg = SolverConfig(case_id=CaseId.CASE2, params=ParamValues(eps=0.0), dt=4e-3,
                        T_final=20.0, grid=Grid(N=512), initial=Gaussian(1.0, 1.0, 0.5))
-    norms = [integrate(cfg.grid, np.abs(s.q) ** 2) for s in run(cfg, sample_every=500)]
+    norms = [integrate(cfg.grid, np.abs(s.q[0]) ** 2)
+             for s in run(cfg, sample_every=500).snapshots]
     assert len(norms) == 11 and cfg.steps == 5000
     assert max(abs(n / norms[0] - 1.0) for n in norms) < 2 * cfg.steps * np.finfo(float).eps
 
@@ -179,8 +202,8 @@ def test_ground_state_is_stationary():
     cfg = _linear_cfg(T_final=1.0)
     traj = run(cfg)
     final = traj.snapshots[-1]
-    exact = initial_condition(cfg).q * np.exp(-0.5j * final.t)
-    assert np.max(np.abs(final.q - exact)) < 1e-6
+    exact = initial_condition(cfg) * np.exp(-0.5j * final.t)
+    assert np.max(np.abs(final.q[0] - exact)) < 1e-6
 
 
 def test_second_order_in_time():
@@ -188,7 +211,7 @@ def test_second_order_in_time():
     def final_q(dt):
         cfg = SolverConfig(params=ParamValues(eps=0.0), dt=dt, T_final=0.5,
                            grid=Grid(N=256))
-        return run(cfg, sample_every=10 ** 9).snapshots[-1].q
+        return run(cfg, sample_every=10 ** 9).snapshots[-1].q[0]
 
     ref = final_q(2.5e-4)
     e1 = np.max(np.abs(final_q(2e-3) - ref))
@@ -241,7 +264,7 @@ def test_pt_round_trip_returns_the_initial_data(case_id, scheme):
     # rounding up to O(1); at N = 2048 it is 7.8 to 9.8 for every dt)
     cfg = SolverConfig(case_id=case_id, dt=5e-3, T_final=1.0, grid=Grid(N=2048),
                        initial=Gaussian(1.0, 1.0, 0.5), scheme=scheme)
-    q0 = np.tile(initial_condition(cfg).q, (len(PT_EPS), 1))
+    q0 = np.tile(initial_condition(cfg), (len(PT_EPS), 1))
     back = _pt_round_trip(make_stepper(cfg, PT_EPS), q0, cfg.steps)
     rel = np.max(np.abs(back - q0), axis=-1) / np.max(np.abs(q0), axis=-1)
     assert np.all(rel < 1e-10), rel
@@ -269,24 +292,27 @@ def test_resolution_doubling_changes_nothing():
     def final(N):
         cfg = SolverConfig(params=ParamValues(eps=0.0), dt=1e-3, T_final=0.5,
                            grid=Grid(N=N))
-        return run(cfg, sample_every=10 ** 9).snapshots[-1]
+        return run(cfg, sample_every=10 ** 9).snapshots[-1].q[0]
 
     coarse, fine = final(256), final(512)
-    moved = resample(fine, coarse.grid)
-    assert np.max(np.abs(moved.q - coarse.q)) < 1e-10
+    moved = resample(fine, Grid(N=512), Grid(N=256))
+    assert np.max(np.abs(moved - coarse)) < 1e-10
 
 
 def test_resample_is_exact_on_band_limited_data():
     src = Grid(L=10.0, N=128)
     q = np.exp(1j * src.k[3] * src.x) + 0.5 * np.exp(1j * src.k[-7] * src.x)
-    state = FieldState(0.0, q, src)
     for N in (64, 256):
         dst = Grid(L=10.0, N=N)
-        out = resample(state, dst)
+        out = resample(q, src, dst)
         exact = np.exp(1j * src.k[3] * dst.x) + 0.5 * np.exp(1j * src.k[-7] * dst.x)
-        assert np.max(np.abs(out.q - exact)) < 1e-12
+        assert np.max(np.abs(out - exact)) < 1e-12
+        # each row of a stack is resampled on its own
+        rows = resample(np.stack([q, -2j * q]), src, dst)
+        assert rows.shape == (2, N)
+        assert np.max(np.abs(rows - [exact, -2j * exact])) < 1e-12
     with pytest.raises(ValueError, match="half-width"):
-        resample(state, Grid(L=12.0, N=128))
+        resample(q, src, Grid(L=12.0, N=128))
 
 
 def test_norm_growth_rate_matches_gain_profile():
@@ -295,11 +321,11 @@ def test_norm_growth_rate_matches_gain_profile():
                        grid=Grid(N=256), initial=Gaussian(1.0, 1.0, 0.5))
     traj = run(cfg, sample_every=50)
     q0, q1 = traj.snapshots[0], traj.snapshots[-1]
-    rate = (integrate(cfg.grid, np.abs(q1.q) ** 2)
-            - integrate(cfg.grid, np.abs(q0.q) ** 2)) / cfg.T_final
+    rate = (integrate(cfg.grid, np.abs(q1.q[0]) ** 2)
+            - integrate(cfg.grid, np.abs(q0.q[0]) ** 2)) / cfg.T_final
     mid = traj.snapshots[1]  # t = 0.005
     b = cfg.grid.x  # case1a gain profile
-    pred = 2.0 * cfg.params.eps * integrate(cfg.grid, b * np.abs(mid.q) ** 2)
+    pred = 2.0 * cfg.params.eps * integrate(cfg.grid, b * np.abs(mid.q[0]) ** 2)
     assert rate == pytest.approx(pred, rel=1e-3)
 
 
@@ -378,8 +404,9 @@ def test_failed_member_leaves_the_others_bit_identical():
         for m in (0, 2):
             alone = run(replace(cfg, params=cfg.params.replace(eps=eps[m])))
             assert errors[m] is None
-            assert [t for t, _ in kept[m]] == [s.t for s in alone]
-            assert all(np.array_equal(q, s.q) for (_, q), s in zip(kept[m], alone))
+            assert [t for t, _ in kept[m]] == [s.t for s in alone.snapshots]
+            assert all(np.array_equal(q, s.q[0])
+                       for (_, q), s in zip(kept[m], alone.snapshots))
 
 
 def test_boundary_proximity_warns_once():
@@ -394,24 +421,24 @@ def test_boundary_proximity_warns_once():
 # jets on the grid
 
 
-def _on_shell_rates(state, cfg):
-    """u_t and v_t of the state from the catalog's E1/E2, put on shell."""
+def _on_shell_rates(t, q, cfg):
+    """u_t and v_t of the field q at time t from the catalog's E1/E2, put on shell."""
     system = load_catalog().build_system(cfg.case_id)
-    batch = JetBatch(np.full(cfg.grid.N, state.t), cfg.grid.x, jet_values(state))
+    batch = JetBatch(np.full(cfg.grid.N, t), cfg.grid.x, jet_values(q, cfg.grid))
     return [eval_expr(system.on_shell(jet(dep, 1, 0)), batch, cfg.params) for dep in "uv"]
 
 
 def test_jet_values_ground_state_analytic():
     cfg = _linear_cfg()
-    state = initial_condition(cfg)
-    jets = jet_values(state)
+    q = initial_condition(cfg)
+    jets = jet_values(q, cfg.grid)
     assert set(jets) == {jet(dep, 0, k) for dep in "uv" for k in range(3)}
     x = cfg.grid.x
     phi = math.pi ** -0.25 * np.exp(-x ** 2 / 2.0)
     assert np.max(np.abs(jets[jet("u", 0, 1)] + x * phi)) < 1e-10
     assert np.max(np.abs(jets[jet("u", 0, 2)] - (x ** 2 - 1.0) * phi)) < 1e-10
     # q = phi e^{-it/2}: u_t = 0 and v_t = -phi/2
-    u_t, v_t = _on_shell_rates(state, cfg)
+    u_t, v_t = _on_shell_rates(0.0, q, cfg)
     assert np.max(np.abs(u_t)) < 1e-10
     assert np.max(np.abs(v_t + 0.5 * phi)) < 1e-10
 
@@ -422,8 +449,8 @@ def test_jet_time_derivatives_match_finite_differences(case_id):
     cfg = SolverConfig(case_id=case_id, params=ParamValues(eps=0.03, mu=0.8),
                        dt=1e-4, T_final=2e-4, grid=Grid(N=256))
     before, middle, after = run(cfg, sample_every=1).snapshots
-    fd = (after.q - before.q) / (2.0 * cfg.dt)
-    u_t, v_t = _on_shell_rates(middle, cfg)
+    fd = (after.q[0] - before.q[0]) / (2.0 * cfg.dt)
+    u_t, v_t = _on_shell_rates(middle.t, middle.q[0], cfg)
     assert np.max(np.abs(u_t - fd.real)) < 1e-6
     assert np.max(np.abs(v_t - fd.imag)) < 1e-6
 
@@ -456,7 +483,7 @@ def test_trajectory_csv_round_trips(tmp_path):
     rows = [line.split(",") for line in lines[4:]]
     assert len(rows) == 3 * 64
     state = traj.snapshots[2]
-    for (t, x, re, im), xj, qj in zip(rows[2 * 64:], state.grid.x, state.q):
+    for (t, x, re, im), xj, qj in zip(rows[2 * 64:], cfg.grid.x, state.q[0]):
         assert float(t) == state.t and float(x) == xj
         assert float(re) == qj.real and float(im) == qj.imag
 
@@ -471,7 +498,7 @@ def _reference_trajectory_csv(traj, header_lines):
                f" alpha={f(p.alpha)} g={f(p.g)}\n")
     out.append("t,x,re_q,im_q\n")
     for state in traj.snapshots:
-        for xj, qj in zip(state.grid.x, state.q):
+        for xj, qj in zip(cfg.grid.x, state.q[0]):
             out.append(f"{f(state.t)},{f(xj)},{f(qj.real)},{f(qj.imag)}\n")
     return "".join(out)
 
@@ -480,10 +507,10 @@ def test_trajectory_csv_matches_the_row_by_row_writer(tmp_path):
     cfg = _linear_cfg(grid=Grid(L=7.5, N=64), params=ParamValues(eps=0.1 + 0.2),
                       dt=1e-3, T_final=3e-3)
     traj = run(cfg, sample_every=1)
-    odd = traj.snapshots[1].q.copy()
+    odd = traj.snapshots[1].q[0].copy()
     odd[:6] = [-0.0, complex(5e-324, -0.0), complex(1e300, -1e300),
                complex(-2.2250738585072014e-308, 1 / 3), 1e-5j, complex(123456789.0, -1e22)]
-    traj.snapshots[1] = FieldState(0.1 + 0.2, odd, cfg.grid)
+    traj.snapshots[1] = replace(traj.snapshots[1], t=0.1 + 0.2, q=odd[None])
     path = tmp_path / "traj.csv"
     header = ["seed=0", "note=x,y 100%"]
     write_trajectory_csv(traj, path, header_lines=header)
