@@ -708,25 +708,40 @@ def to_text(e: Expr) -> str:
 # parameters, points, evaluation
 
 
+ParamValue = Union[float, np.ndarray]
+
+
 @dataclass(frozen=True)
 class ParamValues:
-    """Numeric values for the model parameters."""
+    """Numeric values for the model parameters.
 
-    eps: float = 0.05
-    mu: float = 1.0
-    sigma: float = 1.0
-    alpha: float = 0.5
-    g: float = 1.0
+    Each value is a float, or for evaluation only a float ndarray that
+    broadcasts against the batch it is evaluated on: a sweep over K values
+    goes on a new leading axis, (K, 1) against a batch of n points, and
+    `eval_expr` returns the (K, n) values, row k those of the k-th scalar.
+    Every entry must be finite and every eps entry non-negative.  A
+    ParamValues holding an array is not hashable."""
+
+    eps: ParamValue = 0.05
+    mu: ParamValue = 1.0
+    sigma: ParamValue = 1.0
+    alpha: ParamValue = 0.5
+    g: ParamValue = 1.0
 
     def __post_init__(self):
+        # floats take math.isfinite: np.isfinite on a scalar costs several
+        # times more, and most ParamValues are scalar
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
+            finite = (np.isfinite(value).all() if isinstance(value, np.ndarray)
+                      else math.isfinite(value))
+            if not finite:
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.eps < 0:
+        eps = self.eps
+        if (eps < 0).any() if isinstance(eps, np.ndarray) else eps < 0:
             raise ValueError(f"eps must be non-negative, got {self.eps}")
 
-    def get(self, name: str) -> float:
+    def get(self, name: str) -> ParamValue:
         try:
             return getattr(self, name)
         except AttributeError:
@@ -734,6 +749,10 @@ class ParamValues:
 
     def replace(self, **kw) -> "ParamValues":
         return replace(self, **kw)
+
+
+# what `eval_expr` reads when it is given no parameters
+_DEFAULT_PARAMS = ParamValues()
 
 
 @functools.cache
@@ -784,11 +803,14 @@ class JetBatch:
 
 def eval_expr(e: Expr, point, params: Optional[ParamValues] = None):
     """Evaluate at a JetBatch: an ndarray, or a float when every value the
-    expression reads is a scalar (constants and parameters alone, say).
-    Missing coordinates, division by zero, sqrt/fractional powers of
-    negative values all raise EvalError."""
+    expression reads is a scalar (constants and scalar parameters alone,
+    say).  An array parameter enters as it is and broadcasts against the
+    batch, so a sweep on a leading axis is one walk of the DAG whose
+    elements are those of one evaluation per value.  `params` None reads
+    the default ParamValues.  Missing coordinates, division by zero,
+    sqrt/fractional powers of negative values all raise EvalError."""
     if params is None:
-        params = ParamValues()
+        params = _DEFAULT_PARAMS
     val: dict[Expr, object] = {}
     uses: dict[Expr, int] = {}
 
@@ -806,7 +828,12 @@ def eval_expr(e: Expr, point, params: Optional[ParamValues] = None):
         if t is Const:
             v = float(n.value)
         elif t is Sym:
-            v = math.pi if n.name == "pi" else float(params.get(n.name))
+            if n.name == "pi":
+                v = math.pi
+            else:
+                v = params.get(n.name)
+                if type(v) is not np.ndarray:
+                    v = float(v)
         elif t is Var:
             v = point.t if n.name == "t" else point.x
         elif t is Jet:
@@ -1094,17 +1121,20 @@ _SAMPLER_MEMO_SIZE = 8
 
 
 @functools.lru_cache(maxsize=_SAMPLER_MEMO_SIZE)
-def _sampler_draws(seed: int, n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """t, x and the (coordinates, n) array of jet values of one batch on the
-    domain `JetSampler` documents, all read-only so that every caller may
-    share them."""
+def _sampler_draws(seed: int, n: int, order: int) -> tuple[np.ndarray, np.ndarray,
+                                                           tuple[np.ndarray, ...]]:
+    """t, x and the jet values of one batch on the domain `JetSampler`
+    documents, one row per coordinate of `complete_coords(order)`, all
+    read-only so that every caller may share them.  The rows are kept as a
+    tuple: slicing a 2-d array into rows anew costs more than the dict it
+    fills."""
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.1, 2.0, size=n)
     x = rng.uniform(0.4, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
     draws = rng.uniform(-2.0, 2.0, size=(len(complete_coords(order)), n))
     for a in (t, x, draws):
         a.flags.writeable = False
-    return t, x, draws
+    return t, x, tuple(draws)
 
 
 @dataclass
@@ -1127,8 +1157,8 @@ class JetSampler:
         call returns a new JetBatch and a new `values` dict."""
         if n < 1:
             raise ValueError(f"n must be at least 1, got {n}")
-        t, x, draws = _sampler_draws(self.seed, n, order)
-        return JetBatch(t, x, dict(zip(complete_coords(order), draws)))
+        t, x, rows = _sampler_draws(self.seed, n, order)
+        return JetBatch(t, x, dict(zip(complete_coords(order), rows)))
 
 
 @dataclass

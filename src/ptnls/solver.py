@@ -368,13 +368,20 @@ def resample(q: np.ndarray, src: Grid, grid: Grid) -> np.ndarray:
     nodes of another grid with the same box.  Exact for resolved fields; the
     half-cell offset means grids of different N share no nodes, so
     comparisons across resolutions go through this.  Each row of a stacked
-    q, (rows, src.N), gives the same row of the (rows, grid.N) result."""
+    q, (rows, src.N), gives the same row of the (rows, grid.N) result.
+    Two FFTs: O(N log N) time and O(N) memory in the larger N."""
     if grid.L != src.L:
         raise ValueError("resample requires the same box half-width L")
-    c = np.fft.fft(q) / src.N
     # samples live at src.x[0] + j dx, so the interpolant is
-    # sum_k c_k e^{i k (y - src.x[0])}
-    return c @ np.exp(1j * np.outer(src.k, grid.x - src.x[0]))
+    # sum_k c_k e^{i k (y - src.x[0])}.  At the node y_m = grid.x[0] + m grid.dx
+    # the mode k = pi n / L is c_k e^{i k (grid.x[0] - src.x[0])} e^{2 pi i n m / grid.N}:
+    # a phase per mode, then destination mode n mod grid.N of one inverse FFT
+    # (on a coarser grid several modes share one)
+    c = np.fft.fft(q) / src.N * np.exp(1j * src.k * (grid.x[0] - src.x[0]))
+    n = np.rint(src.k * (src.L / math.pi)).astype(int)
+    d = np.zeros(c.shape[:-1] + (grid.N,), complex)
+    np.add.at(d, (..., n % grid.N), c)
+    return np.fft.ifft(d) * grid.N
 
 
 def jet_values(q: np.ndarray, grid: Grid) -> dict[Jet, np.ndarray]:

@@ -23,6 +23,7 @@ corrections stay visible in the reports they affect.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional
@@ -134,15 +135,22 @@ def _q_dot_e(q1: Expr, q2: Expr, system: PdeSystem) -> Expr:
     return add(mul(q1, system.E1), mul(q2, system.E2))
 
 
+# every eps of EPS_GRID at once, one row each: an expression evaluated with
+# these parameters gives one row of values per eps
+_EPS_SWEEP = ParamValues(eps=np.array(EPS_GRID)[:, None])
+
+
 def _eps_slope(exprs: tuple[Expr, ...], seed: int, order: int) -> tuple[float, float]:
     """(slope, rms residual) of the log-log fit of max |e| over `exprs` and
-    50 seeded jet points against eps on EPS_GRID."""
+    50 seeded jet points against eps on EPS_GRID.  Each expression is
+    evaluated once, on the sweep's (eps, point) grid; row k holds the values
+    of one evaluation at the k-th eps, bit for bit, so the fit is that of a
+    loop over EPS_GRID."""
     batch = JetSampler(seed).batch(50, order)
-    mags = []
-    for eps in EPS_GRID:
-        params = ParamValues(eps=float(eps))
-        mags.append(max(float(np.max(np.abs(eval_expr(e, batch, params))))
-                        for e in exprs))
+    shape = (len(EPS_GRID), len(batch))
+    mags = np.maximum.reduce([
+        np.max(np.abs(np.broadcast_to(eval_expr(e, batch, _EPS_SWEEP), shape)), axis=1)
+        for e in exprs])
     slope, _, fit_res = fit_loglog_slope(EPS_GRID, mags)
     return slope, fit_res
 
@@ -383,7 +391,7 @@ class _PolyBackground:
         return out
 
 
-def _bump_block(e: Expr, params: ParamValues, bg: _PolyBackground, dep: str,
+def _bump_block(e: Expr, params: Optional[ParamValues], bg: _PolyBackground, dep: str,
                 p: JetBatch, draws: np.ndarray,
                 quad: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Collocation rows and stencil derivatives of the action for a block of
@@ -439,6 +447,17 @@ def _bump_block(e: Expr, params: ParamValues, bg: _PolyBackground, dep: str,
     return rows, rhs
 
 
+@functools.cache
+def _gauss_legendre(quad_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (nodes, weights) of the quad_n-point Gauss-Legendre rule on
+    [-1, 1], computed once per quad_n and read-only, so every oracle call
+    shares them."""
+    quad = np.polynomial.legendre.leggauss(quad_n)
+    for a in quad:
+        a.flags.writeable = False
+    return quad
+
+
 def independent_variational_check(e: Expr, p: JetBatch,
                                   params: Optional[ParamValues] = None,
                                   n_bumps: int = 20, quad_n: int = 24,
@@ -456,12 +475,10 @@ def independent_variational_check(e: Expr, p: JetBatch,
     separate factors of each bump's tensor grid, (bumps, quad_n, 1) and
     (bumps, 1, quad_n), so a subexpression of t or x alone is evaluated on
     quad_n points per bump and only the products fill the grid; the
-    Gauss-Legendre rule is computed once per call.
+    Gauss-Legendre rule is computed once per quad_n and shared by every call.
     """
     if e.order > 2:
         raise ValueError("oracle requires jet order <= 2")
-    if params is None:
-        params = ParamValues()
     rng = np.random.default_rng(seed)
     bg = _PolyBackground(p)
 
@@ -472,7 +489,7 @@ def independent_variational_check(e: Expr, p: JetBatch,
     engine_vals = {dep: float(np.ravel(eval_expr(r, point4, params))[0])
                    for dep, r in (("u", engine_u), ("v", engine_v))}
 
-    quad = np.polynomial.legendre.leggauss(quad_n)
+    quad = _gauss_legendre(quad_n)
     per_block = max(1, EVAL_BLOCK_POINTS // quad_n ** 2)
     results = {}
     for dep in ("u", "v"):

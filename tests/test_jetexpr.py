@@ -1,6 +1,7 @@
 """Engine tests: grammar, printing, evaluation, derivatives, equivalence."""
 
 import copy
+import dataclasses
 import gc
 import math
 import os
@@ -382,6 +383,53 @@ def test_param_values_validation():
     assert p.get("eps") == 0.2
     assert p.replace(mu=3.0).mu == 3.0
     assert p.replace(mu=3.0).eps == 0.2
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ParamValues)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_param_values_arrays_are_validated_elementwise(name, bad):
+    values = np.array([[0.1], [bad], [0.3]])
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        ParamValues(**{name: values})
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        ParamValues(**{name: bad})
+
+
+def test_param_values_reject_a_negative_eps_entry():
+    with pytest.raises(ValueError, match=r"^eps must be non-negative"):
+        ParamValues(eps=np.array([0.0, 0.2, -1e-300]))
+    p = ParamValues(eps=np.array([0.0, 0.2]), mu=np.array([-1.0, 2.0]))
+    assert p.get("eps") is p.eps
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(p)
+
+
+def test_scalar_expressions_still_evaluate_to_floats():
+    batch = JetSampler(seed=2).batch(5, 1)
+    e = parse_expr("eps*mu + 2*sigma^2 - pi")
+    for params in (None, ParamValues(eps=0.2, mu=3)):
+        got = eval_expr(e, batch, params)
+        assert type(got) is float
+    assert got == 0.2 * 3.0 + 2.0 * 1.0 ** 2 - math.pi
+    swept = eval_expr(e, batch, ParamValues(eps=np.array([[0.2], [0.4]]), mu=3))
+    assert isinstance(swept, np.ndarray) and swept.shape == (2, 1)
+    assert swept[0, 0] == got
+
+
+@pytest.mark.parametrize("case_id", list(CaseId))
+def test_eps_column_reproduces_scalar_evaluations_bit_for_bit(case_id):
+    # a sweep on a leading axis is the same elementwise arithmetic as one
+    # evaluation per value, so each row matches bit for bit
+    eps = (0.0, 1e-3, 0.05, 0.37, 2.5)
+    system = load_catalog().build_system(case_id)
+    batch = JetSampler(seed=5).batch(40, 2)
+    swept_params = ParamValues(eps=np.array(eps)[:, None], mu=1.3, alpha=0.25)
+    for e in (system.E1, system.E2):
+        swept = eval_expr(e, batch, swept_params)
+        assert swept.shape == (len(eps), len(batch))
+        for k, value in enumerate(eps):
+            one = eval_expr(e, batch, ParamValues(eps=value, mu=1.3, alpha=0.25))
+            assert swept[k].tobytes() == np.broadcast_to(one, (len(batch),)).tobytes(), k
 
 
 def _batch_per_coordinate(sampler, n, order):

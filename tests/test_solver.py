@@ -117,6 +117,48 @@ def test_linear_pt_mode_of_case1a_is_exact():
     assert np.all(np.max(np.abs(q - unshifted), axis=-1)[1:] > 1e-3)
 
 
+def _nonlinear_pt_mode(case_id, x, eps, mu, sigma, alpha):
+    """(q at t = 0, lambda) of the stationary mode rho e^{i theta} e^{-i lambda t}
+    of case1b (n = 0) or case1c (n = 2), one row per eps: rho = c h_n(x)
+    e^{-x^2/2} with h_0 = 1, h_2 = 2x^2 - 1, and theta' = 2 eps k h_n(x)
+    e^{-(alpha+1) x^2/2}.  With sigma mu^2 c^2 = eps^2 k^2 the phase term
+    cancels the nonlinear one, lambda = n + 1/2, and the continuity equation
+    (rho^2 theta')' = 2 eps b rho^2 gives the case's b for k = 1 and k = 2."""
+    beta = alpha + 1.0
+    e = eps[:, None]
+    # int_0^x e^{-beta s^2/2} ds
+    gauss = (np.vectorize(math.erf)(x * math.sqrt(beta / 2.0))
+             * math.sqrt(math.pi / (2.0 * beta)))
+    amp = e / (mu * math.sqrt(sigma))
+    if case_id is CaseId.CASE1B:
+        return amp * np.exp(-x ** 2 / 2.0) * np.exp(2j * e * gauss), 0.5
+    # (2x^2 - 1) e^{-beta x^2/2} = (2/beta - 1) e^{-beta x^2/2} - (2/beta) (x e^{-beta x^2/2})'
+    theta = 4.0 * e * ((2.0 / beta - 1.0) * gauss - (2.0 / beta) * x * np.exp(-beta * x ** 2 / 2.0))
+    return 2.0 * amp * (2.0 * x ** 2 - 1.0) * np.exp(-x ** 2 / 2.0) * np.exp(1j * theta), 2.5
+
+
+@pytest.mark.parametrize("mu,sigma,alpha", [(1.0, 1.0, 0.5), (2.0, 1.0, 0.0)])
+@pytest.mark.parametrize("case_id,gate", [(CaseId.CASE1B, 1e-9), (CaseId.CASE1C, 1e-7)])
+def test_nonlinear_pt_modes_of_case1b_and_case1c_are_exact(case_id, gate, mu, sigma, alpha):
+    eps = np.array([0.05, 0.1, 0.3])
+    cfg = SolverConfig(case_id=case_id, params=ParamValues(mu=mu, sigma=sigma, alpha=alpha),
+                       dt=5e-3, T_final=1.0, scheme="yoshida4")
+    mode, lam = _nonlinear_pt_mode(case_id, cfg.grid.x, eps, mu, sigma, alpha)
+    stepper = make_stepper(cfg, eps)
+
+    def rel_error(scale):
+        qhat = np.fft.fft(scale * mode)
+        for _ in range(cfg.steps):
+            qhat = stepper.step(qhat)
+        exact = scale * mode * np.exp(-1j * lam * cfg.T_final)
+        return (np.max(np.abs(np.fft.ifft(qhat) - exact), axis=-1)
+                / np.max(np.abs(exact), axis=-1))
+
+    assert np.all(rel_error(1.0) <= gate)
+    # the amplitude is fixed by eps: a larger one is not a stationary mode
+    assert np.all(rel_error(1.1) > 5e-4)
+
+
 def test_uniform_field_follows_the_exact_pointwise_flow():
     # only k = 0 is present, so the kinetic factor is 1 and each step is the
     # exact flow of i q_t = (a + i g) q + nl |q|^2 q: rho0 e^{2 g t} and its
@@ -297,6 +339,28 @@ def test_resolution_doubling_changes_nothing():
     coarse, fine = final(256), final(512)
     moved = resample(fine, Grid(N=512), Grid(N=256))
     assert np.max(np.abs(moved - coarse)) < 1e-10
+
+
+def _resample_dense(q, src, grid):
+    """The trigonometric interpolant summed at every node of `grid`, a
+    (src.N, grid.N) matrix: the reference for the FFT resampling."""
+    c = np.fft.fft(q) / src.N
+    return c @ np.exp(1j * np.outer(src.k, grid.x - src.x[0]))
+
+
+@pytest.mark.parametrize("n_src,n_dst", [(512, 1024), (1024, 512), (256, 2048),
+                                         (2048, 256), (128, 128), (64, 4096)])
+def test_resample_is_the_dense_interpolant(n_src, n_dst):
+    src, dst = Grid(N=n_src), Grid(N=n_dst)
+    rng = np.random.default_rng(n_src + n_dst)
+    noise = 1e-3 * (rng.standard_normal((2, n_src)) + 1j * rng.standard_normal((2, n_src)))
+    x = src.x
+    q = np.stack([np.exp(-x ** 2 / 2.0) * (1.0 + 0.3j * np.sin(x)),
+                  (2.0 - 1j) * x * np.exp(-(x - 1.0) ** 2)]) + noise
+    for field in (q[0], q):
+        out = resample(field, src, dst)
+        assert out.shape == field.shape[:-1] + (n_dst,)
+        assert np.max(np.abs(out - _resample_dense(field, src, dst))) <= 1e-13 * np.max(np.abs(field))
 
 
 def test_resample_is_exact_on_band_limited_data():

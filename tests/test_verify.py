@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from ptnls import verify
+from ptnls.analysis import fit_loglog_slope
 from ptnls.catalog import CaseId, Kind, load_catalog
-from ptnls.jetexpr import (EVAL_BLOCK_POINTS, JetBatch, JetSampler, ParamValues,
-                           complete_coords, eval_expr, expr_equiv, parse_expr,
+from ptnls.jetexpr import (EVAL_BLOCK_POINTS, JetBatch, JetSampler, ParamValues, add,
+                           complete_coords, eval_expr, expr_equiv, parse_expr, sub,
                            total_derivative)
 from ptnls.verify import (EPS_GRID, FluxUnavailableError, check_divergence,
                           check_residual, complete_point, divergence_residual,
@@ -144,6 +145,68 @@ def test_divergence_orientation_is_eps_independent():
         params = ParamValues(eps=float(eps))
         r = np.asarray(eval_expr(div, batch, params)) - np.asarray(eval_expr(qe, batch, params))
         assert np.max(np.abs(r)) < 10.0 * eps
+
+
+def _eps_slope_per_eps(exprs, seed, order):
+    """Reference for verify._eps_slope: one evaluation per eps of EPS_GRID."""
+    batch = JetSampler(seed).batch(50, order)
+    mags = []
+    for eps in EPS_GRID:
+        params = ParamValues(eps=float(eps))
+        mags.append(max(float(np.max(np.abs(eval_expr(e, batch, params))))
+                        for e in exprs))
+    slope, _, fit_res = fit_loglog_slope(EPS_GRID, mags)
+    return slope, fit_res
+
+
+def _slope_inputs(residual_reports, divergence_reports):
+    """The residual tuples the checks fit: each block's (Ru, Rv) and each
+    flux block's oriented divergence residual."""
+    out = []
+    for rep in residual_reports.values():
+        out.append((rep.residual_u, rep.residual_v))
+    for (case_id, kind), rep in divergence_reports.items():
+        div, qe = divergence_residual(case_id, kind)
+        out.append((sub(div, qe) if rep.orientation == 1 else add(div, qe),))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_eps_sweep_is_the_per_eps_loop_bit_for_bit(residual_reports, divergence_reports,
+                                                   seed):
+    inputs = _slope_inputs(residual_reports, divergence_reports)
+    assert len(inputs) == len(ALL_BLOCKS) + len(FLUX_BLOCKS)
+    for exprs in inputs:
+        order = max(e.order for e in exprs)
+        assert verify._eps_slope(exprs, seed, order) == _eps_slope_per_eps(exprs, seed, order)
+
+
+def test_eps_sweep_evaluates_each_expression_once(residual_reports, divergence_reports,
+                                                  monkeypatch):
+    calls = []
+
+    def counted(e, point, params=None):
+        calls.append(e)
+        return eval_expr(e, point, params)
+
+    monkeypatch.setattr(verify, "eval_expr", counted)
+    for exprs in _slope_inputs(residual_reports, divergence_reports):
+        calls.clear()
+        verify._eps_slope(exprs, 0, max(e.order for e in exprs))
+        assert calls == list(exprs)
+
+
+@pytest.mark.parametrize("quad_n", [1, 5, 24])
+def test_gauss_legendre_rule_is_cached_read_only(quad_n):
+    nodes, weights = verify._gauss_legendre(quad_n)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(quad_n)
+    assert nodes.tobytes() == want_nodes.tobytes()
+    assert weights.tobytes() == want_weights.tobytes()
+    for a in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    again = verify._gauss_legendre(quad_n)
+    assert again[0] is nodes and again[1] is weights
 
 
 def test_euler_residual_shape():
