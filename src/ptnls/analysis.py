@@ -81,9 +81,7 @@ def _block_integrals(exprs: Sequence[Expr], t: np.ndarray, q: np.ndarray, grid,
     """dx * sum_j density(t_k, x_j, jets) of each expression at each row k of
     q, (rows, N), at the times t, (rows, 1): one jet_values call for all."""
     batch = JetBatch(t, grid.x, jet_values(q, grid))
-    return [integrate(grid, np.broadcast_to(np.asarray(eval_expr(e, batch, params),
-                                                       dtype=float), q.shape))
-            for e in exprs]
+    return [integrate(grid, eval_expr(e, batch, params)) for e in exprs]
 
 
 class DensityAccumulator:

@@ -42,7 +42,7 @@ from .catalog import CaseId, Kind, load_catalog
 from .jetexpr import (EvalError, JetBatch, JetOrderError, ParamValues, ParseError,
                       coord_from_name, eval_expr, parse_expr, to_text)
 from .solver import (BlowUpError, BoundaryContaminationError, Gaussian, Grid,
-                     GroundState, SolverConfig, TrajectoryWriter, stream_members)
+                     SolverConfig, TrajectoryWriter, stream_members)
 from .verify import FluxUnavailableError, check_divergence, check_residual
 
 EXIT_OK = 0
@@ -152,7 +152,11 @@ def _solver_config(settings: Settings, base: SolverConfig) -> SolverConfig:
                            settings.get("width", base.initial.width),
                            settings.get("center", base.initial.center))
     elif name == "ground":
-        initial = GroundState()
+        # a flag or config key that is given must not go unread
+        for key in ("amplitude", "width", "center"):
+            if getattr(settings.args, key, None) is not None or key in settings.file_values:
+                raise ConfigError(f"--{key} does not apply to initial=ground")
+        initial = SolverConfig().initial  # the harmonic ground state
     else:
         raise ConfigError(f"initial must be 'gaussian' or 'ground', got {name!r}")
     return replace(base, params=params, dt=settings.get("dt", base.dt),
@@ -383,7 +387,7 @@ def cmd_parse_expr(settings: Settings) -> int:
     batch = JetBatch(np.array([args.t]), np.array([args.x]),
                      {c: np.array([v]) for c, v in values.items()})
     try:
-        value = float(np.asarray(eval_expr(e, batch, params)).ravel()[0])
+        value = float(eval_expr(e, batch, params)[0])
     except EvalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

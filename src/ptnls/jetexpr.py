@@ -715,12 +715,12 @@ ParamValue = Union[float, np.ndarray]
 class ParamValues:
     """Numeric values for the model parameters.
 
-    Each value is a float, or for evaluation only a float ndarray that
-    broadcasts against the batch it is evaluated on: a sweep over K values
-    goes on a new leading axis, (K, 1) against a batch of n points, and
-    `eval_expr` returns the (K, n) values, row k those of the k-th scalar.
-    Every entry must be finite and every eps entry non-negative.  A
-    ParamValues holding an array is not hashable."""
+    Each value is a float, or for evaluation only a float ndarray; `shape`,
+    set at construction, is the arrays' broadcast shape, () if there are
+    none.  A sweep over K values goes on a new leading axis: (K, 1) against
+    a batch of n points gives the (K, n) values, row k those of the k-th
+    scalar.  Every entry must be finite and every eps entry non-negative.
+    A ParamValues holding an array is not hashable."""
 
     eps: ParamValue = 0.05
     mu: ParamValue = 1.0
@@ -731,15 +731,21 @@ class ParamValues:
     def __post_init__(self):
         # floats take math.isfinite: np.isfinite on a scalar costs several
         # times more, and most ParamValues are scalar
+        shapes = []
         for f in fields(self):
             value = getattr(self, f.name)
-            finite = (np.isfinite(value).all() if isinstance(value, np.ndarray)
-                      else math.isfinite(value))
+            if isinstance(value, np.ndarray):
+                finite = np.isfinite(value).all()
+                shapes.append(value.shape)
+            else:
+                finite = math.isfinite(value)
             if not finite:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         eps = self.eps
         if (eps < 0).any() if isinstance(eps, np.ndarray) else eps < 0:
             raise ValueError(f"eps must be non-negative, got {self.eps}")
+        # once here, not in each of the many evaluations that read it
+        object.__setattr__(self, "shape", np.broadcast_shapes(*shapes) if shapes else ())
 
     def get(self, name: str) -> ParamValue:
         try:
@@ -753,6 +759,8 @@ class ParamValues:
 
 # what `eval_expr` reads when it is given no parameters
 _DEFAULT_PARAMS = ParamValues()
+# the dtype `eval_expr` returns; native float64 is this one object
+_FLOAT = np.dtype(float)
 
 
 @functools.cache
@@ -778,19 +786,24 @@ EVAL_BLOCK_POINTS = 16384
 
 @dataclass
 class JetBatch:
-    """Vectorized jet points; t, x and the coordinate arrays, keyed by `Jet`
-    leaf, broadcast to one shape (a stack of rows may carry t as a column
-    and x as one row).  A single point is a batch of one."""
+    """Vectorized jet points; t and x span the batch and the coordinate
+    arrays, keyed by `Jet` leaf, broadcast to its shape (a stack of rows may
+    carry t as a column and x as one row).  A single point is a batch of one."""
 
     t: np.ndarray
     x: np.ndarray
     values: Mapping[Jet, np.ndarray]
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The broadcast shape of t and x, which the batch's points fill."""
+        t, x = self.t, self.x
+        # equal shapes, the common case, skip np.broadcast's cost (~0.6 us)
+        return t.shape if t.shape == x.shape else np.broadcast(t, x).shape
+
     def __len__(self):
-        """The number of points: the size of the broadcast shape."""
-        shape = np.broadcast_shapes(np.shape(self.t), np.shape(self.x),
-                                    *(np.shape(a) for a in self.values.values()))
-        return math.prod(shape)
+        """The number of points: the size of `shape`."""
+        return math.prod(self.shape)
 
     def point(self, i: int) -> "JetBatch":
         """Point i of a one-dimensional batch, as a batch of one."""
@@ -802,13 +815,14 @@ class JetBatch:
 
 
 def eval_expr(e: Expr, point, params: Optional[ParamValues] = None):
-    """Evaluate at a JetBatch: an ndarray, or a float when every value the
-    expression reads is a scalar (constants and scalar parameters alone,
-    say).  An array parameter enters as it is and broadcasts against the
-    batch, so a sweep on a leading axis is one walk of the DAG whose
-    elements are those of one evaluation per value.  `params` None reads
-    the default ParamValues.  Missing coordinates, division by zero,
-    sqrt/fractional powers of negative values all raise EvalError."""
+    """Evaluate at a JetBatch: a float ndarray of the batch's shape
+    broadcast with `params.shape`, whatever the expression reads.  An array
+    parameter enters as it is and broadcasts against the batch, so a sweep
+    on a leading axis is one walk of the DAG whose elements are those of one
+    evaluation per value.  A value of the full shape is returned as it is;
+    any other, a constant say, as a read-only broadcast view.  `params`
+    None reads the default ParamValues.  Missing coordinates, division by
+    zero, sqrt/fractional powers of negative values all raise EvalError."""
     if params is None:
         params = _DEFAULT_PARAMS
     val: dict[Expr, object] = {}
@@ -871,9 +885,10 @@ def eval_expr(e: Expr, point, params: Optional[ParamValues] = None):
         val[n] = v
 
     out = val[e]
-    if isinstance(out, np.ndarray) and out.ndim:
+    shape = np.broadcast_shapes(point.shape, params.shape) if params.shape else point.shape
+    if type(out) is np.ndarray and out.shape == shape and out.dtype is _FLOAT:
         return out
-    return float(out)
+    return np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
 def _eval_pow(base, expo: Fraction):
@@ -1181,8 +1196,7 @@ def expr_equiv(e1: Expr, e2: Expr, n: int = 100, tol: float = 1e-10,
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     batch = JetSampler(seed).batch(n, max(e1.order, e2.order))
-    v1 = np.broadcast_to(np.asarray(eval_expr(e1, batch, params), dtype=float), (n,))
-    v2 = np.broadcast_to(np.asarray(eval_expr(e2, batch, params), dtype=float), (n,))
+    v1, v2 = eval_expr(e1, batch, params), eval_expr(e2, batch, params)
     scale = np.maximum(1.0, np.maximum(np.abs(v1), np.abs(v2)))
     rel = np.abs(v1 - v2) / scale
     worst = int(np.argmax(rel))

@@ -41,7 +41,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .catalog import CaseId, load_catalog
 from .jetexpr import Jet, JetBatch, ParamValues, eval_expr
 
 __all__ = [
-    "Grid", "Gaussian", "GroundState", "SCHEMES", "SolverConfig", "Stepper",
+    "Grid", "Gaussian", "SCHEMES", "SolverConfig", "Stepper",
     "Trajectory", "Sample", "BlowUpError", "BoundaryContaminationError",
     "initial_condition", "make_stepper", "stream_members", "run",
     "integrate", "resample", "jet_values", "TrajectoryWriter", "write_trajectory_csv", "fmt17",
@@ -126,15 +126,6 @@ class Gaussian:
             raise ValueError(f"width must be positive and finite, got {self.width}")
 
 
-@dataclass(frozen=True)
-class GroundState:
-    """pi^{-1/4} e^{-x^2/2}: the harmonic ground state, stationary up to a
-    phase when eps = mu = 0 and a = x^2/2."""
-
-
-InitialData = Union[Gaussian, GroundState]
-
-
 @dataclass
 class SolverConfig:
     case_id: CaseId = CaseId.CASE1A
@@ -142,7 +133,9 @@ class SolverConfig:
     dt: float = 1e-3
     T_final: float = 5.0
     grid: Grid = field(default_factory=Grid)
-    initial: InitialData = field(default_factory=GroundState)
+    # pi^{-1/4} e^{-x^2/2}: the harmonic ground state, stationary up to a
+    # phase when eps = mu = 0 and a = x^2/2
+    initial: Gaussian = field(default_factory=lambda: Gaussian(math.pi ** -0.25))
     scheme: str = "strang"  # a key of SCHEMES
 
     def __post_init__(self):
@@ -165,14 +158,10 @@ class SolverConfig:
 
 def initial_condition(cfg: SolverConfig) -> np.ndarray:
     """The field q = u + iv at t = 0 on the grid's nodes, complex (N,)."""
-    x = cfg.grid.x
-    if isinstance(cfg.initial, GroundState):
-        q = math.pi ** -0.25 * np.exp(-x ** 2 / 2.0)
-    elif isinstance(cfg.initial, Gaussian):
-        g = cfg.initial
-        q = g.amplitude * np.exp(-(x - g.center) ** 2 / (2.0 * g.width ** 2))
-    else:
-        raise TypeError(f"unsupported initial data: {cfg.initial!r}")
+    g = cfg.initial
+    if not isinstance(g, Gaussian):
+        raise TypeError(f"unsupported initial data: {g!r}")
+    q = g.amplitude * np.exp(-(cfg.grid.x - g.center) ** 2 / (2.0 * g.width ** 2))
     return q.astype(complex)
 
 
@@ -238,8 +227,7 @@ def make_stepper(cfg: SolverConfig, eps) -> Stepper:
     case, grid, params = load_catalog().case(cfg.case_id), cfg.grid, cfg.params
     # the catalog keeps jet coordinates out of a, b and the coefficient
     batch = JetBatch(np.zeros(grid.N), grid.x, {})
-    a, b, coeff = (np.broadcast_to(np.asarray(eval_expr(e, batch, params), float), (grid.N,))
-                   for e in (case.a, case.b, case.nonlinearity_coeff))
+    a, b, coeff = (eval_expr(e, batch, params) for e in (case.a, case.b, case.nonlinearity_coeff))
     return Stepper(grid, cfg.dt, a, b, -params.mu ** 2 * coeff, eps, SCHEMES[cfg.scheme])
 
 

@@ -147,10 +147,8 @@ def _eps_slope(exprs: tuple[Expr, ...], seed: int, order: int) -> tuple[float, f
     of one evaluation at the k-th eps, bit for bit, so the fit is that of a
     loop over EPS_GRID."""
     batch = JetSampler(seed).batch(50, order)
-    shape = (len(EPS_GRID), len(batch))
-    mags = np.maximum.reduce([
-        np.max(np.abs(np.broadcast_to(eval_expr(e, batch, _EPS_SWEEP), shape)), axis=1)
-        for e in exprs])
+    mags = np.maximum.reduce([np.max(np.abs(eval_expr(e, batch, _EPS_SWEEP)), axis=1)
+                              for e in exprs])
     slope, _, fit_res = fit_loglog_slope(EPS_GRID, mags)
     return slope, fit_res
 
@@ -276,8 +274,7 @@ def check_divergence(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-
     batch = JetSampler(seed).batch(n, order)
 
     p0 = ParamValues(eps=0.0)
-    dv = np.asarray(eval_expr(divergence, batch, p0), dtype=float)
-    qv = np.asarray(eval_expr(qe, batch, p0), dtype=float)
+    dv, qv = eval_expr(divergence, batch, p0), eval_expr(qe, batch, p0)
     scale = np.maximum(1.0, np.maximum(np.abs(dv), np.abs(qv)))
     err_minus = np.abs(dv - qv) / scale
     err_plus = np.abs(dv + qv) / scale
@@ -435,8 +432,7 @@ def _bump_block(e: Expr, params: Optional[ParamValues], bg: _PolyBackground, dep
         for (i, j), phi in phi_jets.items():
             c = Jet(dep, i, j)
             values[c] = background[c] + s * phi
-        vals = np.asarray(eval_expr(e, JetBatch(T, X, values), params), dtype=float)
-        return row_sums(w2d * vals)
+        return row_sums(w2d * eval_expr(e, JetBatch(T, X, values), params))
 
     h = _FD_STEP
     rhs = (-action(2 * h) + 8 * action(h) - 8 * action(-h) + action(-2 * h)) / (12 * h)
@@ -484,9 +480,7 @@ def independent_variational_check(e: Expr, p: JetBatch,
 
     engine_u, engine_v = euler_operator(e, max_order=2 * e.order if e.order else 2)
     point4 = complete_point(p, max(bg.degree, engine_u.order, engine_v.order, 1))
-    # a residual that reads only scalars (constants, the zeros complete_point
-    # adds) evaluates to a float, any other to an array of one value
-    engine_vals = {dep: float(np.ravel(eval_expr(r, point4, params))[0])
+    engine_vals = {dep: float(eval_expr(r, point4, params)[0])
                    for dep, r in (("u", engine_u), ("v", engine_v))}
 
     quad = _gauss_legendre(quad_n)

@@ -5,6 +5,7 @@ run with `pytest -s` to watch the lines go by.  Tolerances and runtime
 budgets are asserted, not just reported.
 """
 
+import math
 import time
 
 import numpy as np
@@ -16,7 +17,7 @@ from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.cli import main as cli_main
 from ptnls.jetexpr import (JetSampler, ParamValues, const, euler_operator,
                            expr_equiv, random_polynomial, total_derivative)
-from ptnls.solver import (Gaussian, Grid, GroundState, SolverConfig,
+from ptnls.solver import (Gaussian, Grid, SolverConfig,
                           initial_condition, run)
 from ptnls.verify import (check_divergence, check_residual,
                           independent_variational_check)
@@ -47,7 +48,7 @@ def ground_state_run():
     # eps = 0, mu = 1: the PT gain is off but the nonlinearity is live
     cfg = SolverConfig(case_id=CaseId.CASE1A,
                        params=ParamValues(eps=0.0, mu=1.0),
-                       dt=1e-3, T_final=5.0, initial=GroundState())
+                       dt=1e-3, T_final=5.0, initial=Gaussian(math.pi ** -0.25, 1.0, 0.0))
     return run(cfg)
 
 
@@ -126,7 +127,7 @@ def test_criterion_06_ground_state_stationary():
     t0 = time.perf_counter()
     cfg = SolverConfig(case_id=CaseId.CASE1A,
                        params=ParamValues(eps=0.0, mu=0.0),
-                       dt=1e-3, T_final=5.0, initial=GroundState())
+                       dt=1e-3, T_final=5.0, initial=Gaussian(math.pi ** -0.25, 1.0, 0.0))
     traj = run(cfg)
     q0 = initial_condition(cfg)
     err = max(float(np.max(np.abs(s.q[0] - q0 * np.exp(-0.5j * s.t))))

@@ -1,6 +1,7 @@
 """Tests for density timeseries, drift scans, the log-log fit, and the CSV
 and SVG emitters."""
 
+import math
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -19,8 +20,10 @@ from ptnls.analysis import (DRIFT_CSV_HEADER, SLOPE_CSV_HEADER,
 from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import EVAL_BLOCK_POINTS, EvalError, JetBatch, ParamValues, eval_expr
 from ptnls.solver import (BlowUpError, BoundaryContaminationError, Gaussian, Grid,
-                          GroundState, Sample, SolverConfig, Trajectory, jet_values, run,
+                          Sample, SolverConfig, Trajectory, jet_values, run,
                           stream_members)
+
+from helpers import cataloged_densities
 
 EPS_LIST = [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1]
 
@@ -48,24 +51,12 @@ def charge_scan():
 
 
 def test_charge_is_conserved_without_gain():
-    cfg = _short_cfg(params=ParamValues(eps=0.0), initial=GroundState())
+    cfg = _short_cfg(params=ParamValues(eps=0.0), initial=Gaussian(math.pi ** -0.25, 1.0, 0.0))
     traj = run(cfg)
     ts = density_timeseries(traj, CaseId.CASE1A, Kind.CHARGE)
     assert ts.values[0] == pytest.approx(-0.5, abs=1e-10)
     drift_abs, drift_rel = drift_from_timeseries(ts)
     assert drift_rel < 1e-8
-
-
-def _cataloged_densities():
-    cat = load_catalog()
-    out = []
-    for case_id in CaseId:
-        for kind in Kind:
-            cv = cat.conserved_vector(case_id, kind)
-            if cv is not None:
-                out += [(case_id, kind, form) for form, e in
-                        (("Tt", cv.Tt), ("PhiT", cv.complex_density)) if e is not None]
-    return out
 
 
 def _density_per_snapshot(traj, case_id, kind, form):
@@ -79,15 +70,14 @@ def _density_per_snapshot(traj, case_id, kind, form):
     out = []
     for state in traj.snapshots:
         batch = JetBatch(np.full(grid.N, state.t), grid.x, jet_values(state.q[0], grid))
-        dens = np.asarray(eval_expr(e, batch, traj.cfg.params), dtype=float)
-        out.append(float(grid.dx * np.sum(np.broadcast_to(dens, (grid.N,)))))
+        out.append(float(grid.dx * np.sum(eval_expr(e, batch, traj.cfg.params))))
     return np.array(out)
 
 
 # (case, kind, form, N, T_final) with a snapshot count (dt = 1e-3, one
 # snapshot per step) that fills one block of EVAL_BLOCK_POINTS and part of
 # the next: 101 at N = 256, 7 at N = 4096
-_STACKS = ([(c, k, f, 256, 0.1) for c, k, f in _cataloged_densities()]
+_STACKS = ([(c, k, f, 256, 0.1) for c, k, f in cataloged_densities()]
            + [(CaseId.CASE2, k, "Tt", 4096, 0.006) for k in (Kind.ENERGY, Kind.CHARGE)])
 
 

@@ -189,8 +189,7 @@ def test_residual_targets_vanish_at_eps_zero(case_id, kind):
     batch = JetSampler(seed=2).batch(40, 2)
     p0 = ParamValues(eps=0.0)
     for e in (tgt.Ru, tgt.Rv):
-        vals = np.asarray(eval_expr(e, batch, p0), dtype=float)
-        assert np.max(np.abs(vals)) < 1e-14
+        assert np.max(np.abs(eval_expr(e, batch, p0))) < 1e-14
 
 
 @pytest.mark.parametrize("case_id,kind", [

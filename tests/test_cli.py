@@ -377,6 +377,26 @@ def test_simulate_steps_strang_at_the_solver_default(tmp_path, capsys, monkeypat
     assert "scheme=strang" in svg.find("{http://www.w3.org/2000/svg}metadata").text.splitlines()
 
 
+@pytest.mark.parametrize("key", ["amplitude", "width", "center"])
+def test_ground_initial_rejects_gaussian_shape_settings(tmp_path, capsys, key):
+    # the ground state's shape is fixed: a given amplitude, width or center
+    # fails the run, as a flag or as a config key, before anything is written
+    argv = ["simulate", "--case", "1a", "--initial", "ground", "--t-final", "0.01",
+            "--N", "64", "--out-dir", str(tmp_path / "out")]
+    assert main(argv + [f"--{key}", "5"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: --{key} does not apply to initial=ground\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 5\n")
+    assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+    assert f"--{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(argv) == EXIT_OK
+    recs = {r["kind"]: r for r in _json_records(capsys.readouterr().out)}
+    assert recs["charge"]["config"]["initial"] == "ground"
+    assert key not in recs["charge"]["config"]
+    assert recs["charge"]["Q0"] == pytest.approx(-0.5)  # the ground state's charge
+
+
 def test_t_final_off_the_time_step_names_both_values(tmp_path, capsys):
     # the scans' default dt is 5e-3, so a T_final that was fine at 1e-3 can miss it
     assert main(["drift-scan", "--case", "1a", "--kind", "charge", "--t-final", "0.003",

@@ -2,10 +2,12 @@
 its `__all__`, no package module imports another's private name (test files
 may), every name in an `__all__` is defined at its module's top level,
 every module-level definition is exported or referenced somewhere in the
-package, and every defaulted parameter of an exported function is set by
-some call in the source, the tests or the benchmark.  Read from the source
-with `ast`, so nothing is imported, except by the check that a fresh
-interpreter leaves heavy modules out of `sys.modules`."""
+package, no package module passes an `eval_expr` result through a numpy
+reshaper (it is already a float array of the batch's shape), and every
+defaulted parameter of an exported function is set by some call in the
+source, the tests or the benchmark.  Read from the source with `ast`, so
+nothing is imported, except by the check that a fresh interpreter leaves
+heavy modules out of `sys.modules`."""
 
 import ast
 import os
@@ -57,6 +59,32 @@ def private_imports(source: str) -> list[str]:
             if isinstance(node, ast.ImportFrom) and node.level
             for alias in node.names
             if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
+# numpy calls that would reshape or convert a result `eval_expr` already
+# returns as a float array of the batch's shape
+_RESHAPERS = {"asarray", "array", "broadcast_to", "ravel"}
+
+
+def _called_name(call: ast.Call) -> Optional[str]:
+    func = call.func
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
+def reshaped_evaluations(source: str) -> list[str]:
+    """`line n: np.name` for each call of a numpy reshaper in `_RESHAPERS`
+    that has an `eval_expr(...)` call among its arguments."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        func = node.func if isinstance(node, ast.Call) else None
+        if (isinstance(func, ast.Attribute) and func.attr in _RESHAPERS
+                and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+                and any(isinstance(n, ast.Call) and _called_name(n) == "eval_expr"
+                        for arg in node.args
+                        for n in ast.walk(arg))):
+            out.append((node.lineno, f"{func.value.id}.{func.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(out)]
 
 
 def _defined_names(stmt: ast.stmt) -> list[str]:
@@ -138,9 +166,7 @@ def unset_options(modules: Iterable[str], callers: Iterable[str]) -> list[str]:
         for node in ast.walk(ast.parse(src)):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute) else None)
+            name = _called_name(node)
             params = options.get(name, {})
             if any(isinstance(a, ast.Starred) for a in node.args) or any(
                     k.arg is None for k in node.keywords):
@@ -163,6 +189,15 @@ def test_lint_flags_a_private_import():
            "from .a import pub, _priv as _p\nfrom math import _private_ok\n"
            "from ..b import (x,\n    _y)\n")
     assert private_imports(src) == ["line 3: _priv", "line 5: _y"]
+
+
+def test_lint_flags_a_reshaped_evaluation():
+    src = ("import numpy as np\nfrom .jetexpr import eval_expr\n"
+           "a = np.asarray(eval_expr(e, b))\nb = float(np.ravel(m.eval_expr(e, b))[0])\n"
+           "c = np.broadcast_to(2.0 * eval_expr(e, b), s)\nd = np.array([eval_expr(e, b)])\n"
+           "f = np.sum(eval_expr(e, b))\ng = np.asarray(evaluate(e))\n")
+    assert reshaped_evaluations(src) == ["line 3: np.asarray", "line 4: np.ravel",
+                                         "line 5: np.broadcast_to", "line 6: np.array"]
 
 
 def test_lint_flags_an_unreferenced_definition():
@@ -197,6 +232,11 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text("utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_reshaped_evaluations(path):
+    assert reshaped_evaluations(path.read_text("utf-8")) == []
 
 
 def test_no_unreferenced_definitions():

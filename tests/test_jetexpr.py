@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptnls import jetexpr
+from ptnls.analysis import density_expr
 from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import (DEFAULT_MAX_JET_ORDER, Binary, Const,
                            EvalError, Jet, JetBatch, JetOrderError,
@@ -28,8 +29,9 @@ from ptnls.jetexpr import (DEFAULT_MAX_JET_ORDER, Binary, Const,
                            exp, expr_equiv, gradient, jet, mul, neg, nodes,
                            parse_expr, partial, pow_, random_polynomial, sqrt,
                            sub, substitute, to_text, total_derivative)
+from ptnls.solver import Grid, jet_values
 
-from helpers import with_params
+from helpers import cataloged_densities, with_params
 
 U, V = jet("u"), jet("v")
 UX, VX = jet("u", 0, 1), jet("v", 0, 1)
@@ -207,14 +209,14 @@ def _compose(children):
 _tree = st.recursive(_leaf, _compose, max_leaves=25)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(_tree)
 @example(neg(sqrt(pow_(Const(-0.0), Fraction(1, 2)))))  # prints as -sqrt((-0.0)^(1/2))
 def test_print_parse_roundtrip(e):
     assert parse_expr(to_text(e)) == e
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_random_polynomial_roundtrip(seed):
     e = random_polynomial(np.random.default_rng(seed))
@@ -274,8 +276,8 @@ def test_eval_shared_child_and_leaf_roots():
     assert np.array_equal(eval_expr(e, batch.point(2)), want[2:3])
     assert eval_expr(U, batch) is u
     assert np.array_equal(eval_expr(Var("x"), batch), batch.x)
-    assert eval_expr(Const(2.5), batch) == 2.5
-    assert eval_expr(Sym("mu"), batch, ParamValues(mu=3.0)) == 3.0
+    assert np.array_equal(eval_expr(Const(2.5), batch), np.full(9, 2.5))
+    assert np.array_equal(eval_expr(Sym("mu"), batch, ParamValues(mu=3.0)), np.full(9, 3.0))
 
 
 def test_eval_frees_intermediates_after_last_use():
@@ -301,8 +303,20 @@ def test_batch_length_is_the_broadcast_point_count():
     rows, n = 3, 5
     batch = JetBatch(np.zeros((rows, 1)), np.zeros(n),
                      {jet("u", 0, 0): np.zeros((rows, n))})
-    assert len(batch) == rows * n
+    assert batch.shape == (rows, n) and len(batch) == rows * n
     assert len(JetSampler(seed=0).batch(7, 1)) == 7
+    assert len(JetSampler(seed=0).batch(20, 6)) == 20
+
+
+def test_stacked_batch_evaluates_to_rows_by_nodes():
+    # t a column and x a row, as the density integrals stack snapshots: a
+    # constant, x alone and every on-shell catalog density fill the grid
+    grid, rows = Grid(N=64), 3
+    q = np.exp(-grid.x ** 2 / 2.0) * np.arange(1.0, rows + 1.0)[:, None] + 0j
+    batch = JetBatch(np.linspace(0.0, 1.0, rows)[:, None], grid.x, jet_values(q, grid))
+    exprs = [Const(2.0), Var("x")] + [density_expr(*block) for block in cataloged_densities()]
+    for e in exprs:
+        assert eval_expr(e, batch, ParamValues()).shape == (rows, grid.N), to_text(e)
 
 
 def test_eval_missing_coord_raises():
@@ -341,17 +355,15 @@ def test_integer_powers_are_the_plain_product(p):
     for _ in range(abs(p)):
         product = product * u
     want = 1.0 / product if p < 0 else product
-    got = np.broadcast_to(eval_expr(e, JetBatch(np.zeros(u.size), np.zeros(u.size),
-                                                {U: u})), u.shape)
+    got = eval_expr(e, JetBatch(np.zeros(u.size), np.zeros(u.size), {U: u}))
     np.testing.assert_allclose(got, want, rtol=16 * np.finfo(float).eps, atol=0.0)
     exact = np.isin(u, [-2.0, -1.0, 1.0, 3.0])
     assert np.array_equal(got[exact], want[exact])
     if p in (2, 3):
         assert np.array_equal(got, want)
     for value, expected in zip(u[::25], want[::25]):
-        one = np.broadcast_to(eval_expr(e, JetBatch(np.zeros(1), np.zeros(1),
-                                                    {U: np.array([value]), V: np.zeros(1)})),
-                              (1,))
+        one = eval_expr(e, JetBatch(np.zeros(1), np.zeros(1),
+                                    {U: np.array([value]), V: np.zeros(1)}))
         assert one[0] == pytest.approx(expected, rel=16 * np.finfo(float).eps, abs=0.0)
 
 
@@ -404,16 +416,22 @@ def test_param_values_reject_a_negative_eps_entry():
         hash(p)
 
 
-def test_scalar_expressions_still_evaluate_to_floats():
+def test_scalar_expressions_evaluate_to_the_batch_shape():
+    # one value per point, and one row per swept value whether or not the
+    # expression reads the swept parameter
     batch = JetSampler(seed=2).batch(5, 1)
     e = parse_expr("eps*mu + 2*sigma^2 - pi")
     for params in (None, ParamValues(eps=0.2, mu=3)):
         got = eval_expr(e, batch, params)
-        assert type(got) is float
-    assert got == 0.2 * 3.0 + 2.0 * 1.0 ** 2 - math.pi
-    swept = eval_expr(e, batch, ParamValues(eps=np.array([[0.2], [0.4]]), mu=3))
-    assert isinstance(swept, np.ndarray) and swept.shape == (2, 1)
-    assert swept[0, 0] == got
+        assert got.shape == (5,) and got.dtype == float
+    assert np.all(got == 0.2 * 3.0 + 2.0 * 1.0 ** 2 - math.pi)
+    sweep = ParamValues(eps=np.array([[0.2], [0.4]]), mu=3)
+    assert sweep.shape == (2, 1) and ParamValues(eps=0.2, mu=3).shape == ()
+    swept = eval_expr(e, batch, sweep)
+    assert swept.shape == (2, 5)
+    assert np.array_equal(swept[0], got)
+    for no_eps in (parse_expr("mu*sigma"), parse_expr("mu*u")):
+        assert eval_expr(no_eps, batch, sweep).shape == (2, 5)
 
 
 @pytest.mark.parametrize("case_id", list(CaseId))
@@ -429,7 +447,7 @@ def test_eps_column_reproduces_scalar_evaluations_bit_for_bit(case_id):
         assert swept.shape == (len(eps), len(batch))
         for k, value in enumerate(eps):
             one = eval_expr(e, batch, ParamValues(eps=value, mu=1.3, alpha=0.25))
-            assert swept[k].tobytes() == np.broadcast_to(one, (len(batch),)).tobytes(), k
+            assert swept[k].tobytes() == one.tobytes(), k
 
 
 def _batch_per_coordinate(sampler, n, order):
@@ -541,7 +559,7 @@ def test_partial_basic():
     assert partial(e, "u_tt") == const(0)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_partial_product_rule(seed):
     rng = np.random.default_rng(seed)
@@ -579,7 +597,7 @@ def test_total_derivative_order_guard():
     total_derivative(e, "x", max_order=5)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_total_derivatives_commute(seed):
     f = random_polynomial(np.random.default_rng(seed))
@@ -618,7 +636,7 @@ def test_euler_order_guard():
         euler_operator(parse_expr("u_ttx^2"), max_order=4)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from(["t", "x"]))
 def test_euler_annihilates_total_derivatives(seed, direction):
     f = random_polynomial(np.random.default_rng(seed))

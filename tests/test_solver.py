@@ -13,7 +13,7 @@ from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import (JetBatch, ParamValues, Sym, eval_expr, expr_equiv, jet,
                            parse_expr)
 from ptnls.solver import (SCHEMES, BlowUpError, BoundaryContaminationError, Gaussian,
-                          Grid, GroundState, SolverConfig, Stepper, initial_condition,
+                          Grid, SolverConfig, Stepper, initial_condition,
                           integrate, jet_values, make_stepper, resample, run,
                           stream_members, write_trajectory_csv)
 
@@ -21,7 +21,8 @@ from ptnls.solver import (SCHEMES, BlowUpError, BoundaryContaminationError, Gaus
 def _linear_cfg(**kw):
     # eps = mu = 0 with the quadratic trap: the ground state is stationary
     base = dict(case_id=CaseId.CASE1A, params=ParamValues(eps=0.0, mu=0.0),
-                dt=1e-3, T_final=1.0, grid=Grid(N=256), initial=GroundState())
+                dt=1e-3, T_final=1.0, grid=Grid(N=256),
+                initial=Gaussian(math.pi ** -0.25, 1.0, 0.0))
     base.update(kw)
     return SolverConfig(**base)
 
@@ -67,6 +68,7 @@ def test_initial_conditions():
     first = next(stream_members(cfg, [0.0], 1, [None]))
     assert first.t == 0.0 and np.array_equal(first.q[0], q)
     assert integrate(cfg.grid, np.abs(q) ** 2) == pytest.approx(1.0, abs=1e-12)
+    assert SolverConfig().initial == cfg.initial  # the default is the ground state
     gauss = initial_condition(_linear_cfg(initial=Gaussian(2.0, 0.5, 1.0)))
     peak = np.argmax(np.abs(gauss))
     assert abs(cfg.grid.x[peak] - 1.0) < cfg.grid.dx

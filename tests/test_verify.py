@@ -143,7 +143,7 @@ def test_divergence_orientation_is_eps_independent():
     batch = JetSampler(seed=9).batch(30, 3)
     for eps in (EPS_GRID[0], EPS_GRID[-1]):
         params = ParamValues(eps=float(eps))
-        r = np.asarray(eval_expr(div, batch, params)) - np.asarray(eval_expr(qe, batch, params))
+        r = eval_expr(div, batch, params) - eval_expr(qe, batch, params)
         assert np.max(np.abs(r)) < 10.0 * eps
 
 
@@ -289,8 +289,7 @@ def _per_bump(e, p, params, bg, dep, tc, xc, wt, wx, fd_step, quad_n, indexing="
             if c.dep == dep:
                 arr = arr + s * phi[(c.t_order, c.x_order)]
             values[c] = arr
-        vals = np.asarray(eval_expr(e, JetBatch(Tf, Xf, values), params), dtype=float)
-        return float(np.sum(w2d * np.broadcast_to(vals, w2d.shape)))
+        return float(np.sum(w2d * eval_expr(e, JetBatch(Tf, Xf, values), params)))
 
     h = fd_step
     rhs = (-action(2 * h) + 8 * action(h) - 8 * action(-h) + action(-2 * h)) / (12 * h)
