@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .catalog import CaseId, Kind, load_catalog
 from .jetexpr import EVAL_BLOCK_POINTS, Expr, JetBatch, eval_expr
-from .solver import (Gaussian, Sample, SolverConfig, Trajectory, fmt17, integrate,
-                     jet_values, stream_members)
+from .solver import (Gaussian, Sample, SolverConfig, Trajectory, fmt17, fmt17_array,
+                     integrate, jet_values, stream_members)
 
 __all__ = [
     "DensityUnavailableError", "DensityTimeseries", "DensityAccumulator", "DriftMember",
@@ -349,9 +349,10 @@ def write_timeseries_csv(series: Sequence[DensityTimeseries], path,
             fh.write(f"# {line}\n")
         fh.write(TIMESERIES_CSV_HEADER + "\n")
         for ts in series:
-            for t, q in zip(ts.times, ts.values):
-                fh.write(",".join([ts.case_id.value, ts.kind.value, ts.form,
-                                   fmt17(ts.eps), fmt17(t), fmt17(q)]) + "\n")
+            lead = ",".join([ts.case_id.value, ts.kind.value, ts.form, fmt17(ts.eps)])
+            cols = fmt17_array(np.stack([ts.times, ts.values], axis=-1)).astype(str)
+            for t, q in cols.reshape(-1, 2).tolist():
+                fh.write(f"{lead},{t},{q}\n")
 
 
 # SVG emission: hand-rolled line charts, 800x500, config embedded as metadata.

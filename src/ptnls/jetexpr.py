@@ -1192,9 +1192,13 @@ def expr_equiv(e1: Expr, e2: Expr, n: int = 100, tol: float = 1e-10,
     """Randomized equivalence: evaluate both expressions at the n jet points
     `JetSampler(seed).batch` draws and compare with relative tolerance tol
     (normalized by max(1, |v1|, |v2|) pointwise).  On failure the result
-    carries the worst point as its witness."""
+    carries the worst point as its witness.  The parameters are one point:
+    array-valued `params` raise ValueError."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if params is not None and params.shape != ():
+        raise ValueError(f"expr_equiv compares at one parameter point, but params.shape "
+                         f"is {params.shape}")
     batch = JetSampler(seed).batch(n, max(e1.order, e2.order))
     v1, v2 = eval_expr(e1, batch, params), eval_expr(e2, batch, params)
     scale = np.maximum(1.0, np.maximum(np.abs(v1), np.abs(v2)))

@@ -376,6 +376,18 @@ def test_timeseries_csv_round_trips(tmp_path):
     assert float(cells[5]) == 1.0 + 1e-16  # 17 significant digits survive
 
 
+def test_timeseries_csv_matches_the_row_by_row_writer(tmp_path):
+    odd = [0.0, -0.0, 1 + 2.0 ** -17, 1e16, 9.9999999999999999e-5, 5e-324, 1.7976931348623157e308,
+           math.nan, -math.inf, 1 / 3]
+    ts = DensityTimeseries(CaseId.CASE1A, Kind.ENERGY, "Tt", 0.1 + 0.2,
+                           np.arange(len(odd)) * 0.05, np.array(odd))
+    path = tmp_path / "ts.csv"
+    write_timeseries_csv([ts, ts], path, header_lines=["seed=0"])
+    rows = "".join(f"case1a,energy,Tt,0.30000000000000004,{t:.17g},{q:.17g}\n"
+                   for t, q in zip(ts.times.tolist(), odd))
+    assert path.read_text() == f"# seed=0\n{TIMESERIES_CSV_HEADER}\n" + 2 * rows
+
+
 def test_emit_report_empty_still_writes_headers(tmp_path):
     paths = emit_report([], tmp_path)
     assert sorted(p.rsplit("/", 1)[1] for p in paths) == ["drift.csv",

@@ -3,7 +3,8 @@ its `__all__`, no package module imports another's private name (test files
 may), every name in an `__all__` is defined at its module's top level,
 every module-level definition is exported or referenced somewhere in the
 package, no package module passes an `eval_expr` result through a numpy
-reshaper (it is already a float array of the batch's shape), and every
+reshaper (it is already a float array of the batch's shape), the
+17-digit format appears only in `solver`'s two formatters, and every
 defaulted parameter of an exported function is set by some call in the
 source, the tests or the benchmark.  Read from the source with `ast`, so
 nothing is imported, except by the check that a fresh interpreter leaves
@@ -85,6 +86,16 @@ def reshaped_evaluations(source: str) -> list[str]:
                         for n in ast.walk(arg))):
             out.append((node.lineno, f"{func.value.id}.{func.attr}"))
     return [f"line {line}: {name}" for line, name in sorted(out)]
+
+
+def literal_owners(source: str, literal: str) -> list[str]:
+    """`line n: name` for each source line holding `literal`, name the
+    top-level definition that spans it (`<module>` outside any)."""
+    spans = [(stmt.lineno, stmt.end_lineno, stmt.name) for stmt in ast.parse(source).body
+             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return [f"line {n}: " + next((name for first, last, name in spans if first <= n <= last),
+                                 "<module>")
+            for n, line in enumerate(source.splitlines(), 1) if literal in line]
 
 
 def _defined_names(stmt: ast.stmt) -> list[str]:
@@ -237,6 +248,20 @@ def test_no_private_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_reshaped_evaluations(path):
     assert reshaped_evaluations(path.read_text("utf-8")) == []
+
+
+def test_lint_names_the_owner_of_a_literal():
+    src = ("X = '%.17g'\ndef f(v):\n    return format(v, '.17g')\n"
+           "class C:\n    def g(self):\n        pass  # .17g\n")
+    assert literal_owners(src, ".17g") == ["line 1: <module>", "line 3: f", "line 6: C"]
+
+
+def test_17_digit_format_lives_in_the_two_formatters():
+    # every float the package writes in 17 digits goes through fmt17 (one
+    # value) or fmt17_array (an array, with fmt17 as its fallback)
+    found = {p.stem: literal_owners(p.read_text("utf-8"), ".17g") for p in SOURCES}
+    assert {name.split(": ")[1] for name in found.pop("solver")} <= {"fmt17", "fmt17_array"}
+    assert all(not owners for owners in found.values()), found
 
 
 def test_no_unreferenced_definitions():

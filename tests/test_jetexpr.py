@@ -523,6 +523,16 @@ def test_equiv_tolerance_must_be_positive_and_finite(tol):
         expr_equiv(U, U, tol=tol)
 
 
+@pytest.mark.parametrize("other, equal", [(Sym("eps") * U, True), (2 * Sym("eps") * U, False)],
+                         ids=["equal", "unequal"])
+def test_equiv_rejects_array_valued_params(other, equal):
+    # the witness is one jet point, so a (2, 1) eps column has no place in it
+    params = ParamValues(eps=np.array([[0.1], [0.2]]))
+    with pytest.raises(ValueError, match=r"params\.shape is \(2, 1\)"):
+        expr_equiv(Sym("eps") * U, other, params=params)
+    assert bool(expr_equiv(Sym("eps") * U, other, params=ParamValues(eps=0.1))) is equal
+
+
 def test_complete_coords_is_one_immutable_tuple_per_order():
     for order in (0, 2, 6):
         coords = complete_coords(order)

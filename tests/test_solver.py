@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ptnls import solver
 from ptnls.analysis import density_timeseries, drift_from_timeseries
@@ -13,7 +15,7 @@ from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import (JetBatch, ParamValues, Sym, eval_expr, expr_equiv, jet,
                            parse_expr)
 from ptnls.solver import (SCHEMES, BlowUpError, BoundaryContaminationError, Gaussian,
-                          Grid, SolverConfig, Stepper, initial_condition,
+                          Grid, SolverConfig, Stepper, fmt17_array, initial_condition,
                           integrate, jet_values, make_stepper, resample, run,
                           stream_members, write_trajectory_csv)
 
@@ -569,15 +571,84 @@ def _reference_trajectory_csv(traj, header_lines):
     return "".join(out)
 
 
-def test_trajectory_csv_matches_the_row_by_row_writer(tmp_path):
+# values where a 17-digit conversion is easy to get wrong: an exact tie
+# (1 + 2^-17 ends in ...3125 at the 18th digit), the decade edges next to
+# 1e16, 1e17 and 1e-4 (where %g switches notation), the smallest subnormal,
+# the largest double and both zeros; then three near-ties that a longdouble
+# product gets wrong (the first lands on an exact .5) and two doubles just
+# below 10^k whose log10 rounds up to k
+FMT17_EDGES = [1 + 2.0 ** -17, 0.5, 1e16, 99999999999999999.0, 9.9999999999999999e-5,
+               1e-5, 5e-324, np.finfo(float).max, 0.0, -0.0,
+               8.894385665401405, 6.756210886489721e-276, 4.68264621554586e+47,
+               1e-298, 9.999999999999999e-294]
+
+
+def test_trajectory_csv_matches_the_row_by_row_writer(tmp_path, monkeypatch):
     cfg = _linear_cfg(grid=Grid(L=7.5, N=64), params=ParamValues(eps=0.1 + 0.2),
                       dt=1e-3, T_final=3e-3)
     traj = run(cfg, sample_every=1)
     odd = traj.snapshots[1].q[0].copy()
+    edges = np.array(FMT17_EDGES)
     odd[:6] = [-0.0, complex(5e-324, -0.0), complex(1e300, -1e300),
                complex(-2.2250738585072014e-308, 1 / 3), 1e-5j, complex(123456789.0, -1e22)]
+    odd[6:6 + len(edges)] = edges - 1j * edges[::-1]
     traj.snapshots[1] = replace(traj.snapshots[1], t=0.1 + 0.2, q=odd[None])
     path = tmp_path / "traj.csv"
     header = ["seed=0", "note=x,y 100%"]
-    write_trajectory_csv(traj, path, header_lines=header)
-    assert path.read_bytes() == _reference_trajectory_csv(traj, header).encode()
+    # a chunk of 5 nodes puts chunk seams inside each snapshot
+    for chunk in (solver._WRITE_CHUNK, 5):
+        monkeypatch.setattr(solver, "_WRITE_CHUNK", chunk)
+        write_trajectory_csv(traj, path, header_lines=header)
+        assert path.read_bytes() == _reference_trajectory_csv(traj, header).encode()
+
+
+def _format17(values) -> list[str]:
+    return [format(v, ".17g") for v in np.asarray(values, float).tolist()]
+
+
+def _fmt17_array(values) -> list[str]:
+    return [b.decode() for b in fmt17_array(np.asarray(values, float)).tolist()]
+
+
+def test_fmt17_array_matches_format_on_the_edges():
+    edges = FMT17_EDGES + [-v for v in FMT17_EDGES]
+    assert _fmt17_array(edges) == _format17(edges)
+    assert _fmt17_array([]) == []
+    # a stack is formatted in its flat order
+    assert _fmt17_array(np.reshape(edges, (2, -1))) == _format17(edges)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="longdouble is a double here")
+def test_fmt17_array_formats_most_values_without_format(monkeypatch):
+    # only values near a rounding boundary (the tie among them), zeros and
+    # non-finite values fall back to one format call each
+    calls = []
+    monkeypatch.setattr(solver, "fmt17", lambda v: calls.append(v) or format(v, ".17g"))
+    values = np.random.default_rng(3).standard_normal(1000)
+    assert _fmt17_array(values) == _format17(values) and len(calls) < 50
+    calls.clear()
+    assert _fmt17_array([1 + 2.0 ** -17, 0.0, np.nan, 0.3]) == ["1.0000076293945312", "0", "nan",
+                                                               "0.29999999999999999"]
+    assert calls[:2] == [1 + 2.0 ** -17, 0.0] and math.isnan(calls[2]) and len(calls) == 3
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+def test_fmt17_array_is_format_17g_on_floats(values):
+    assert _fmt17_array(values) == _format17(values)
+
+
+# raw float64 bit patterns: the sign, an exponent field that hits the
+# subnormals (0) and the infinities and nans (2047) often, and any mantissa
+_BIT_PATTERNS = st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+                          st.integers(0, 1),
+                          st.one_of(st.sampled_from([0, 1, 2046, 2047]), st.integers(0, 2047)),
+                          st.integers(0, 2 ** 52 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_BIT_PATTERNS, min_size=1, max_size=40))
+@example([0x7FF8000000000000, 0xFFF0000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF])
+def test_fmt17_array_is_format_17g_on_bit_patterns(bits):
+    values = np.array(bits, np.uint64).view(float)
+    assert _fmt17_array(values) == _format17(values)
