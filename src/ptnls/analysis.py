@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .catalog import CaseId, Kind, load_catalog
-from .jetexpr import EVAL_BLOCK_POINTS, Expr, JetBatch, eval_expr
+from .jetexpr import (EVAL_BLOCK_POINTS, Binary, Expr, Jet, JetBatch, Unary, Var,
+                      eval_expr, nodes)
 from .solver import (Gaussian, Sample, SolverConfig, Trajectory, fmt17, fmt17_array,
                      integrate, jet_values, stream_members)
 
@@ -76,28 +77,64 @@ def density_expr(case_id: CaseId, kind: Kind, form: str) -> Expr:
     return load_catalog().build_system(case_id).on_shell(e)
 
 
+def _grid_operands(exprs: Sequence[Expr]) -> list[Expr]:
+    """The operator nodes that read x but neither t nor a jet and are
+    operands of nodes that do read one, children before parents: the
+    frontier of the densities' grid-only factors (erf, exp and powers of x
+    times parameters), whose values are the same at every sample."""
+    reads: dict[Expr, tuple[bool, bool]] = {}  # (reads t or a jet, reads x)
+    frontier = set()
+    order = nodes(*exprs)
+    for n in order:
+        t = type(n)
+        if t is Unary or t is Binary:
+            operands = (n.arg,) if t is Unary else (n.lhs, n.rhs)
+            varying = any(reads[o][0] for o in operands)
+            reads[n] = (varying, any(reads[o][1] for o in operands))
+            if varying:
+                frontier.update(o for o in operands if reads[o] == (False, True)
+                                and type(o) is not Var)
+        else:
+            name = n.name if t is Var else None
+            reads[n] = (t is Jet or name == "t", name == "x")
+    return [n for n in order if n in frontier]
+
+
 def _block_integrals(exprs: Sequence[Expr], t: np.ndarray, q: np.ndarray, grid,
-                     params) -> list[np.ndarray]:
+                     params, known: dict) -> list[np.ndarray]:
     """dx * sum_j density(t_k, x_j, jets) of each expression at each row k of
-    q, (rows, N), at the times t, (rows, 1): one jet_values call for all."""
+    q, (rows, N), at the times t, (rows, 1): one jet_values call for all.
+    `known` holds the values of `_grid_operands` on the grid at `params`."""
     batch = JetBatch(t, grid.x, jet_values(q, grid))
-    return [integrate(grid, eval_expr(e, batch, params)) for e in exprs]
+    return [integrate(grid, eval_expr(e, batch, params, known)) for e in exprs]
 
 
 class DensityAccumulator:
     """Q(t_k) = dx * sum_j density(t_k, x_j, jets) of each kind's density for
     each member of a `stream_members` stream, fed one Sample at a time.  Each
     member's samples are buffered into blocks of EVAL_BLOCK_POINTS nodes; a
-    full block is evaluated for every kind at once and dropped.  Memory is one
-    block per member, whatever T_final or the sample count, plus the Q values."""
+    full block is evaluated for every kind at once and dropped.  The
+    densities' grid-only factors (`_grid_operands`) are evaluated once per
+    member, on the grid's N nodes, and every block's walk takes them as
+    they are: the same bits as evaluating them in each block.  Memory is one
+    block and those factors per member, whatever T_final or the sample
+    count, plus the Q values."""
 
     def __init__(self, cfg: SolverConfig, eps_values: Sequence[float],
                  kinds: Sequence[Kind], form: str = "Tt"):
         self.cfg, self.kinds, self.form = cfg, list(kinds), form
         self.exprs = [density_expr(cfg.case_id, kind, form) for kind in self.kinds]
         self.params = [cfg.params.replace(eps=float(e)) for e in eps_values]
-        rows = max(1, EVAL_BLOCK_POINTS // cfg.grid.N)
-        self.block = np.empty((len(eps_values), rows, cfg.grid.N), complex)
+        operands, grid = _grid_operands(self.exprs), cfg.grid
+        at_nodes = JetBatch(np.zeros(grid.N), grid.x, {})
+        self.known: list[dict] = []  # each member's grid-only values
+        for params in self.params:
+            known = {}
+            for n in operands:  # an operand may contain an earlier one
+                known[n] = eval_expr(n, at_nodes, params, known)
+            self.known.append(known)
+        rows = max(1, EVAL_BLOCK_POINTS // grid.N)
+        self.block = np.empty((len(eps_values), rows, grid.N), complex)
         self.block_t = np.empty(rows)
         self.fill = 0  # samples in the current block
         self.members = ()  # the members of the last sample
@@ -119,7 +156,8 @@ class DensityAccumulator:
         t = self.block_t[:self.fill, None]
         for m in members if self.exprs else ():  # no kinds: no jets to take
             self.blocks[m].append(_block_integrals(
-                self.exprs, t, self.block[m, :self.fill], self.cfg.grid, self.params[m]))
+                self.exprs, t, self.block[m, :self.fill], self.cfg.grid, self.params[m],
+                self.known[m]))
         self.fill = 0
 
     def series(self, errors: Sequence) -> list[Optional[list[DensityTimeseries]]]:
@@ -312,7 +350,7 @@ def _write_comments(fh, reports: Sequence[DriftReport], header_lines: Sequence[s
 def write_drift_csv(reports: Sequence[DriftReport], path,
                     header_lines: Sequence[str] = ()) -> None:
     """A failed member's row holds nan, after a `# failed` line with its error."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         _write_comments(fh, reports, header_lines)
         fh.write(DRIFT_CSV_HEADER + "\n")
         for rep in reports:
@@ -329,7 +367,7 @@ def write_drift_csv(reports: Sequence[DriftReport], path,
 
 def write_slope_csv(reports: Sequence[DriftReport], path,
                     header_lines: Sequence[str] = ()) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         _write_comments(fh, reports, header_lines)
         fh.write(SLOPE_CSV_HEADER + "\n")
         for rep in reports:
@@ -344,7 +382,7 @@ def write_slope_csv(reports: Sequence[DriftReport], path,
 
 def write_timeseries_csv(series: Sequence[DensityTimeseries], path,
                          header_lines: Sequence[str] = ()) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(TIMESERIES_CSV_HEADER + "\n")
@@ -488,7 +526,7 @@ def write_drift_svg(report: DriftReport, path,
                      f'text-anchor="end" font-size="12" font-family="sans-serif">'
                      f"slope = {report.slope:.3f}</text>")
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
 
 
@@ -517,7 +555,7 @@ def write_timeseries_svg(series: Sequence[DensityTimeseries], path,
                      f'font-size="11" font-family="sans-serif" fill="{color}">'
                      f"{_xml(f'{ts.form} eps={ts.eps:g}')}</text>")
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
 
 

@@ -243,7 +243,7 @@ def cmd_simulate(settings: Settings) -> int:
     traj_path = os.path.join(out_dir, "trajectory.csv")
     part_path = traj_path + ".tmp"
     errors = [None]
-    fh = open(part_path, "w")
+    fh = open(part_path, "wb")
     try:
         with fh:
             writer = TrajectoryWriter(fh, cfg, header)

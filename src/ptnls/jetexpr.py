@@ -814,18 +814,22 @@ class JetBatch:
         return {c.name(): float(self.values[c][0]) for c in sorted(self.values)}
 
 
-def eval_expr(e: Expr, point, params: Optional[ParamValues] = None):
+def eval_expr(e: Expr, point, params: Optional[ParamValues] = None,
+              known: Optional[Mapping[Expr, object]] = None):
     """Evaluate at a JetBatch: a float ndarray of the batch's shape
     broadcast with `params.shape`, whatever the expression reads.  An array
     parameter enters as it is and broadcasts against the batch, so a sweep
     on a leading axis is one walk of the DAG whose elements are those of one
     evaluation per value.  A value of the full shape is returned as it is;
     any other, a constant say, as a read-only broadcast view.  `params`
-    None reads the default ParamValues.  Missing coordinates, division by
-    zero, sqrt/fractional powers of negative values all raise EvalError."""
+    None reads the default ParamValues.  `known` maps nodes to values
+    already evaluated at this point and params (a caller's grid-only
+    factors, say): the walk takes them as they are and descends into none
+    of them.  Missing coordinates, division by zero, sqrt/fractional powers
+    of negative values all raise EvalError."""
     if params is None:
         params = _DEFAULT_PARAMS
-    val: dict[Expr, object] = {}
+    val: dict[Expr, object] = {} if known is None else dict(known)
     uses: dict[Expr, int] = {}
 
     def take(child: Expr):
@@ -837,7 +841,7 @@ def eval_expr(e: Expr, point, params: Optional[ParamValues] = None):
             del val[child]
         return v
 
-    for n in nodes(e, uses=uses):
+    for n in nodes(e, uses=uses, seen=None if known is None else set(known)):
         t = type(n)
         if t is Const:
             v = float(n.value)

@@ -34,13 +34,15 @@ digits per value.  The digits come from `fmt17_array`, which gives what
 `fmt17` gives for every element of a float64 array, but with array
 arithmetic: one longdouble product per value, with `fmt17` itself only for
 the few values near a rounding boundary (about 2%) and for zeros and
-non-finite values.  The writer formats 512 nodes at a time, so a write's
-scratch memory stays below what one %-format of the whole snapshot took
-(a traced peak of 0.53 against 0.70 MB at N = 4096).  On a 2-vCPU x86-64
-host, one N = 4096 snapshot takes a median 2.6 ms against 5.4 ms that way,
-and `ptnls simulate --case 2 --N 4096 --t-final 2 --sample-every 20` (101
-snapshots, 30.8 MB of CSV) a median 1.16 s against 1.36 s (10 interleaved
-runs).
+non-finite values.  The writer formats a snapshot with one `fmt17_array`
+call and one write of bytes to a binary file, at a traced peak of 2.9 MB
+at N = 4096 (0.48 MB when it took 512 nodes at a time).  On a 2-vCPU
+x86-64 host, one N = 4096 snapshot takes a median 4.0-4.3 ms against
+4.8-5.3 ms in 512-node chunks (three sets of 400 interleaved calls), and
+`ptnls simulate --case 2 --N 4096 --t-final 2 --sample-every 20` (101
+snapshots, 30.8 MB of CSV), with the stepper's tiny-phase shortcut, a
+median 1.19 s against 1.32 s (10 interleaved runs; 1.88 against 2.12 s
+in a busier phase of the host).
 
 The grid is periodic on [-L, L) with nodes offset by half a cell so that
 x = 0 is never a node; several cataloged densities carry 1/x^k prefactors
@@ -76,6 +78,8 @@ BOUNDARY_ERROR = 1e-4
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 # the substep weights of each splitting scheme, as fractions of dt
 SCHEMES = {"strang": (1.0,), "yoshida4": (_W1, 1.0 - 2.0 * _W1, _W1)}
+# below this |phase| the pointwise flow's rotation is (1, -phase) exactly
+_EXACT_PHASE = 2.0 ** -27
 
 
 class BlowUpError(Exception):
@@ -224,16 +228,41 @@ class Stepper:
     def step(self, qhat: np.ndarray) -> np.ndarray:
         """The spectrum one step after `qhat`: each substep is an inverse FFT
         of the kinetic flow, the pointwise flow on the nodes and a forward
-        FFT, 2 FFTs, and the closing kinetic flow stays in Fourier space."""
+        FFT, 2 FFTs, and the closing kinetic flow stays in Fourier space.
+        `qhat` is not written; the pointwise flow runs in place in the array
+        the inverse FFT returns and the closing kinetic flow in the one the
+        forward FFT returns, with every complex product's operands in the
+        order lin q rot and kinetic qhat (numpy's complex multiply is not
+        bit-commutative).  The FFTs are out of place: numpy.fft takes `out`
+        only from numpy 2.0.
+
+        The rotation e^{-i phase} is (cos phase, -sin phase), cheaper than
+        a complex exp.  Where |phase| < 2^-27 the correctly rounded values
+        are (1, -phase) exactly (phase^2 / 2 and phase^2 / 6 stay below half
+        an ulp of 1 and of phase).  numpy 2.4's float64 cos and sin on an
+        x86-64 build gave exactly those on 2.0e6 draws, so there the
+        shortcut changes no bit; numpy can dispatch them to other SIMD loops
+        on other CPUs, and where such a loop is not correctly rounded the
+        two differ in the last bit.  On the default grids most nodes lie out
+        in the tails, below that bound, so cos and sin are taken only on the
+        window of columns that spans every other node; NaN and inf fail the
+        test and go through them too."""
         for kinetic, lin, cub in zip(self.kinetic, self.lin, self.cub):
             q = np.fft.ifft(kinetic * qhat)
-            # e^{-i phase} built from cos and sin: cheaper than a complex exp
             phase = cub * (q.real ** 2 + q.imag ** 2)
             rot = np.empty_like(q)
-            np.cos(phase, out=rot.real)
-            np.sin(-phase, out=rot.imag)
-            qhat = np.fft.fft(lin * q * rot)
-        return self.kinetic[-1] * qhat
+            rot.real = 1.0
+            np.negative(phase, out=rot.imag)
+            wide = ~(np.abs(phase) < _EXACT_PHASE)
+            cols = wide.reshape(-1, wide.shape[-1]).any(axis=0)
+            if cols.any():
+                lo, hi = cols.argmax(), len(cols) - cols[::-1].argmax()
+                np.cos(phase[..., lo:hi], out=rot.real[..., lo:hi])
+                np.sin(-phase[..., lo:hi], out=rot.imag[..., lo:hi])
+            np.multiply(lin, q, out=q)
+            q *= rot
+            qhat = np.fft.fft(q)
+        return np.multiply(self.kinetic[-1], qhat, out=qhat)
 
 
 def make_stepper(cfg: SolverConfig, eps) -> Stepper:
@@ -495,41 +524,34 @@ def fmt17_array(values: np.ndarray) -> np.ndarray:
     return out
 
 
-# nodes per fmt17_array call in TrajectoryWriter.write: its scratch arrays
-# stay below the size of a %-format of the whole snapshot
-_WRITE_CHUNK = 512
-
-
 class TrajectoryWriter:
-    """Long-format CSV on an open text file: the header at construction, then
-    one row per node of each snapshot given to `write`, 17 significant
-    digits."""
+    """Long-format CSV on a file open in binary mode: the header at
+    construction, then one row per node of each snapshot given to `write`,
+    17 significant digits.  Header text is written as UTF-8."""
 
     def __init__(self, fh, cfg: SolverConfig, header_lines=()):
         self.fh = fh
         for line in header_lines:
-            fh.write(f"# {line}\n")
+            fh.write(f"# {line}\n".encode())
         fh.write(f"# case={cfg.case_id.value} N={cfg.grid.N} L={fmt17(cfg.grid.L)}"
-                 f" dt={fmt17(cfg.dt)} T_final={fmt17(cfg.T_final)}\n")
+                 f" dt={fmt17(cfg.dt)} T_final={fmt17(cfg.T_final)}\n".encode())
         p = cfg.params
         fh.write(f"# eps={fmt17(p.eps)} mu={fmt17(p.mu)} sigma={fmt17(p.sigma)}"
-                 f" alpha={fmt17(p.alpha)} g={fmt17(p.g)}\n")
-        fh.write("t,x,re_q,im_q\n")
+                 f" alpha={fmt17(p.alpha)} g={fmt17(p.g)}\n".encode())
+        fh.write(b"t,x,re_q,im_q\n")
         # each node's row after t, filled with the formatted re and im of q
         self.rows = [f",{fmt17(xj)},%s,%s\n".encode() for xj in cfg.grid.x]
 
     def write(self, t: float, q: np.ndarray) -> None:
-        """The rows of the snapshot q, one field of N nodes, at time t."""
+        """The rows of the snapshot q, one field of N nodes, at time t: one
+        fmt17_array call and one write."""
         t = fmt17(t).encode()
-        for i in range(0, len(q), _WRITE_CHUNK):
-            rows, values = self.rows[i:i + _WRITE_CHUNK], q[i:i + _WRITE_CHUNK].view(float)
-            text = (t + t.join(rows)) % tuple(fmt17_array(values).tolist())
-            self.fh.write(text.decode())
+        self.fh.write((t + t.join(self.rows)) % tuple(fmt17_array(q.view(float)).tolist()))
 
 
 def write_trajectory_csv(traj: Trajectory, path, header_lines=()) -> None:
     """A trajectory's snapshots as a TrajectoryWriter CSV."""
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         writer = TrajectoryWriter(fh, traj.cfg, header_lines)
         for s in traj.snapshots:
             writer.write(s.t, s.q[0])

@@ -2,14 +2,18 @@
 and SVG emitters."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ptnls import analysis
+from ptnls import analysis, jetexpr
 from ptnls.analysis import (DRIFT_CSV_HEADER, SLOPE_CSV_HEADER,
                             TIMESERIES_CSV_HEADER, DensityTimeseries,
                             DensityUnavailableError,
@@ -18,9 +22,10 @@ from ptnls.analysis import (DRIFT_CSV_HEADER, SLOPE_CSV_HEADER,
                             fit_loglog_slope, write_drift_csv,
                             write_timeseries_csv)
 from ptnls.catalog import CaseId, Kind, load_catalog
-from ptnls.jetexpr import EVAL_BLOCK_POINTS, EvalError, JetBatch, ParamValues, eval_expr
+from ptnls.jetexpr import (EVAL_BLOCK_POINTS, EvalError, JetBatch, ParamValues, Unary,
+                           eval_expr, nodes)
 from ptnls.solver import (BlowUpError, BoundaryContaminationError, Gaussian, Grid,
-                          Sample, SolverConfig, Trajectory, jet_values, run,
+                          Sample, SolverConfig, Trajectory, integrate, jet_values, run,
                           stream_members)
 
 from helpers import cataloged_densities
@@ -91,6 +96,42 @@ def test_stacked_density_matches_per_snapshot_loop(case_id, kind, form, n, t_fin
     ts = density_timeseries(traj, case_id, kind, form)
     assert np.array_equal(ts.times, [s.t for s in traj.snapshots])
     assert np.array_equal(ts.values, _density_per_snapshot(traj, case_id, kind, form))
+
+
+@pytest.mark.parametrize("n,eps,t_final", [(512, [0.0, 0.01, 0.1], 0.07), (4096, [0.05], 0.01)],
+                         ids=["N512-stacked", "N4096"])
+def test_grid_only_factors_are_taken_once_per_member(n, eps, t_final, monkeypatch):
+    # Q(t) from the accumulator, whose blocks take the grid-only factors as
+    # evaluated once per member, against plain eval_expr of each block
+    erf_calls = []
+    plain_erf = jetexpr._np_erf
+    monkeypatch.setattr(jetexpr, "_np_erf", lambda a: erf_calls.append(a) or plain_erf(a))
+    rows = EVAL_BLOCK_POINTS // n
+    erf_densities = 0
+    for case_id, kind, form in cataloged_densities():
+        cfg = _short_cfg(case_id, T_final=t_final, grid=Grid(N=n))
+        errors = [None] * len(eps)
+        samples = list(stream_members(cfg, eps, 1, errors))
+        assert errors == [None] * len(eps) and len(samples) > 2 * rows  # three blocks
+        e = analysis.density_expr(case_id, kind, form)
+        erfs = sum(type(node) is Unary and node.op == "erf" for node in nodes(e))
+        erf_densities += erfs > 0
+        erf_calls.clear()
+        densities = analysis.DensityAccumulator(cfg, eps, [kind], form)
+        for sample in samples:
+            densities.add(sample)
+        series = densities.series(errors)
+        assert len(erf_calls) == len(eps) * erfs  # not once per block
+        for m, (params, [ts]) in enumerate(zip(densities.params, series)):
+            blocks = []
+            for i in range(0, len(samples), rows):
+                block = samples[i:i + rows]
+                batch = JetBatch(np.array([[s.t] for s in block]), cfg.grid.x,
+                                 jet_values(np.stack([s.q[m] for s in block]), cfg.grid))
+                blocks.append(integrate(cfg.grid, eval_expr(e, batch, params)))
+            assert np.array_equal(ts.values.view(np.uint64),
+                                  np.concatenate(blocks).view(np.uint64))
+    assert erf_densities >= 4
 
 
 def test_zero_field_has_zero_density():
@@ -395,6 +436,37 @@ def test_emit_report_empty_still_writes_headers(tmp_path):
     drift, slopes = sorted(paths)
     assert open(drift).read().strip() == DRIFT_CSV_HEADER
     assert open(slopes).read().strip() == SLOPE_CSV_HEADER
+
+
+def test_every_output_is_utf8_whatever_the_locale(tmp_path):
+    # an ASCII locale: text files opened without an encoding could not
+    # hold the header, and under any other one they would differ from
+    # the trajectory's UTF-8 header bytes
+    code = """if True:
+        import sys
+        import numpy as np
+        from ptnls.analysis import DensityTimeseries, emit_report
+        from ptnls.catalog import CaseId, Kind
+        from ptnls.solver import SolverConfig, TrajectoryWriter
+        out, header = sys.argv[1], ["out_dir=r\\u00e9sum\\u00e9"]
+        ts = DensityTimeseries(CaseId.CASE2, Kind.CHARGE, "PhiT", 0.02,
+                               np.array([0.0]), np.array([1.0]))
+        emit_report([ts], out, stem="density", header_lines=header)
+        emit_report([], out, header_lines=header)
+        with open(out + "/trajectory.csv", "wb") as fh:
+            TrajectoryWriter(fh, SolverConfig(), header)
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["density_timeseries.csv", "density_timeseries.svg", "drift.csv",
+                     "drift_slopes.csv", "trajectory.csv"]
+    for name in names:
+        assert b"out_dir=r\xc3\xa9sum\xc3\xa9" in (tmp_path / name).read_bytes(), name
 
 
 def test_drift_svg_is_well_formed(charge_scan, tmp_path):

@@ -230,6 +230,91 @@ def test_stream_steps_the_spectrum_and_transforms_each_sample_once(scheme, monke
         assert np.array_equal(sample.q, by_hand[n])
 
 
+def _reference_step(stepper, qhat):
+    """Stepper.step as plain expressions: cos and sin of the whole phase,
+    then out-of-place products in the order lin q rot and kinetic qhat."""
+    for kinetic, lin, cub in zip(stepper.kinetic, stepper.lin, stepper.cub):
+        q = np.fft.ifft(kinetic * qhat)
+        phase = cub * (q.real ** 2 + q.imag ** 2)
+        rot = np.empty_like(q)
+        np.cos(phase, out=rot.real)
+        np.sin(-phase, out=rot.imag)
+        qhat = np.fft.fft(lin * q * rot)
+    return stepper.kinetic[-1] * qhat
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_step_is_the_reference_step_bit_for_bit(scheme):
+    # four Gaussian members, whose tails carry phases below 2^-27, then the
+    # same stack with a member on a background, whose phase exceeds 2^-27 at
+    # every node, and one with a NaN node
+    grid, dt = Grid(N=256), 5e-3
+    x = grid.x
+    a, b, nl = x ** 2 / 2.0, x * np.exp(-x ** 2 / 2.0), -1.0 - np.exp(-0.5 * x ** 2)
+    eps = np.array([0.0, 0.01, 0.1, 1.0, 0.1, 0.1])
+    q0 = np.tile(np.exp(-(x - 0.5) ** 2 / 2.0).astype(complex), (len(eps), 1))
+    q0[4] += 0.5
+    q0[5, 100] = np.nan
+    for rows in ([0, 1, 2, 3], [0, 1, 2, 3, 4, 5]):
+        stepper = Stepper(grid, dt, a, b, nl, eps[rows], SCHEMES[scheme])
+        phase = np.abs(stepper.cub[0] * np.abs(q0[rows]) ** 2)
+        if len(rows) == 4:
+            assert np.mean(phase < 2.0 ** -27) > 0.5  # most nodes take (1, -phase)
+        else:
+            assert np.all(phase[4] >= 2.0 ** -27) and np.isnan(phase[5]).any()
+        qhat = ref = np.fft.fft(q0[rows])
+        for _ in range(300):
+            arg, before = qhat, qhat.copy()
+            qhat, ref = stepper.step(arg), _reference_step(stepper, ref)
+            assert np.array_equal(_bits(qhat), _bits(ref))
+            assert np.array_equal(_bits(arg), _bits(before))  # the argument is not written
+        assert np.isfinite(qhat[:5]).all() and np.isnan(qhat[5:]).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_stream_is_the_reference_stream_bit_for_bit(scheme, monkeypatch):
+    # the last member's gain overflows |q|^2 mid-run: an inf phase makes a
+    # NaN node, and the member must fail at the same step either way
+    cfg = SolverConfig(case_id=CaseId.CASE2, dt=5e-3, T_final=1.5, grid=Grid(N=256),
+                       initial=Gaussian(1.0, 1.0, 0.5), scheme=scheme)
+    eps = [0.0, 0.01, 0.1, 1.0, 500.0]
+    runs = []
+    for step in (Stepper.step, _reference_step):
+        monkeypatch.setattr(Stepper, "step", step)
+        errors = [None] * len(eps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = list(stream_members(cfg, eps, 10, errors))
+        runs.append((samples, errors))
+    (new, new_errors), (ref, ref_errors) = runs
+    assert cfg.steps >= 300
+    assert new_errors[:4] == [None] * 4 and isinstance(new_errors[4], BlowUpError)
+    assert type(ref_errors[4]) is BlowUpError and ref_errors[4].t == new_errors[4].t
+    assert 0.5 < new_errors[4].t < cfg.T_final
+    assert [(s.t, list(s.members)) for s in new] == [(s.t, list(s.members)) for s in ref]
+    assert all(np.array_equal(_bits(a.q), _bits(b.q)) for a, b in zip(new, ref))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_a_yielded_sample_is_never_written(scheme):
+    # every sample of a stream, one member failing on the way, kept to the end
+    cfg = SolverConfig(case_id=CaseId.CASE2, dt=5e-3, T_final=1.5, grid=Grid(N=256),
+                       initial=Gaussian(1.0, 1.0, 0.5), scheme=scheme)
+    eps = [0.0, 0.1, 500.0, 1.0]
+    errors = [None] * len(eps)
+    kept = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sample in stream_members(cfg, eps, 1, errors):
+            kept.append((sample, sample.q.copy()))
+    assert isinstance(errors[2], BlowUpError) and len(kept) == cfg.steps + 1
+    assert all(np.array_equal(_bits(s.q), _bits(copy)) for s, copy in kept)
+
+
 def test_norm_is_conserved_without_gain():
     # at eps = 0 the nonlinear flow and the kinetic steps are both unitary, so
     # only rounding moves the norm: at most about one ulp per FFT, 2 per
@@ -583,7 +668,7 @@ FMT17_EDGES = [1 + 2.0 ** -17, 0.5, 1e16, 99999999999999999.0, 9.999999999999999
                1e-298, 9.999999999999999e-294]
 
 
-def test_trajectory_csv_matches_the_row_by_row_writer(tmp_path, monkeypatch):
+def test_trajectory_csv_matches_the_row_by_row_writer(tmp_path):
     cfg = _linear_cfg(grid=Grid(L=7.5, N=64), params=ParamValues(eps=0.1 + 0.2),
                       dt=1e-3, T_final=3e-3)
     traj = run(cfg, sample_every=1)
@@ -595,11 +680,8 @@ def test_trajectory_csv_matches_the_row_by_row_writer(tmp_path, monkeypatch):
     traj.snapshots[1] = replace(traj.snapshots[1], t=0.1 + 0.2, q=odd[None])
     path = tmp_path / "traj.csv"
     header = ["seed=0", "note=x,y 100%"]
-    # a chunk of 5 nodes puts chunk seams inside each snapshot
-    for chunk in (solver._WRITE_CHUNK, 5):
-        monkeypatch.setattr(solver, "_WRITE_CHUNK", chunk)
-        write_trajectory_csv(traj, path, header_lines=header)
-        assert path.read_bytes() == _reference_trajectory_csv(traj, header).encode()
+    write_trajectory_csv(traj, path, header_lines=header)
+    assert path.read_bytes() == _reference_trajectory_csv(traj, header).encode()
 
 
 def _format17(values) -> list[str]:
