@@ -25,7 +25,7 @@ from . import __version__
 from .catalog import CaseId, Kind, load_catalog
 from .jetexpr import (EVAL_BLOCK_POINTS, Binary, Expr, Jet, JetBatch, Unary, Var,
                       eval_expr, nodes)
-from .solver import (Gaussian, Sample, SolverConfig, Trajectory, fmt17, fmt17_array,
+from .solver import (Gaussian, Grid, Sample, SolverConfig, Trajectory, fmt17, fmt17_array,
                      integrate, jet_values, stream_members)
 
 __all__ = [
@@ -230,11 +230,21 @@ class DriftReport:
 def default_scan_config(case_id: CaseId) -> SolverConfig:
     """Initial data for scans: an off-center Gaussian.  Centering it would
     start the scan at a symmetry point where the first-order drift integral
-    vanishes for the odd gain profiles, hiding the linear scaling.  The
-    fourth-order scheme at dt = 5e-3 keeps the energy floors (pure splitting
-    error) 70-90x below Strang's at dt = 1e-3, in fewer FFTs."""
+    vanishes for the odd gain profiles, hiding the linear scaling.
+
+    Suzuki's fourth-order composition at dt = 0.0125 on N = 256 gives lower
+    floors than Yoshida's triple jump at dt = 5e-3 on N = 512 did (energy
+    1.46e-7 against 3.35e-7 on cases 1a and 1b, 1.34e-8 against 1.66e-8 on
+    case 2), with every slope unchanged within 6e-7, in 4000 FFTs of
+    length 256 per member against 6000 of length 512.  dt and N are chosen
+    together: on N = 256 the spectral tail (the share of |q-hat|^2 beyond
+    2/3 of the largest wavenumber) stays below 5e-7 and the boundary level
+    below 1e-8 (BOUNDARY_WARN), while at N = 512 the same dt = 0.0125
+    raises the boundary level to 2.4e-8 - 1.3e-7, over BOUNDARY_WARN, and
+    N = 128 leaves tails of 6.6e-4 - 1.3e-3.  The stride of 4 steps keeps the
+    snapshots at SCAN_SAMPLE_INTERVAL = 0.05 exactly."""
     return SolverConfig(case_id=case_id, initial=Gaussian(1.0, 1.0, 0.5),
-                        scheme="yoshida4", dt=5e-3)
+                        scheme="suzuki4", dt=0.0125, grid=Grid(N=256))
 
 
 def _run_member(eps: float, result: Union[DensityTimeseries, Exception]) -> DriftMember:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from ptnls import analysis, jetexpr
-from ptnls.analysis import (DRIFT_CSV_HEADER, SLOPE_CSV_HEADER,
+from ptnls.analysis import (DRIFT_CSV_HEADER, SCAN_SAMPLE_INTERVAL, SLOPE_CSV_HEADER,
                             TIMESERIES_CSV_HEADER, DensityTimeseries,
                             DensityUnavailableError,
                             default_scan_config, density_timeseries,
@@ -24,9 +25,9 @@ from ptnls.analysis import (DRIFT_CSV_HEADER, SLOPE_CSV_HEADER,
 from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import (EVAL_BLOCK_POINTS, EvalError, JetBatch, ParamValues, Unary,
                            eval_expr, nodes)
-from ptnls.solver import (BlowUpError, BoundaryContaminationError, Gaussian, Grid,
-                          Sample, SolverConfig, Trajectory, integrate, jet_values, run,
-                          stream_members)
+from ptnls.solver import (BOUNDARY_WARN, BlowUpError, BoundaryContaminationError, Gaussian,
+                          Grid, Sample, SolverConfig, Trajectory, integrate, jet_values,
+                          run, stream_members)
 
 from helpers import cataloged_densities
 
@@ -262,6 +263,29 @@ def test_default_scan_starts_off_center():
     assert cfg.initial == Gaussian(1.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("case_id", [CaseId.CASE1A, CaseId.CASE1B, CaseId.CASE2])
+def test_default_scans_are_resolved(case_id):
+    # the scans' grid and time step are chosen together: at every sample of
+    # the floor and of each member of the CLI's default eps grid, at most
+    # 1e-6 of |q-hat|^2 lies beyond 2/3 of the largest wavenumber, and the
+    # edge nodes stay below the boundary warning
+    cfg = default_scan_config(case_id)
+    eps = [0.0, *np.logspace(-3, -1, 7)]
+    k = np.abs(cfg.grid.k)
+    tail = k > 2.0 / 3.0 * k.max()
+    errors, times = [None] * len(eps), []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for sample in stream_members(cfg, eps, round(SCAN_SAMPLE_INTERVAL / cfg.dt), errors):
+            power = np.abs(np.fft.fft(sample.q)) ** 2
+            assert np.all(power[:, tail].sum(axis=-1) <= 1e-6 * power.sum(axis=-1)), sample.t
+            amp = np.abs(sample.q)
+            edge = amp[:, [0, 1, -2, -1]].max(axis=-1)
+            assert np.all(edge < BOUNDARY_WARN * amp.max(axis=-1)), sample.t
+            times.append(sample.t)
+    assert errors == [None] * len(eps) and len(times) == 101
+
+
 def test_charge_drift_scales_linearly(charge_scan):
     rep = charge_scan
     assert rep.slope_valid and rep.fit_members >= 4
@@ -327,8 +351,10 @@ def _traced_peak(fn) -> int:
 
 def test_scan_memory_does_not_grow_with_the_sample_count():
     # samples are reduced a block at a time as they are stepped, so 401 of
-    # them per member take no more memory than 41
-    cfg = replace(default_scan_config(CaseId.CASE1A), T_final=2.0)
+    # them per member take no more memory than 41; both runs fill a block
+    # (32 samples at N = 512), or the peaks would compare block sizes
+    cfg = _short_cfg(scheme="suzuki4", dt=5e-3, T_final=2.0, grid=Grid(N=512))
+    assert cfg.steps // 10 + 1 >= EVAL_BLOCK_POINTS // cfg.grid.N
 
     def scan(sample_every, cfg=cfg):
         return lambda: drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST, cfg=cfg,

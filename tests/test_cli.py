@@ -343,14 +343,14 @@ def test_drift_scan_reports_name_the_scheme_and_the_stride(all_blocks_scan):
     _, out, out_dir = all_blocks_scan
     recs = [r for r in _json_records(out) if r["check"] == "drift-scan"]
     assert {(r["config"]["scheme"], r["config"]["sample_every"]) for r in recs} == {
-        ("yoshida4", 25)}
+        ("suzuki4", 25)}
     for name in ["drift.csv", "drift_slopes.csv"] + [f"drift_{c}_{k}.svg" for c, k in SCANNED]:
         text = (out_dir / name).read_text()
         if name.endswith(".csv"):
             meta = [line[2:] for line in text.splitlines() if line.startswith("# ")]
         else:
             meta = text.split("<metadata>")[1].split("</metadata>")[0].splitlines()
-        assert "N=256 L=20 dt=0.002 T_final=0.5 scheme=yoshida4" in meta, name
+        assert "N=256 L=20 dt=0.002 T_final=0.5 scheme=suzuki4" in meta, name
         assert "sample_every=25" in meta, name
         assert not any(line.startswith("scheme=") for line in meta), name  # named once
 
@@ -398,12 +398,12 @@ def test_ground_initial_rejects_gaussian_shape_settings(tmp_path, capsys, key):
 
 
 def test_t_final_off_the_time_step_names_both_values(tmp_path, capsys):
-    # the scans' default dt is 5e-3, so a T_final that was fine at 1e-3 can miss it
+    # the scans' default dt is 0.0125, so a T_final that was fine at 1e-3 can miss it
     assert main(["drift-scan", "--case", "1a", "--kind", "charge", "--t-final", "0.003",
                  "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err == ("error: T_final must be an integer multiple of dt, "
-                            "got T_final=0.003 and dt=0.005\n")
+                            "got T_final=0.003 and dt=0.0125\n")
     assert captured.out == ""
 
 
@@ -473,8 +473,9 @@ def test_drift_scan_without_fit_fails_naming_the_floor_factor(tmp_path, capsys,
 
 
 def test_drift_scan_floor_failure_is_exit_4(tmp_path, capsys):
+    # two steps of the scans' default dt
     code = main(["drift-scan", "--case", "1a", "--kind", "charge", "--L", "3",
-                 "--N", "64", "--t-final", "0.01", "--out-dir", str(tmp_path)])
+                 "--N", "64", "--t-final", "0.025", "--out-dir", str(tmp_path)])
     assert code == EXIT_NUMERICAL
     assert "boundary amplitude" in capsys.readouterr().err
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptnls import solver
-from ptnls.analysis import density_timeseries, drift_from_timeseries
+from ptnls.analysis import default_scan_config, density_timeseries, drift_from_timeseries
 from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import (JetBatch, ParamValues, Sym, eval_expr, expr_equiv, jet,
                            parse_expr)
@@ -59,9 +59,19 @@ def test_config_validation():
         SolverConfig(dt=1e-3, T_final=0.00250001)
     assert "T_final=0.00250001" in str(exc.value) and "dt=0.001" in str(exc.value)
     assert SolverConfig(dt=1e-3, T_final=2.0).steps == 2000
-    with pytest.raises(ValueError, match="^scheme must be one of 'strang', 'yoshida4', "
+    with pytest.raises(ValueError, match="^scheme must be one of 'strang', 'suzuki4', "
                                          "got 'rk4'$"):
         SolverConfig(scheme="rk4")
+
+
+def test_scheme_weights_are_consistent_and_symmetric():
+    # a composition of Strang steps is consistent when its weights sum to 1
+    # and symmetric when they read the same backwards; Suzuki's is fourth
+    # order when, besides, the cubes of its weights sum to 0
+    for name, weights in SCHEMES.items():
+        assert weights == weights[::-1], name
+        assert abs(math.fsum(weights) - 1.0) <= 1e-15, name
+    assert abs(math.fsum(w ** 3 for w in SCHEMES["suzuki4"])) <= 1e-15
 
 
 def test_initial_conditions():
@@ -100,25 +110,32 @@ def test_free_plane_wave_is_exact():
         assert np.max(np.abs(np.fft.ifft(qhat) - exact)) < 1e-12
 
 
+def _fourth_order_configs(case_id, **kw):
+    """The case's config at a fine fourth-order step on the default grid,
+    then at the drift scans' own scheme, dt and grid."""
+    scan = default_scan_config(case_id)
+    return [SolverConfig(case_id=case_id, scheme="suzuki4", dt=5e-3, **kw),
+            SolverConfig(case_id=case_id, scheme=scan.scheme, dt=scan.dt, grid=scan.grid, **kw)]
+
+
 def test_linear_pt_mode_of_case1a_is_exact():
     # at mu = 0, x^2/2 + i eps x = (x + i eps)^2/2 + eps^2/2, so the ground
     # state shifted to x + i eps is a stationary mode with gain and loss:
     # q = pi^{-1/4} e^{-(x + i eps)^2/2} e^{-i (1/2 + eps^2/2) t}
     eps = np.array([0.0, 0.1, 0.3])
-    cfg = SolverConfig(case_id=CaseId.CASE1A, params=ParamValues(mu=0.0), dt=5e-3,
-                       T_final=1.0, scheme="yoshida4")
-    x = cfg.grid.x
-    mode = math.pi ** -0.25 * np.exp(-(x + 1j * eps[:, None]) ** 2 / 2.0)
-    stepper = make_stepper(cfg, eps)
-    qhat = np.fft.fft(mode)
-    for _ in range(cfg.steps):
-        qhat = stepper.step(qhat)
-    q = np.fft.ifft(qhat)
-    exact = mode * np.exp(-1j * (0.5 + eps[:, None] ** 2 / 2.0) * cfg.T_final)
-    assert np.max(np.abs(q - exact)) < 1e-10
-    # the frequency without the eps^2/2 shift misses wherever there is gain
-    unshifted = mode * np.exp(-0.5j * cfg.T_final)
-    assert np.all(np.max(np.abs(q - unshifted), axis=-1)[1:] > 1e-3)
+    for cfg in _fourth_order_configs(CaseId.CASE1A, params=ParamValues(mu=0.0), T_final=1.0):
+        x = cfg.grid.x
+        mode = math.pi ** -0.25 * np.exp(-(x + 1j * eps[:, None]) ** 2 / 2.0)
+        stepper = make_stepper(cfg, eps)
+        qhat = np.fft.fft(mode)
+        for _ in range(cfg.steps):
+            qhat = stepper.step(qhat)
+        q = np.fft.ifft(qhat)
+        exact = mode * np.exp(-1j * (0.5 + eps[:, None] ** 2 / 2.0) * cfg.T_final)
+        assert np.max(np.abs(q - exact)) < 1e-10, cfg
+        # the frequency without the eps^2/2 shift misses wherever there is gain
+        unshifted = mode * np.exp(-0.5j * cfg.T_final)
+        assert np.all(np.max(np.abs(q - unshifted), axis=-1)[1:] > 1e-3), cfg
 
 
 def _nonlinear_pt_mode(case_id, x, eps, mu, sigma, alpha):
@@ -141,32 +158,33 @@ def _nonlinear_pt_mode(case_id, x, eps, mu, sigma, alpha):
     return 2.0 * amp * (2.0 * x ** 2 - 1.0) * np.exp(-x ** 2 / 2.0) * np.exp(1j * theta), 2.5
 
 
+def _mode_error(cfg, eps, mode, lam):
+    """Each row of `mode` stepped to cfg.T_final, its largest distance from
+    mode e^{-i lam T_final} over its largest amplitude."""
+    stepper = make_stepper(cfg, eps)
+    qhat = np.fft.fft(mode)
+    for _ in range(cfg.steps):
+        qhat = stepper.step(qhat)
+    exact = mode * np.exp(-1j * lam * cfg.T_final)
+    return np.max(np.abs(np.fft.ifft(qhat) - exact), axis=-1) / np.max(np.abs(exact), axis=-1)
+
+
 @pytest.mark.parametrize("mu,sigma,alpha", [(1.0, 1.0, 0.5), (2.0, 1.0, 0.0)])
 @pytest.mark.parametrize("case_id,gate", [(CaseId.CASE1B, 1e-9), (CaseId.CASE1C, 1e-7)])
 def test_nonlinear_pt_modes_of_case1b_and_case1c_are_exact(case_id, gate, mu, sigma, alpha):
     eps = np.array([0.05, 0.1, 0.3])
-    cfg = SolverConfig(case_id=case_id, params=ParamValues(mu=mu, sigma=sigma, alpha=alpha),
-                       dt=5e-3, T_final=1.0, scheme="yoshida4")
-    mode, lam = _nonlinear_pt_mode(case_id, cfg.grid.x, eps, mu, sigma, alpha)
-    stepper = make_stepper(cfg, eps)
-
-    def rel_error(scale):
-        qhat = np.fft.fft(scale * mode)
-        for _ in range(cfg.steps):
-            qhat = stepper.step(qhat)
-        exact = scale * mode * np.exp(-1j * lam * cfg.T_final)
-        return (np.max(np.abs(np.fft.ifft(qhat) - exact), axis=-1)
-                / np.max(np.abs(exact), axis=-1))
-
-    assert np.all(rel_error(1.0) <= gate)
-    # the amplitude is fixed by eps: a larger one is not a stationary mode
-    assert np.all(rel_error(1.1) > 5e-4)
+    params = ParamValues(mu=mu, sigma=sigma, alpha=alpha)
+    for cfg in _fourth_order_configs(case_id, params=params, T_final=1.0):
+        mode, lam = _nonlinear_pt_mode(case_id, cfg.grid.x, eps, mu, sigma, alpha)
+        assert np.all(_mode_error(cfg, eps, mode, lam) <= gate), cfg
+        # the amplitude is fixed by eps: a larger one is not a stationary mode
+        assert np.all(_mode_error(cfg, eps, 1.1 * mode, lam) > 5e-4), cfg
 
 
 def test_uniform_field_follows_the_exact_pointwise_flow():
     # only k = 0 is present, so the kinetic factor is 1 and each step is the
     # exact flow of i q_t = (a + i g) q + nl |q|^2 q: rho0 e^{2 g t} and its
-    # phase, whatever the substeps (Yoshida's middle one runs backwards)
+    # phase, whatever the substeps (Suzuki's middle one runs backwards)
     grid, dt, steps = Grid(L=10.0, N=64), 0.05, 40
     a, b, nl, eps = 0.7, 0.3, -1.5, np.array([0.0, 0.1, -0.2])  # eps = 0: phi(0)
     q0 = 0.8 - 0.6j
@@ -195,7 +213,7 @@ def _count_ffts(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("scheme,ffts", [("strang", 2), ("yoshida4", 6)])
+@pytest.mark.parametrize("scheme,ffts", [("strang", 2), ("suzuki4", 10)])
 def test_a_step_makes_two_ffts_per_substep(scheme, ffts, monkeypatch):
     cfg = SolverConfig(case_id=CaseId.CASE2, initial=Gaussian(1.0, 1.0, 0.5), scheme=scheme)
     stepper = make_stepper(cfg, [0.0, 0.01, 0.1, 1.0])
@@ -350,10 +368,10 @@ def test_second_order_in_time():
     assert 3.3 < e1 / e2 < 4.7
 
 
-@pytest.mark.parametrize("scheme,ratio", [("strang", 4.0), ("yoshida4", 16.0)])
+@pytest.mark.parametrize("scheme,ratio", [("strang", 4.0), ("suzuki4", 16.0)])
 def test_energy_floor_falls_with_the_order_of_the_scheme(scheme, ratio):
     # at eps = 0 the energy drift is pure splitting error, O(dt^2) for Strang
-    # and O(dt^4) for Yoshida: halving dt divides it by about 2^order
+    # and O(dt^4) for Suzuki: halving dt divides it by about 2^order
     def floor(dt):
         cfg = SolverConfig(case_id=CaseId.CASE2, params=ParamValues(eps=0.0), dt=dt,
                            T_final=1.0, grid=Grid(N=256), initial=Gaussian(1.0, 1.0, 0.5),
