@@ -3,7 +3,10 @@
 Q(t) is the trapezoid integral of a cataloged density along a solver
 trajectory.  The density is put on shell first: its t-jets are eliminated
 through the catalog's E1/E2 (`PdeSystem.on_shell`), so it needs only the
-x-jets the solver takes spectrally.  The drift of Q over a run,
+x-jets the solver takes spectrally.  It is then evaluated through its
+polynomial normal form (`to_poly`): coefficients in x, computed once per
+member of a scan, times jet monomials and powers of t, formed per block of
+samples (`DensityAccumulator`).  The drift of Q over a run,
 normalized by max(|Q(0)|, 1e-12), is scanned over a grid of eps values;
 because every cataloged euler residual carries a factor eps, the drift
 should scale linearly, and the scan fits that exponent.  The eps = 0 run
@@ -23,8 +26,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import CaseId, Kind, load_catalog
-from .jetexpr import (EVAL_BLOCK_POINTS, Binary, Expr, Jet, JetBatch, Unary, Var,
-                      eval_expr, nodes)
+from .jetexpr import EVAL_BLOCK_POINTS, Expr, Jet, JetBatch, Monomial, Var, eval_expr, to_poly
 from .solver import (Gaussian, Grid, Sample, SolverConfig, Trajectory, fmt17, fmt17_array,
                      integrate, jet_values, stream_members)
 
@@ -77,62 +79,99 @@ def density_expr(case_id: CaseId, kind: Kind, form: str) -> Expr:
     return load_catalog().build_system(case_id).on_shell(e)
 
 
-def _grid_operands(exprs: Sequence[Expr]) -> list[Expr]:
-    """The operator nodes that read x but neither t nor a jet and are
-    operands of nodes that do read one, children before parents: the
-    frontier of the densities' grid-only factors (erf, exp and powers of x
-    times parameters), whose values are the same at every sample."""
-    reads: dict[Expr, tuple[bool, bool]] = {}  # (reads t or a jet, reads x)
-    frontier = set()
-    order = nodes(*exprs)
-    for n in order:
-        t = type(n)
-        if t is Unary or t is Binary:
-            operands = (n.arg,) if t is Unary else (n.lhs, n.rhs)
-            varying = any(reads[o][0] for o in operands)
-            reads[n] = (varying, any(reads[o][1] for o in operands))
-            if varying:
-                frontier.update(o for o in operands if reads[o] == (False, True)
-                                and type(o) is not Var)
-        else:
-            name = n.name if t is Var else None
-            reads[n] = (t is Jet or name == "t", name == "x")
-    return [n for n in order if n in frontier]
+@functools.cache
+def _density_poly(case_id: CaseId, kind: Kind, form: str) -> dict[Monomial, Expr]:
+    """`density_expr`'s normal form (`to_poly`), built once per process."""
+    return to_poly(density_expr(case_id, kind, form))
 
 
-def _block_integrals(exprs: Sequence[Expr], t: np.ndarray, q: np.ndarray, grid,
-                     params, known: dict) -> list[np.ndarray]:
-    """dx * sum_j density(t_k, x_j, jets) of each expression at each row k of
-    q, (rows, N), at the times t, (rows, 1): one jet_values call for all.
-    `known` holds the values of `_grid_operands` on the grid at `params`."""
-    batch = JetBatch(t, grid.x, jet_values(q, grid))
-    return [integrate(grid, eval_expr(e, batch, params, known)) for e in exprs]
+def _power(jets: dict, leaf: Jet, k: int, memo: dict) -> np.ndarray:
+    """jets[leaf]^k by squaring, each power taken once per `memo`."""
+    if k == 1:
+        return jets[leaf]
+    if (leaf, k) not in memo:
+        half = _power(jets, leaf, k // 2, memo)
+        memo[leaf, k] = half * half if k % 2 == 0 else half * half * jets[leaf]
+    return memo[leaf, k]
+
+
+def _monomial(jets: dict, mono: Monomial, memo: dict, shape: tuple[int, int]) -> np.ndarray:
+    """The value of a jet monomial on the block's jets, ones for ()."""
+    value = None
+    for leaf, k in mono:
+        f = _power(jets, leaf, k, memo)
+        value = f if value is None else value * f
+    return np.ones(shape) if value is None else value
+
+
+def _integrands(jets: dict, classes, coeffs: list, shape: tuple[int, int]) -> dict:
+    """{(kind index, power of t): sum_m C_m M_m} on one block's jets: each
+    class of monomials, (monomials, uses), summed once and then multiplied
+    by the member's coefficient array, (N,), of each (kind, power,
+    coefficient index) in its uses.  Of the monomials, only the powers of
+    single jets (u^2, u^4, ...) are kept through the block."""
+    memo: dict = {}
+    out: dict = {}
+    tmp = None
+    for monos, uses in classes:
+        total = _monomial(jets, monos[0], memo, shape)
+        for mono in monos[1:]:
+            total = total + _monomial(jets, mono, memo, shape)
+        for k, p, j in uses:
+            if (k, p) in out:
+                tmp = np.multiply(total, coeffs[j], out=tmp)
+                out[k, p] += tmp
+            else:
+                out[k, p] = total * coeffs[j]
+    return out
 
 
 class DensityAccumulator:
     """Q(t_k) = dx * sum_j density(t_k, x_j, jets) of each kind's density for
     each member of a `stream_members` stream, fed one Sample at a time.  Each
     member's samples are buffered into blocks of EVAL_BLOCK_POINTS nodes; a
-    full block is evaluated for every kind at once and dropped.  The
-    densities' grid-only factors (`_grid_operands`) are evaluated once per
-    member, on the grid's N nodes, and every block's walk takes them as
-    they are: the same bits as evaluating them in each block.  Memory is one
-    block and those factors per member, whatever T_final or the sample
-    count, plus the Q values."""
+    full block is evaluated for every kind at once and dropped.
+
+    A density is evaluated through its normal form (`to_poly`): coefficients
+    C_{m,p}(x), free of jets and t, times jet monomials M_m times t^p.  Every
+    coefficient of every kind is evaluated once per member, on the grid's N
+    nodes, in one `eval_expr` walk with x in np.longdouble, so a coefficient
+    whose 1/x^k terms cancel near x = 0 is rounded to float64 once, not term
+    by term.  A block then takes only the x-orders the monomials read from
+    `jet_values`, forms each distinct monomial once across the kinds, and
+    gives Q_k = sum_p t_k^p integrate(sum_m C_{m,p} M_m), the monomials that
+    share every coefficient (u^4 and v^4, say) summed once before they are
+    multiplied, in elementwise products and sums (no BLAS call, whose
+    rounding would depend on its thread count), so a row's bits do not
+    depend on the block it is in.
+    Memory is one block and the coefficient arrays per member, whatever
+    T_final or the sample count, plus the Q values."""
 
     def __init__(self, cfg: SolverConfig, eps_values: Sequence[float],
                  kinds: Sequence[Kind], form: str = "Tt"):
         self.cfg, self.kinds, self.form = cfg, list(kinds), form
-        self.exprs = [density_expr(cfg.case_id, kind, form) for kind in self.kinds]
+        # each jet monomial's uses over every kind, (kind, power of t,
+        # coefficient index); monomials with the same uses share every
+        # coefficient, so each such class is summed before it is multiplied
+        coeffs: dict[Expr, int] = {}
+        uses: dict[Monomial, list[tuple[int, int, int]]] = {}
+        for k, kind in enumerate(self.kinds):
+            for m, c in _density_poly(cfg.case_id, kind, form).items():
+                p = m[0][1] if m and type(m[0][0]) is Var else 0  # t comes first
+                uses.setdefault(m[1:] if p else m, []).append(
+                    (k, p, coeffs.setdefault(c, len(coeffs))))
+        classes: dict[tuple, list[Monomial]] = {}
+        for m, u in uses.items():
+            classes.setdefault(tuple(sorted(u)), []).append(m)
+        self.classes = [(monos, u) for u, monos in classes.items()]
+        # each kind's powers of t, ascending
+        self.powers = [sorted({p for u in classes for kk, p, _ in u if kk == k})
+                       for k in range(len(self.kinds))]
+        self.orders = sorted({leaf.x_order for m in uses for leaf, _ in m})
         self.params = [cfg.params.replace(eps=float(e)) for e in eps_values]
-        operands, grid = _grid_operands(self.exprs), cfg.grid
-        at_nodes = JetBatch(np.zeros(grid.N), grid.x, {})
-        self.known: list[dict] = []  # each member's grid-only values
-        for params in self.params:
-            known = {}
-            for n in operands:  # an operand may contain an earlier one
-                known[n] = eval_expr(n, at_nodes, params, known)
-            self.known.append(known)
+        grid = cfg.grid
+        at_nodes = JetBatch(np.zeros(grid.N), grid.x.astype(np.longdouble), {})
+        self.coeffs = [eval_expr(list(coeffs), at_nodes, params) for params in self.params]
         rows = max(1, EVAL_BLOCK_POINTS // grid.N)
         self.block = np.empty((len(eps_values), rows, grid.N), complex)
         self.block_t = np.empty(rows)
@@ -152,12 +191,22 @@ class DensityAccumulator:
             self._evaluate(self.members)
 
     def _evaluate(self, members) -> None:
-        """Evaluate the current block of each of `members`, and empty it."""
-        t = self.block_t[:self.fill, None]
-        for m in members if self.exprs else ():  # no kinds: no jets to take
-            self.blocks[m].append(_block_integrals(
-                self.exprs, t, self.block[m, :self.fill], self.cfg.grid, self.params[m],
-                self.known[m]))
+        """Evaluate the current block of each of `members`, and empty it:
+        Q_k = sum_p t_k^p integrate(sum_m C_{m,p} M_m) of each kind."""
+        t, grid = self.block_t[:self.fill], self.cfg.grid
+        for m in members if self.kinds else ():  # no kinds: no jets to take
+            jets = jet_values(self.block[m, :self.fill], grid, self.orders)
+            integrands = _integrands(jets, self.classes, self.coeffs[m], (self.fill, grid.N))
+            out = []
+            for k, powers in enumerate(self.powers):
+                q, tp, power = np.zeros(self.fill), None, 0
+                for p in powers:
+                    while power < p:
+                        tp, power = t if tp is None else tp * t, power + 1
+                    s = integrate(grid, integrands[k, p])
+                    q += tp * s if p else s
+                out.append(q)
+            self.blocks[m].append(out)
         self.fill = 0
 
     def series(self, errors: Sequence) -> list[Optional[list[DensityTimeseries]]]:

@@ -26,7 +26,9 @@ The module provides
   * total derivatives D_t and D_x,
   * the variational (Euler) derivative with respect to u and v, built from
     that one gradient walk and D_t / D_x memoized for the call,
-  * simultaneous substitution, and
+  * simultaneous substitution,
+  * the polynomial normal form in t and the jets (`to_poly` / `from_poly`),
+    whose coefficients are jet-free subtrees of the expression, and
   * seeded randomized equivalence testing in the style of polynomial
     identity testing: two expressions are declared equivalent when they agree
     at n random jet points to a relative tolerance.
@@ -44,17 +46,18 @@ import re
 import weakref
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_MAX_JET_ORDER", "DEPENDENTS", "PARAMETERS",
     "Expr", "Const", "Sym", "Var", "Jet", "Unary", "Binary",
-    "ExprError", "ParseError", "JetOrderError", "EvalError",
+    "ExprError", "ParseError", "JetOrderError", "EvalError", "NotPolynomialError",
     "const", "jet", "add", "sub", "mul", "div", "neg", "pow_", "exp", "erf", "sqrt",
     "parse_expr", "to_text", "eval_expr", "partial", "gradient", "total_derivative",
-    "euler_operator", "substitute", "collect_coords", "contains_t_derivative",
+    "euler_operator", "substitute", "to_poly", "from_poly", "Monomial",
+    "collect_coords", "contains_t_derivative",
     "nodes", "expr_equiv", "EquivResult", "JetBatch", "JetSampler",
     "ParamValues", "complete_coords", "random_polynomial", "EVAL_BLOCK_POINTS",
 ]
@@ -84,6 +87,10 @@ class JetOrderError(ExprError):
 
 class EvalError(ExprError):
     pass
+
+
+class NotPolynomialError(ExprError):
+    """`to_poly` met a jet or t where a polynomial cannot have one."""
 
 
 # ---------------------------------------------------------------------------
@@ -761,6 +768,18 @@ class ParamValues:
 _DEFAULT_PARAMS = ParamValues()
 # the dtype `eval_expr` returns; native float64 is this one object
 _FLOAT = np.dtype(float)
+# an x of this dtype makes `eval_expr` work in long double (on platforms
+# where long double is float64, with float64's results)
+_LONG = np.dtype(np.longdouble)
+_PI_LONG = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def _long(value: Number) -> np.longdouble:
+    """A constant or parameter in np.longdouble: a rational as the rounded
+    quotient of its integers, a float exactly."""
+    if isinstance(value, Fraction):
+        return np.longdouble(value.numerator) / np.longdouble(value.denominator)
+    return np.longdouble(value)
 
 
 @functools.cache
@@ -814,44 +833,51 @@ class JetBatch:
         return {c.name(): float(self.values[c][0]) for c in sorted(self.values)}
 
 
-def eval_expr(e: Expr, point, params: Optional[ParamValues] = None,
-              known: Optional[Mapping[Expr, object]] = None):
+def eval_expr(e: Union[Expr, Sequence[Expr]], point, params: Optional[ParamValues] = None):
     """Evaluate at a JetBatch: a float ndarray of the batch's shape
     broadcast with `params.shape`, whatever the expression reads.  An array
     parameter enters as it is and broadcasts against the batch, so a sweep
     on a leading axis is one walk of the DAG whose elements are those of one
     evaluation per value.  A value of the full shape is returned as it is;
     any other, a constant say, as a read-only broadcast view.  `params`
-    None reads the default ParamValues.  `known` maps nodes to values
-    already evaluated at this point and params (a caller's grid-only
-    factors, say): the walk takes them as they are and descends into none
-    of them.  Missing coordinates, division by zero, sqrt/fractional powers
-    of negative values all raise EvalError."""
+    None reads the default ParamValues.  An x of dtype np.longdouble
+    carries the walk in extended precision: constants, parameters and every
+    intermediate (erf excepted, which math.erf takes in float64), with the
+    result rounded to float64 once.  Given a sequence of expressions,
+    one walk of their joint DAG gives a list of such arrays, one per
+    expression, and a node they share is evaluated once.  Missing
+    coordinates, division by zero, sqrt/fractional powers of negative
+    values all raise EvalError."""
     if params is None:
         params = _DEFAULT_PARAMS
-    val: dict[Expr, object] = {} if known is None else dict(known)
+    single = isinstance(e, Expr)
+    roots = (e,) if single else tuple(e)
+    val: dict[Expr, object] = {}
     uses: dict[Expr, int] = {}
 
     def take(child: Expr):
         # an intermediate is dropped at its last use, so a stacked batch
-        # holds only the values still waiting for a parent
+        # holds only the values still waiting for a parent; a root's own
+        # use keeps it to the end
         v = val[child]
         uses[child] -= 1
         if not uses[child]:
             del val[child]
         return v
 
-    for n in nodes(e, uses=uses, seen=None if known is None else set(known)):
+    # the scalar type of constants and parameters, and pi in it
+    num, pi = (_long, _PI_LONG) if point.x.dtype is _LONG else (float, math.pi)
+    for n in nodes(*roots, uses=uses):
         t = type(n)
         if t is Const:
-            v = float(n.value)
+            v = num(n.value)
         elif t is Sym:
             if n.name == "pi":
-                v = math.pi
+                v = pi
             else:
                 v = params.get(n.name)
                 if type(v) is not np.ndarray:
-                    v = float(v)
+                    v = num(v)
         elif t is Var:
             v = point.t if n.name == "t" else point.x
         elif t is Jet:
@@ -888,11 +914,16 @@ def eval_expr(e: Expr, point, params: Optional[ParamValues] = None,
                     v = l / r
         val[n] = v
 
-    out = val[e]
     shape = np.broadcast_shapes(point.shape, params.shape) if params.shape else point.shape
-    if type(out) is np.ndarray and out.shape == shape and out.dtype is _FLOAT:
-        return out
-    return np.broadcast_to(np.asarray(out, dtype=float), shape)
+    return _full(val[e], shape) if single else [_full(val[r], shape) for r in roots]
+
+
+def _full(v, shape: tuple[int, ...]) -> np.ndarray:
+    """v as it is if it is a float64 array of `shape`, else a read-only
+    broadcast view of it."""
+    if type(v) is np.ndarray and v.shape == shape and v.dtype is _FLOAT:
+        return v
+    return np.broadcast_to(np.asarray(v, dtype=float), shape)
 
 
 def _eval_pow(base, expo: Fraction):
@@ -913,7 +944,7 @@ def _int_pow(base, p: int):
     1 / base^|p| for p < 0: np.power calls libm pow for every integer
     exponent but 2, several times slower than the few products.  A scalar
     base gives a numpy float, as np.power does, so an overflow is inf."""
-    x = base if isinstance(base, np.ndarray) else np.float64(base)
+    x = base if isinstance(base, (np.ndarray, np.generic)) else np.float64(base)
     n, acc = abs(p), None
     while True:
         if n & 1:
@@ -1127,6 +1158,106 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
         raise JetOrderError(f"substitution produced jet order {result.order} "
                             f"above the limit {DEFAULT_MAX_JET_ORDER}")
     return result
+
+
+# ---------------------------------------------------------------------------
+# polynomial normal form in the jets and t
+
+
+# A monomial of the normal form: (leaf, exponent) pairs, each leaf t or a Jet
+# with a positive exponent, t first and then the jets in Jet order; () is 1.
+Monomial = tuple[tuple[Expr, int], ...]
+
+
+def _leaf_rank(pair: tuple[Expr, int]) -> tuple:
+    leaf = pair[0]
+    return (0,) if type(leaf) is Var else (1, leaf.dep, leaf.t_order, leaf.x_order)
+
+
+def _poly_sum(a: dict, b: dict, op: str) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        if m in out:
+            out[m] = add(out[m], c) if op == "+" else sub(out[m], c)
+        else:
+            out[m] = c if op == "+" else neg(c)
+    return out
+
+
+def _poly_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            powers = dict(ma)
+            for leaf, k in mb:
+                powers[leaf] = powers.get(leaf, 0) + k
+            m, c = tuple(sorted(powers.items(), key=_leaf_rank)), mul(ca, cb)
+            out[m] = add(out[m], c) if m in out else c
+    return out
+
+
+def to_poly(e: Expr) -> dict[Monomial, Expr]:
+    """e as a polynomial in t and the `Jet` leaves: {monomial: coefficient},
+    each monomial a `Monomial` ((leaf, exponent) pairs, t first, then the
+    jets in Jet order; () for 1) and each coefficient an interned Expr free
+    of jets and t, none a constant zero.  from_poly(to_poly(e)) is e
+    rewritten, equal in value.  Every catalog record is polynomial; an
+    on-shell density has 4 (charge) or 15 (energy) terms.
+
+    One walk of e.  A node free of jets and t is its own coefficient and is
+    never expanded; products distribute only over sums that read a jet or t,
+    so a coefficient is built from e's own jet-free subtrees and keeps their
+    order of operations (a cancelling sum under 1/x^4 stays one sum under
+    it).  NotPolynomialError where a jet or t is under exp, erf or sqrt, in
+    a denominator, or raised to a power that is not a whole number."""
+    poly: dict[Expr, Optional[dict]] = {}  # None for a node free of jets and t
+    for n in nodes(e):
+        t = type(n)
+        if t is Jet or n is T:
+            p = {((n, 1),): ONE}
+        elif t is Unary:
+            p = poly[n.arg]
+            if p is not None:
+                if n.op != "neg":
+                    raise NotPolynomialError(f"{n.op} of {to_text(n.arg)!r}, which reads a jet or t")
+                p = {m: neg(c) for m, c in p.items()}
+        elif t is Binary:
+            pl, pr = poly[n.lhs], poly[n.rhs]
+            if pl is None and pr is None:
+                p = None
+            elif n.op == "/":
+                if pr is not None:
+                    raise NotPolynomialError(f"division by {to_text(n.rhs)!r}, which reads a jet or t")
+                p = {m: div(c, n.rhs) for m, c in pl.items()}
+            elif n.op == "^":
+                k = n.rhs.value
+                if k.denominator != 1 or k < 0:
+                    raise NotPolynomialError(f"power {k} of {to_text(n.lhs)!r}, which reads a jet or t")
+                p = pl
+                for _ in range(int(k) - 1):
+                    p = _poly_product(p, pl)
+            else:
+                pl = {(): n.lhs} if pl is None else pl
+                pr = {(): n.rhs} if pr is None else pr
+                p = _poly_product(pl, pr) if n.op == "*" else _poly_sum(pl, pr, n.op)
+        else:
+            p = None
+        poly[n] = p
+    out = poly[e]
+    if out is None:
+        out = {(): e}
+    return {m: c for m, c in out.items() if not (type(c) is Const and c.value == 0)}
+
+
+def from_poly(poly: Mapping[Monomial, Expr]) -> Expr:
+    """The sum of coefficient times monomial over a `to_poly` result, in its
+    order; ZERO for an empty one."""
+    out: Expr = ZERO
+    for m, c in poly.items():
+        for leaf, k in m:
+            c = mul(c, pow_(leaf, k))
+        out = add(out, c)
+    return out
 
 
 # ---------------------------------------------------------------------------

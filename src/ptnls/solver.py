@@ -36,13 +36,16 @@ one-member Samples it yields.  No command calls it or
 `TrajectoryWriter` writes a sample's rows as it comes, 17 significant
 digits per value.  The digits come from `fmt17_array`, which gives what
 `fmt17` gives for every element of a float64 array, but with array
-arithmetic: one longdouble product per value, with `fmt17` itself only for
-the few values near a rounding boundary (about 2%) and for zeros and
-non-finite values.  The writer formats a snapshot with one `fmt17_array`
-call and one write of bytes to a binary file, at a traced peak of 2.9 MB
+arithmetic: one longdouble product per value, with Python's own
+formatting (what `fmt17` gives) only for the few values near a rounding
+boundary (about 2%) and for zeros and non-finite values, all of those in
+one call.  The writer formats a snapshot with one `fmt17_array` call and
+one write of bytes to a binary file, at a traced peak of 2.9 MB
 at N = 4096 (0.48 MB when it took 512 nodes at a time).  On a 2-vCPU
-x86-64 host, one N = 4096 snapshot takes a median 4.0-4.3 ms against
-4.8-5.3 ms in 512-node chunks (three sets of 400 interleaved calls), and
+x86-64 host, one N = 4096 snapshot takes 1.95-2.0 ms against 2.03-2.09 ms
+with the fallback values formatted one call each (fastest of 5 passes
+over 101 snapshots; 4.0-4.3 ms against 4.8-5.3 ms in 512-node chunks in
+an earlier, slower phase of the host), and
 `ptnls simulate --case 2 --N 4096 --t-final 2 --sample-every 20` (101
 snapshots, 30.8 MB of CSV), with the stepper's tiny-phase shortcut, a
 median 1.19 s against 1.32 s (10 interleaved runs; 1.88 against 2.12 s
@@ -61,7 +64,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -276,7 +279,7 @@ def make_stepper(cfg: SolverConfig, eps) -> Stepper:
     case, grid, params = load_catalog().case(cfg.case_id), cfg.grid, cfg.params
     # the catalog keeps jet coordinates out of a, b and the coefficient
     batch = JetBatch(np.zeros(grid.N), grid.x, {})
-    a, b, coeff = (eval_expr(e, batch, params) for e in (case.a, case.b, case.nonlinearity_coeff))
+    a, b, coeff = eval_expr((case.a, case.b, case.nonlinearity_coeff), batch, params)
     return Stepper(grid, cfg.dt, a, b, -params.mu ** 2 * coeff, eps, SCHEMES[cfg.scheme])
 
 
@@ -417,20 +420,26 @@ def resample(q: np.ndarray, src: Grid, grid: Grid) -> np.ndarray:
     return np.fft.ifft(d) * grid.N
 
 
-def jet_values(q: np.ndarray, grid: Grid) -> dict[Jet, np.ndarray]:
-    """The x-jets of the field q on the grid, to order 2, taken spectrally.
-    A density's t-jets are eliminated on shell through the catalog's E1/E2
-    (`PdeSystem.on_shell`) before it is evaluated on these.  Each row of a
-    stacked q, (rows, N), gives the same row of every array, so a Sample's
-    q, one-member ones from a collected run included, goes in as it is."""
-    qh = np.fft.fft(q)
-    dq = np.fft.ifft(1j * grid.k * qh)
-    d2q = np.fft.ifft(-grid.k ** 2 * qh)
-    return {
-        Jet("u", 0, 0): q.real, Jet("v", 0, 0): q.imag,
-        Jet("u", 0, 1): dq.real, Jet("v", 0, 1): dq.imag,
-        Jet("u", 0, 2): d2q.real, Jet("v", 0, 2): d2q.imag,
-    }
+def jet_values(q: np.ndarray, grid: Grid, orders: Collection[int] = (0, 1, 2)
+               ) -> dict[Jet, np.ndarray]:
+    """The x-jets of the field q on the grid of each x-derivative order in
+    `orders` (0, 1 or 2), taken spectrally: order 0 is q itself, with no
+    FFT, and orders 1 and 2 take one forward FFT between them and one
+    inverse FFT each.  `DensityAccumulator` asks only for the orders its
+    monomials read, so a charge block takes no FFT.  A density's t-jets are
+    eliminated on shell through the catalog's E1/E2 (`PdeSystem.on_shell`)
+    before it is evaluated on these.  Each row of a stacked q, (rows, N),
+    gives the same row of every array, so a Sample's q, one-member ones
+    from a collected run included, goes in as it is."""
+    if not set(orders) <= {0, 1, 2}:
+        raise ValueError(f"jet orders must be 0, 1 or 2, got {sorted(orders)}")
+    out = {Jet("u", 0, 0): q.real, Jet("v", 0, 0): q.imag} if 0 in orders else {}
+    qh = np.fft.fft(q) if 1 in orders or 2 in orders else None
+    for order, factor in ((1, 1j * grid.k), (2, -grid.k ** 2)):
+        if order in orders:
+            d = np.fft.ifft(factor * qh)
+            out[Jet("u", 0, order)], out[Jet("v", 0, order)] = d.real, d.imag
+    return out
 
 
 def fmt17(value: float) -> str:
@@ -484,7 +493,23 @@ def _fmt17_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 def fmt17_array(values: np.ndarray) -> np.ndarray:
     """format(v, ".17g") of each element of a float64 array, flattened, as
-    ASCII in a NUL-padded S24 array (`tolist` gives the bytes).
+    ASCII in a NUL-padded S24 array (`tolist` gives the bytes): the digits
+    `_fmt17_digits` gets right with array arithmetic, and every other
+    element (0, inf, nan, exact ties, the decade edges, and all of them
+    where the longdouble is a double) as `fmt17` formats it, by one "%.17g"
+    over all of them.  The result is exact everywhere and only the speed
+    varies."""
+    v = np.ravel(np.asarray(values, float))
+    out, fast = _fmt17_digits(v)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        out[slow] = ("%.17g," * len(slow) % tuple(v[slow].tolist())).encode().split(b",")[:-1]
+    return out
+
+
+def _fmt17_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fmt17_array's array arithmetic on a flat float64 array: its S24
+    output, and the mask of the elements that output is exact for.
 
     With E = floor(log10|v|), X = |v| 10^(16 - E) lies in [1e16, 1e17)
     and its 17 digits are D = X rounded to an integer, X taken as one
@@ -494,11 +519,7 @@ def fmt17_array(values: np.ndarray) -> np.ndarray:
     product within 2 eps X of the exact X, at most 0.022 on x86-64; D is
     taken only where that margin cannot move X across a rounding boundary:
     the fraction of X clear of 1/2 and 1e16 < D < 1e17, which also catches
-    an E that log10's rounding put one off next to a power of ten.  Every
-    other element (0, inf, nan, exact ties, the decade edges, and all of
-    them where the longdouble is a double) goes through `fmt17`, so the
-    result is exact everywhere and only the speed varies."""
-    v = np.ravel(np.asarray(values, float))
+    an E that log10's rounding put one off next to a power of ten."""
     powers, quads, layouts, forms = _fmt17_tables()
     n = len(v)
     a = np.abs(v)
@@ -524,9 +545,7 @@ def fmt17_array(values: np.ndarray) -> np.ndarray:
     index = (layouts.take((v < 0) * (25 * 18) + forms.take(row) + k, axis=0)
              + np.arange(0, src.size, src.shape[1])[:, None])
     out = src.ravel().take(index).view("S24").ravel()
-    for i in np.flatnonzero(~fast).tolist():
-        out[i] = fmt17(float(v[i])).encode()
-    return out
+    return out, fast
 
 
 class TrajectoryWriter:
@@ -545,7 +564,7 @@ class TrajectoryWriter:
                  f" alpha={fmt17(p.alpha)} g={fmt17(p.g)}\n".encode())
         fh.write(b"t,x,re_q,im_q\n")
         # each node's row after t, filled with the formatted re and im of q
-        self.rows = [f",{fmt17(xj)},%s,%s\n".encode() for xj in cfg.grid.x]
+        self.rows = [b",%s,%%s,%%s\n" % xj for xj in fmt17_array(cfg.grid.x).tolist()]
 
     def write(self, t: float, q: np.ndarray) -> None:
         """The rows of the snapshot q, one field of N nodes, at time t: one

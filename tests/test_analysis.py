@@ -26,10 +26,10 @@ from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import (EVAL_BLOCK_POINTS, EvalError, JetBatch, ParamValues, Unary,
                            eval_expr, nodes)
 from ptnls.solver import (BOUNDARY_WARN, BlowUpError, BoundaryContaminationError, Gaussian,
-                          Grid, Sample, SolverConfig, Trajectory, integrate, jet_values,
-                          run, stream_members)
+                          Grid, Sample, SolverConfig, Trajectory, initial_condition, jet_values,
+                          resample, run, stream_members)
 
-from helpers import cataloged_densities
+from helpers import cataloged_densities, eval_decimal
 
 EPS_LIST = [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1]
 
@@ -66,18 +66,10 @@ def test_charge_is_conserved_without_gain():
 
 
 def _density_per_snapshot(traj, case_id, kind, form):
-    """Reference for the stacked densities: the same on-shell density, with
-    one jet_values and one eval_expr call per snapshot, t filled to a full
-    row."""
-    cv = load_catalog().conserved_vector(case_id, kind)
-    e = load_catalog().build_system(case_id).on_shell(
-        cv.Tt if form == "Tt" else cv.complex_density)
-    grid = traj.cfg.grid
-    out = []
-    for state in traj.snapshots:
-        batch = JetBatch(np.full(grid.N, state.t), grid.x, jet_values(state.q[0], grid))
-        out.append(float(grid.dx * np.sum(eval_expr(e, batch, traj.cfg.params))))
-    return np.array(out)
+    """Reference for the stacked densities: each snapshot evaluated alone,
+    in a block of its own."""
+    return np.array([density_timeseries(Trajectory(traj.cfg, [s]), case_id, kind, form).values[0]
+                     for s in traj.snapshots])
 
 
 # (case, kind, form, N, T_final) with a snapshot count (dt = 1e-3, one
@@ -96,14 +88,16 @@ def test_stacked_density_matches_per_snapshot_loop(case_id, kind, form, n, t_fin
     assert count > rows and count % rows  # a full block and a partial one
     ts = density_timeseries(traj, case_id, kind, form)
     assert np.array_equal(ts.times, [s.t for s in traj.snapshots])
-    assert np.array_equal(ts.values, _density_per_snapshot(traj, case_id, kind, form))
+    assert np.array_equal(ts.values.view(np.uint64),
+                          _density_per_snapshot(traj, case_id, kind, form).view(np.uint64))
 
 
 @pytest.mark.parametrize("n,eps,t_final", [(512, [0.0, 0.01, 0.1], 0.07), (4096, [0.05], 0.01)],
                          ids=["N512-stacked", "N4096"])
 def test_grid_only_factors_are_taken_once_per_member(n, eps, t_final, monkeypatch):
-    # Q(t) from the accumulator, whose blocks take the grid-only factors as
-    # evaluated once per member, against plain eval_expr of each block
+    # every coefficient of the normal form is evaluated once per member, not
+    # once per block, and a member's Q(t) from the stacked blocks of several
+    # members has the bits of each snapshot evaluated alone
     erf_calls = []
     plain_erf = jetexpr._np_erf
     monkeypatch.setattr(jetexpr, "_np_erf", lambda a: erf_calls.append(a) or plain_erf(a))
@@ -124,15 +118,92 @@ def test_grid_only_factors_are_taken_once_per_member(n, eps, t_final, monkeypatc
         series = densities.series(errors)
         assert len(erf_calls) == len(eps) * erfs  # not once per block
         for m, (params, [ts]) in enumerate(zip(densities.params, series)):
-            blocks = []
-            for i in range(0, len(samples), rows):
-                block = samples[i:i + rows]
-                batch = JetBatch(np.array([[s.t] for s in block]), cfg.grid.x,
-                                 jet_values(np.stack([s.q[m] for s in block]), cfg.grid))
-                blocks.append(integrate(cfg.grid, eval_expr(e, batch, params)))
+            alone = []
+            for s in samples:
+                one = analysis.DensityAccumulator(cfg, [params.eps], [kind], form)
+                one.add(Sample(s.t, np.zeros(1, int), s.q[[m]]))
+                [[single]] = one.series([None])
+                alone.append(single.values)
             assert np.array_equal(ts.values.view(np.uint64),
-                                  np.concatenate(blocks).view(np.uint64))
+                                  np.concatenate(alone).view(np.uint64))
     assert erf_densities >= 4
+
+
+def _normal_form_density(densities, m, q, t):
+    """The per-node density of `densities`' one kind for member m at one
+    field q, (1, N), at time t, from its normal form: sum_p t^p sum_m C M."""
+    jets = jet_values(q, densities.cfg.grid, densities.orders)
+    integrands = analysis._integrands(jets, densities.classes, densities.coeffs[m], q.shape)
+    return sum(t ** p * integrands[0, p] for p in densities.powers[0])[0]
+
+
+# the six default scans on their own grid, and the cancelling densities
+# resampled to N = 4096 (with a sample stride that keeps the 40-digit
+# reference to a few thousand nodes)
+_ACCURACY = ([(c, k, 256, 10) for c in (CaseId.CASE1A, CaseId.CASE1B, CaseId.CASE2)
+              for k in (Kind.CHARGE, Kind.ENERGY)]
+             + [(c, k, 4096, 50) for c in (CaseId.CASE1B, CaseId.CASE2)
+                for k in (Kind.CHARGE, Kind.ENERGY)])
+
+
+@pytest.mark.parametrize("case_id,kind,n,stride", _ACCURACY,
+                         ids=[f"{c.value}-{k.value}-N{n}" for c, k, n, _ in _ACCURACY])
+def test_normal_form_density_is_as_accurate_as_the_walk(case_id, kind, n, stride):
+    # the per-node density through the normal form against plain eval_expr
+    # of the on-shell density (the walk) and a 40-digit reference, on the
+    # default scan configuration at eps = 0 and every EPS_LIST value, every
+    # `stride`-th sample up to t = 5.  Where |x| >= 1
+    # the two agree within 1e-14 of the density's peak.  Nearer x = 0 the
+    # 1/x^k coefficients cancel and the walk itself is off by up to 2e-13 at
+    # 0.2 <= |x| < 1 (N = 256) and 2e-8 at |x| < 0.2 (N = 4096), so there
+    # each is held to the reference: the normal form's largest error at most
+    # twice the walk's, in each of the two bands
+    src = default_scan_config(case_id)
+    cfg = replace(src, grid=Grid(src.grid.L, n))
+    grid = cfg.grid
+    eps = [0.0] + EPS_LIST
+    errors = [None] * len(eps)
+    samples = list(stream_members(src, eps, 4 * stride, errors))
+    assert errors == [None] * len(eps)
+    e = analysis.density_expr(case_id, kind, "Tt")
+    densities = analysis.DensityAccumulator(cfg, eps, [kind])
+    bands = [np.flatnonzero(np.abs(grid.x) < 0.2),
+             np.flatnonzero((np.abs(grid.x) >= 0.2) & (np.abs(grid.x) < 1.0))]
+    far = np.abs(grid.x) >= 1.0
+    worst = np.zeros((2, 2))  # [band, (walk, normal form)]
+    for s in samples:
+        for row, m in enumerate(s.members):
+            q = s.q[[row]] if n == src.grid.N else resample(s.q[[row]], src.grid, grid)
+            params = densities.params[m]
+            jets = jet_values(q[0], grid)
+            walk = eval_expr(e, JetBatch(np.full(n, s.t), grid.x, jets), params)
+            normal = _normal_form_density(densities, m, q, s.t)
+            peak = np.max(np.abs(walk))
+            assert np.max(np.abs(normal - walk)[far]) <= 1e-14 * peak
+            for b, nodes_in in enumerate(bands):
+                ref = np.array([float(eval_decimal(e, s.t, grid.x[j],
+                                                   {c: v[j] for c, v in jets.items()}, params))
+                                for j in nodes_in])
+                worst[b] = np.maximum(worst[b], [np.max(np.abs(walk[nodes_in] - ref)) / peak,
+                                                 np.max(np.abs(normal[nodes_in] - ref)) / peak])
+    assert np.all(worst[:, 1] <= 2.0 * worst[:, 0]), worst
+
+
+@pytest.mark.parametrize("kind,ffts", [(Kind.CHARGE, 0), (Kind.ENERGY, 2)])
+def test_a_block_takes_only_the_jets_its_monomials_read(kind, ffts, monkeypatch):
+    # charge reads u and v alone; energy also u_xx and v_xx: one forward
+    # and one inverse FFT, and no u_x
+    cfg = _short_cfg(CaseId.CASE2, T_final=0.0)
+    densities = analysis.DensityAccumulator(cfg, [0.05], [kind])
+    calls = []
+    for name in ("fft", "ifft"):
+        plain = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda a, plain=plain, name=name:
+                            calls.append(name) or plain(a))
+    densities.add(Sample(0.5, np.zeros(1, int), initial_condition(cfg)[None]))
+    [[ts]] = densities.series([None])
+    assert len(calls) == ffts and sorted(set(calls)) == (["fft", "ifft"] if ffts else [])
+    assert np.isfinite(ts.values).all()
 
 
 def test_zero_field_has_zero_density():

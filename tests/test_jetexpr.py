@@ -22,13 +22,13 @@ from ptnls.analysis import density_expr
 from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import (DEFAULT_MAX_JET_ORDER, Binary, Const,
                            EvalError, Jet, JetBatch, JetOrderError,
-                           JetSampler, ParamValues, ParseError, Sym,
+                           JetSampler, NotPolynomialError, ParamValues, ParseError, Sym,
                            Unary, Var, add, collect_coords, complete_coords, const,
                            contains_t_derivative,
                            coord_from_name, div, erf, euler_operator, eval_expr,
-                           exp, expr_equiv, gradient, jet, mul, neg, nodes,
+                           exp, expr_equiv, from_poly, gradient, jet, mul, neg, nodes,
                            parse_expr, partial, pow_, random_polynomial, sqrt,
-                           sub, substitute, to_text, total_derivative)
+                           sub, substitute, to_poly, to_text, total_derivative)
 from ptnls.solver import Grid, jet_values
 
 from helpers import cataloged_densities, with_params
@@ -434,6 +434,43 @@ def test_scalar_expressions_evaluate_to_the_batch_shape():
         assert eval_expr(no_eps, batch, sweep).shape == (2, 5)
 
 
+def test_a_sequence_of_expressions_is_one_walk(monkeypatch):
+    # each expression's value is its own evaluation's, and a node the
+    # expressions share is evaluated once
+    batch = JetSampler(seed=3).batch(6, 2)
+    exprs = [parse_expr(t) for t in ("erf(x)*u + 2", "erf(x)*v_xx", "eps", "u")]
+    alone = [eval_expr(e, batch) for e in exprs]
+    calls = []
+    plain = jetexpr._np_erf
+    monkeypatch.setattr(jetexpr, "_np_erf", lambda a: calls.append(a) or plain(a))
+    together = eval_expr(exprs, batch)
+    assert len(calls) == 1 and len(together) == 4
+    for a, b in zip(alone, together):
+        assert b.shape == (6,) and b.dtype == float
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert eval_expr([], batch) == []
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is float64 on this platform")
+def test_a_longdouble_x_carries_the_walk_in_extended_precision():
+    # 1/x^2 - 999/1000 /x^2 cancels a factor 1000: float64 roundings show
+    # at 1e-14, long double ones stay below one float64 rounding of the result
+    x = np.array([0.3, 0.7, 1.9])
+    e = parse_expr("1/x^2 - 1/x^2*(1 - 1/1000)")
+    exact = [Fraction(1, 1000) / Fraction(v) ** 2 for v in x]
+
+    def worst(batch_x):
+        got = eval_expr(e, JetBatch(np.zeros(3), batch_x, {}))
+        assert got.dtype == float and got.shape == (3,)
+        return max(abs(Fraction(g) - r) / r for g, r in zip(got.tolist(), exact))
+
+    assert worst(x.astype(np.longdouble)) <= 2 ** -52 < 1e-14 < worst(x)
+    pi = eval_expr(parse_expr("pi - 3"), JetBatch(np.zeros(1), np.zeros(1, np.longdouble), {}))
+    exact_pi = Fraction("0.14159265358979323846264338327950288")
+    assert abs(Fraction(float(pi[0])) - exact_pi) <= exact_pi * 2 ** -53
+
+
 @pytest.mark.parametrize("case_id", list(CaseId))
 def test_eps_column_reproduces_scalar_evaluations_bit_for_bit(case_id):
     # a sweep on a leading axis is the same elementwise arithmetic as one
@@ -792,6 +829,69 @@ def test_substitute_on_solution_removes_t_derivatives():
     out = substitute(e, {"u_t": parse_expr("-1/2*v_xx + x*v"),
                          "v_t": parse_expr("1/2*u_xx - x*u")})
     assert not contains_t_derivative(out)
+
+
+# ---------------------------------------------------------------------------
+# polynomial normal form
+
+
+def _catalog_expressions():
+    """(label, expression) of every catalog record, every Q.E and every
+    on-shell density."""
+    cat = load_catalog()
+    out = [(f"{r.case_id}-{r.kind}-{r.slot}", r.expr) for r in cat.records()]
+    for case_id in CaseId:
+        system = cat.build_system(case_id)
+        for kind in Kind:
+            m = cat.multiplier(kind)
+            out.append((f"{case_id.value}-{kind.value}-QE",
+                        add(mul(m.Q1, system.E1), mul(m.Q2, system.E2))))
+    out += [(f"{c.value}-{k.value}-{f}-on-shell", density_expr(c, k, f))
+            for c, k, f in cataloged_densities()]
+    return out
+
+
+@pytest.mark.parametrize("label,e", _catalog_expressions(),
+                         ids=[label for label, _ in _catalog_expressions()])
+def test_normal_form_round_trips_every_catalog_expression(label, e):
+    poly = to_poly(e)
+    assert expr_equiv(from_poly(poly), e), label
+    for m, c in poly.items():
+        assert not collect_coords(c) and Var("t") not in nodes(c)
+        assert not (type(c) is Const and c.value == 0)
+        leaves = [leaf for leaf, _ in m]
+        assert all(k >= 1 for _, k in m) and len(set(leaves)) == len(leaves)
+        assert [type(leaf) for leaf in leaves] == sorted(
+            (type(leaf) for leaf in leaves), key=lambda t: t is Jet)
+        assert sorted(leaf for leaf in leaves if type(leaf) is Jet) == [
+            leaf for leaf in leaves if type(leaf) is Jet]
+
+
+def test_normal_form_keeps_jet_free_subtrees_whole():
+    # products distribute over sums that read a jet or t, never inside a
+    # jet-free subtree: the cancelling sum stays one node under its 1/x^4
+    x = Var("x")
+    inner = parse_expr("12*exp(-x^2)*x^3 + 18*exp(-x^2)*x - 9*sqrt(pi)*erf(x)")
+    e = parse_expr("1/(16*x^4)") * inner * parse_expr("(t*eps*u^2 + t*eps*v^2 - 8*x^4*u^2)")
+    poly = to_poly(e)
+    t = Var("t")
+    assert set(poly) == {((t, 1), (U, 2)), ((t, 1), (V, 2)), ((U, 2),)}
+    for c in poly.values():
+        assert inner in nodes(c)
+    assert to_poly(parse_expr("(u + v)^2")) == {((U, 2),): const(1), ((U, 1), (V, 1)): const(2),
+                                                ((V, 2),): const(1)}
+    assert to_poly(parse_expr("x^2 + eps")) == {(): parse_expr("x^2 + eps")}
+    assert to_poly(parse_expr("u - u")) == {}
+    assert from_poly({}) is const(0)
+    assert to_poly(parse_expr("-u_x/x")) == {((UX, 1),): neg(const(1)) / x}
+
+
+@pytest.mark.parametrize("text", ["exp(u)", "1/u", "u^(1/2)", "erf(v_x)", "x*u^(-2)",
+                                  "sqrt(t)", "eps/(1 + t)"])
+def test_normal_form_rejects_what_is_not_polynomial(text):
+    with pytest.raises(NotPolynomialError):
+        to_poly(parse_expr(text))
+    assert issubclass(NotPolynomialError, jetexpr.ExprError)
 
 
 # ---------------------------------------------------------------------------

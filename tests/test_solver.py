@@ -15,7 +15,7 @@ from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import (JetBatch, ParamValues, Sym, eval_expr, expr_equiv, jet,
                            parse_expr)
 from ptnls.solver import (SCHEMES, BlowUpError, BoundaryContaminationError, Gaussian,
-                          Grid, SolverConfig, Stepper, fmt17_array, initial_condition,
+                          Grid, SolverConfig, Stepper, fmt17, fmt17_array, initial_condition,
                           integrate, jet_values, make_stepper, resample, run,
                           stream_members, write_trajectory_csv)
 
@@ -614,6 +614,19 @@ def test_jet_values_ground_state_analytic():
     assert np.max(np.abs(v_t + 0.5 * phi)) < 1e-10
 
 
+@pytest.mark.parametrize("orders", [(0,), (2,), (0, 2), (1, 2)])
+def test_jet_values_takes_only_the_asked_orders(orders):
+    # each order asked for is the full call's array, bit for bit
+    cfg = _linear_cfg()
+    q = np.stack([initial_condition(cfg), 1j * initial_condition(cfg)])
+    full, some = jet_values(q, cfg.grid), jet_values(q, cfg.grid, orders)
+    assert set(some) == {jet(dep, 0, k) for dep in "uv" for k in orders}
+    for c, a in some.items():
+        assert np.array_equal(a.view(np.uint64), full[c].view(np.uint64))
+    with pytest.raises(ValueError, match="jet orders"):
+        jet_values(q, cfg.grid, (0, 3))
+
+
 @pytest.mark.parametrize("case_id", list(CaseId), ids=lambda c: c.value)
 def test_jet_time_derivatives_match_finite_differences(case_id):
     # the stepper's trajectory against u_t and v_t from the catalog's E1/E2
@@ -719,17 +732,30 @@ def test_fmt17_array_matches_format_on_the_edges():
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="longdouble is a double here")
-def test_fmt17_array_formats_most_values_without_format(monkeypatch):
+def test_fmt17_array_formats_most_values_without_format():
     # only values near a rounding boundary (the tie among them), zeros and
-    # non-finite values fall back to one format call each
-    calls = []
-    monkeypatch.setattr(solver, "fmt17", lambda v: calls.append(v) or format(v, ".17g"))
+    # non-finite values are left to the one formatting call that ends
+    # fmt17_array
     values = np.random.default_rng(3).standard_normal(1000)
-    assert _fmt17_array(values) == _format17(values) and len(calls) < 50
-    calls.clear()
-    assert _fmt17_array([1 + 2.0 ** -17, 0.0, np.nan, 0.3]) == ["1.0000076293945312", "0", "nan",
-                                                               "0.29999999999999999"]
-    assert calls[:2] == [1 + 2.0 ** -17, 0.0] and math.isnan(calls[2]) and len(calls) == 3
+    assert _fmt17_array(values) == _format17(values)
+    assert np.count_nonzero(~solver._fmt17_digits(values)[1]) < 50
+    odd = [1 + 2.0 ** -17, 0.0, np.nan, 0.3]
+    assert _fmt17_array(odd) == ["1.0000076293945312", "0", "nan", "0.29999999999999999"]
+    assert solver._fmt17_digits(np.array(odd))[1].tolist() == [False, False, False, True]
+
+
+def test_fmt17_array_formats_a_mixed_array_as_fmt17_each():
+    # the batched fallback keeps every element in its place: signed zeros
+    # and infinities, nan, subnormals, decade edges and exact ties among
+    # ordinary values
+    mixed = ([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320,
+              np.nextafter(2.2250738585072014e-308, 0.0)]
+             + FMT17_EDGES + [1e22, 1e23, -1e-5, 1e-4, 0.5, -8.894385665401405, 2.0 ** 60]
+             + np.random.default_rng(5).standard_normal(40).tolist())
+    values = np.array(mixed)
+    values = np.concatenate([values, -values[::-1]])
+    assert _fmt17_array(values) == [fmt17(float(v)) for v in values]
+    assert np.count_nonzero(~solver._fmt17_digits(values)[1]) >= 16
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
