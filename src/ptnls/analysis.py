@@ -4,9 +4,9 @@ Q(t) is the trapezoid integral of a cataloged density along a solver
 trajectory.  The density is put on shell first: its t-jets are eliminated
 through the catalog's E1/E2 (`PdeSystem.on_shell`), so it needs only the
 x-jets the solver takes spectrally.  It is then evaluated through its
-polynomial normal form (`to_poly`): coefficients in x, computed once per
-member of a scan, times jet monomials and powers of t, formed per block of
-samples (`DensityAccumulator`).  The drift of Q over a run,
+polynomial normal form (`to_poly`): coefficients in x, computed for every
+member of a scan in one walk, times jet monomials and powers of t, formed
+per block of samples (`DensityAccumulator`).  The drift of Q over a run,
 normalized by max(|Q(0)|, 1e-12), is scanned over a grid of eps values;
 because every cataloged euler residual carries a factor eps, the drift
 should scale linearly, and the scan fits that exponent.  The eps = 0 run
@@ -134,12 +134,14 @@ class DensityAccumulator:
 
     A density is evaluated through its normal form (`to_poly`): coefficients
     C_{m,p}(x), free of jets and t, times jet monomials M_m times t^p.  Every
-    coefficient of every kind is evaluated once per member, on the grid's N
-    nodes, in one `eval_expr` walk with x in np.longdouble, so a coefficient
-    whose 1/x^k terms cancel near x = 0 is rounded to float64 once, not term
-    by term.  A block then takes only the x-orders the monomials read from
-    `jet_values`, forms each distinct monomial once across the kinds, and
-    gives Q_k = sum_p t_k^p integrate(sum_m C_{m,p} M_m), the monomials that
+    coefficient of every kind is evaluated for every member in one
+    `eval_expr` walk, on the grid's N nodes against an (members, 1) column
+    of eps, with x and eps in np.longdouble; each member's row has the bits
+    of a walk at its eps alone, and a coefficient whose 1/x^k terms cancel
+    near x = 0 is rounded to float64 once, not term by term.  A block then
+    takes only the x-orders the monomials read from `jet_values`, forms
+    each distinct monomial once across the kinds, and gives
+    Q_k = sum_p t_k^p integrate(sum_m C_{m,p} M_m), the monomials that
     share every coefficient (u^4 and v^4, say) summed once before they are
     multiplied, in elementwise products and sums (no BLAS call, whose
     rounding would depend on its thread count), so a row's bits do not
@@ -168,10 +170,13 @@ class DensityAccumulator:
         self.powers = [sorted({p for u in classes for kk, p, _ in u if kk == k})
                        for k in range(len(self.kinds))]
         self.orders = sorted({leaf.x_order for m in uses for leaf, _ in m})
-        self.params = [cfg.params.replace(eps=float(e)) for e in eps_values]
+        self.eps = [float(e) for e in eps_values]
         grid = cfg.grid
         at_nodes = JetBatch(np.zeros(grid.N), grid.x.astype(np.longdouble), {})
-        self.coeffs = [eval_expr(list(coeffs), at_nodes, params) for params in self.params]
+        column = cfg.params.replace(eps=np.array(self.eps, np.longdouble)[:, None])
+        # row m of each (members, N) coefficient array is member m's
+        walk = eval_expr(list(coeffs), at_nodes, column)
+        self.coeffs = [[c[m] for c in walk] for m in range(len(self.eps))]
         rows = max(1, EVAL_BLOCK_POINTS // grid.N)
         self.block = np.empty((len(eps_values), rows, grid.N), complex)
         self.block_t = np.empty(rows)
@@ -215,10 +220,10 @@ class DensityAccumulator:
         self._evaluate([m for m in self.members if errors[m] is None])
         times = np.array(self.times)
         return [None if errors[m] is not None else
-                [DensityTimeseries(self.cfg.case_id, kind, self.form, params.eps, times,
+                [DensityTimeseries(self.cfg.case_id, kind, self.form, eps, times,
                                    np.concatenate([b[k] for b in self.blocks[m]]))
                  for k, kind in enumerate(self.kinds)]
-                for m, params in enumerate(self.params)]
+                for m, eps in enumerate(self.eps)]
 
 
 def density_timeseries(traj: Trajectory, case_id: CaseId, kind: Kind,
@@ -281,17 +286,15 @@ def default_scan_config(case_id: CaseId) -> SolverConfig:
     start the scan at a symmetry point where the first-order drift integral
     vanishes for the odd gain profiles, hiding the linear scaling.
 
-    Suzuki's fourth-order composition at dt = 0.0125 on N = 256 gives lower
-    floors than Yoshida's triple jump at dt = 5e-3 on N = 512 did (energy
-    1.46e-7 against 3.35e-7 on cases 1a and 1b, 1.34e-8 against 1.66e-8 on
-    case 2), with every slope unchanged within 6e-7, in 4000 FFTs of
-    length 256 per member against 6000 of length 512.  dt and N are chosen
-    together: on N = 256 the spectral tail (the share of |q-hat|^2 beyond
-    2/3 of the largest wavenumber) stays below 5e-7 and the boundary level
-    below 1e-8 (BOUNDARY_WARN), while at N = 512 the same dt = 0.0125
-    raises the boundary level to 2.4e-8 - 1.3e-7, over BOUNDARY_WARN, and
-    N = 128 leaves tails of 6.6e-4 - 1.3e-3.  The stride of 4 steps keeps the
-    snapshots at SCAN_SAMPLE_INTERVAL = 0.05 exactly."""
+    Suzuki's fourth-order composition steps at dt = 0.0125 on N = 256
+    (energy floors 1.46e-7 on cases 1a and 1b, 1.34e-8 on case 2).  dt and
+    N are chosen together: on N = 256 the spectral tail (the share of
+    |q-hat|^2 beyond 2/3 of the largest wavenumber) stays below 5e-7 and
+    the boundary level below 1e-8 (BOUNDARY_WARN), while at N = 512 the
+    same dt = 0.0125 raises the boundary level to 2.4e-8 - 1.3e-7, over
+    BOUNDARY_WARN, and N = 128 leaves tails of 6.6e-4 - 1.3e-3.  The
+    stride of 4 steps keeps the snapshots at SCAN_SAMPLE_INTERVAL = 0.05
+    exactly."""
     return SolverConfig(case_id=case_id, initial=Gaussian(1.0, 1.0, 0.5),
                         scheme="suzuki4", dt=0.0125, grid=Grid(N=256))
 

@@ -754,12 +754,6 @@ class ParamValues:
         # once here, not in each of the many evaluations that read it
         object.__setattr__(self, "shape", np.broadcast_shapes(*shapes) if shapes else ())
 
-    def get(self, name: str) -> ParamValue:
-        try:
-            return getattr(self, name)
-        except AttributeError:
-            raise EvalError(f"unknown parameter {name!r}") from None
-
     def replace(self, **kw) -> "ParamValues":
         return replace(self, **kw)
 
@@ -796,10 +790,14 @@ def complete_coords(order: int) -> tuple[Jet, ...]:
 # import path.
 _np_erf = np.vectorize(math.erf, otypes=[float])
 
-# Point budget of one stacked evaluation (densities over snapshots, the
-# oracle over bumps).  On case2/energy densities (x86-64, 2 vCPUs) it was the
-# fastest budget at N = 512 and within 25% of the fastest at N = 4096, with a
-# traced peak of 3 MB against 47 MB for 101 snapshots of N = 4096 at once.
+# Point budget of one stacked block, for its two users: the oracle's bump
+# blocks (`verify._bump_block`, one `eval_expr` per stencil point and block)
+# and `analysis.DensityAccumulator`'s sample blocks (one `jet_values` and one
+# set of monomials per block).  With one sample per block instead (x86-64,
+# 2 vCPUs, fastest of 7) the accumulator's consumers took 40-46 ms against
+# 24-29 ms for `simulate --case 2 --N 4096`, 4.6-5.2 against 2.0 ms for the
+# case1a/charge scan and 14.2-21.3 against 12.9-13.3 ms for case2/energy,
+# so the blocks still pay for themselves.
 EVAL_BLOCK_POINTS = 16384
 
 
@@ -845,9 +843,10 @@ def eval_expr(e: Union[Expr, Sequence[Expr]], point, params: Optional[ParamValue
     intermediate (erf excepted, which math.erf takes in float64), with the
     result rounded to float64 once.  Given a sequence of expressions,
     one walk of their joint DAG gives a list of such arrays, one per
-    expression, and a node they share is evaluated once.  Missing
-    coordinates, division by zero, sqrt/fractional powers of negative
-    values all raise EvalError."""
+    expression, and a node they share is evaluated once, so several
+    expressions on one batch take one call.  Missing coordinates, division
+    by zero, sqrt/fractional powers of negative values all raise
+    EvalError."""
     if params is None:
         params = _DEFAULT_PARAMS
     single = isinstance(e, Expr)
@@ -875,7 +874,7 @@ def eval_expr(e: Union[Expr, Sequence[Expr]], point, params: Optional[ParamValue
             if n.name == "pi":
                 v = pi
             else:
-                v = params.get(n.name)
+                v = getattr(params, n.name)
                 if type(v) is not np.ndarray:
                     v = num(v)
         elif t is Var:
@@ -1324,10 +1323,11 @@ class EquivResult:
 
 def expr_equiv(e1: Expr, e2: Expr, n: int = 100, tol: float = 1e-10,
                params: Optional[ParamValues] = None, seed: int = 0) -> EquivResult:
-    """Randomized equivalence: evaluate both expressions at the n jet points
-    `JetSampler(seed).batch` draws and compare with relative tolerance tol
-    (normalized by max(1, |v1|, |v2|) pointwise).  On failure the result
-    carries the worst point as its witness.  The parameters are one point:
+    """Randomized equivalence: evaluate both expressions, in one walk of
+    their joint DAG, at the n jet points `JetSampler(seed).batch` draws and
+    compare with relative tolerance tol (normalized by max(1, |v1|, |v2|)
+    pointwise).  On failure the result carries the worst point as its
+    witness.  The parameters are one point:
     array-valued `params` raise ValueError."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -1335,7 +1335,7 @@ def expr_equiv(e1: Expr, e2: Expr, n: int = 100, tol: float = 1e-10,
         raise ValueError(f"expr_equiv compares at one parameter point, but params.shape "
                          f"is {params.shape}")
     batch = JetSampler(seed).batch(n, max(e1.order, e2.order))
-    v1, v2 = eval_expr(e1, batch, params), eval_expr(e2, batch, params)
+    v1, v2 = eval_expr([e1, e2], batch, params)
     scale = np.maximum(1.0, np.maximum(np.abs(v1), np.abs(v2)))
     rel = np.abs(v1 - v2) / scale
     worst = int(np.argmax(rel))

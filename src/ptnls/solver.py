@@ -40,16 +40,8 @@ arithmetic: one longdouble product per value, with Python's own
 formatting (what `fmt17` gives) only for the few values near a rounding
 boundary (about 2%) and for zeros and non-finite values, all of those in
 one call.  The writer formats a snapshot with one `fmt17_array` call and
-one write of bytes to a binary file, at a traced peak of 2.9 MB
-at N = 4096 (0.48 MB when it took 512 nodes at a time).  On a 2-vCPU
-x86-64 host, one N = 4096 snapshot takes 1.95-2.0 ms against 2.03-2.09 ms
-with the fallback values formatted one call each (fastest of 5 passes
-over 101 snapshots; 4.0-4.3 ms against 4.8-5.3 ms in 512-node chunks in
-an earlier, slower phase of the host), and
-`ptnls simulate --case 2 --N 4096 --t-final 2 --sample-every 20` (101
-snapshots, 30.8 MB of CSV), with the stepper's tiny-phase shortcut, a
-median 1.19 s against 1.32 s (10 interleaved runs; 1.88 against 2.12 s
-in a busier phase of the host).
+one write of bytes to a binary file, at a traced peak of 2.9 MB at
+N = 4096.
 
 The grid is periodic on [-L, L) with nodes offset by half a cell so that
 x = 0 is never a node; several cataloged densities carry 1/x^k prefactors

@@ -17,8 +17,10 @@ Three layers, in increasing independence from the symbolic engine:
     derivative by polynomial collocation against many bumps.
 
 Raw-vs-corrected readings: every check consults the raw catalog for the
-slots it used and attaches a comparison, so the handful of documented
-corrections stay visible in the reports they affect.
+slots it used and attaches a comparison (one loop over (slot, reference,
+note) for the slot readings, and one for the block header's Q1/Q2), so
+the handful of documented corrections stay visible in the reports they
+affect.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .analysis import fit_loglog_slope
 from .catalog import CaseId, Catalog, Kind, PdeSystem, load_catalog
-from .jetexpr import (EVAL_BLOCK_POINTS, Expr, Jet, JetBatch, JetSampler,
+from .jetexpr import (DEPENDENTS, EVAL_BLOCK_POINTS, Expr, Jet, JetBatch, JetSampler,
                       ParamValues, add, complete_coords, euler_operator, eval_expr,
                       expr_equiv, mul, sub, total_derivative)
 
@@ -140,15 +142,15 @@ def _q_dot_e(q1: Expr, q2: Expr, system: PdeSystem) -> Expr:
 _EPS_SWEEP = ParamValues(eps=np.array(EPS_GRID)[:, None])
 
 
-def _eps_slope(exprs: tuple[Expr, ...], seed: int, order: int) -> tuple[float, float]:
+def _eps_slope(exprs: tuple[Expr, ...], seed: int) -> tuple[float, float]:
     """(slope, rms residual) of the log-log fit of max |e| over `exprs` and
-    50 seeded jet points against eps on EPS_GRID.  Each expression is
-    evaluated once, on the sweep's (eps, point) grid; row k holds the values
-    of one evaluation at the k-th eps, bit for bit, so the fit is that of a
-    loop over EPS_GRID."""
-    batch = JetSampler(seed).batch(50, order)
-    mags = np.maximum.reduce([np.max(np.abs(eval_expr(e, batch, _EPS_SWEEP)), axis=1)
-                              for e in exprs])
+    50 seeded jet points of their jet order against eps on EPS_GRID.  The
+    expressions are evaluated in one walk, on the sweep's (eps, point) grid;
+    row k holds the values of one evaluation at the k-th eps, bit for bit,
+    so the fit is that of a loop over EPS_GRID."""
+    batch = JetSampler(seed).batch(50, max(e.order for e in exprs))
+    mags = np.maximum.reduce([np.max(np.abs(v), axis=1)
+                              for v in eval_expr(exprs, batch, _EPS_SWEEP)])
     slope, _, fit_res = fit_loglog_slope(EPS_GRID, mags)
     return slope, fit_res
 
@@ -161,11 +163,14 @@ def euler_residual(case, kind: Kind) -> tuple[Expr, Expr]:
     return euler_operator(action, max_order=_EULER_MAX_ORDER)
 
 
-def _raw_target_comparisons(cat: Catalog, case_id: CaseId, kind: Kind,
-                            computed: tuple[Expr, Expr], n: int,
-                            seed: int) -> list[RawComparison]:
+def _raw_comparisons(cat: Catalog, case_id: CaseId, kind: Kind,
+                     refs: Iterable[tuple[str, Expr, str]], n: int,
+                     seed: int) -> list[RawComparison]:
+    """For each (slot, reference expression, note) of `refs` whose slot has
+    an as-displayed reading in the block: that reading compared with the
+    reference."""
     out = []
-    for slot, comp in (("Ru", computed[0]), ("Rv", computed[1])):
+    for slot, ref, note in refs:
         rec = cat.raw_reading(case_id, kind, slot)
         if rec is None:
             continue
@@ -173,10 +178,18 @@ def _raw_target_comparisons(cat: Catalog, case_id: CaseId, kind: Kind,
             out.append(RawComparison(slot, False, error=rec.error,
                                      note="as-displayed text is not grammatical"))
             continue
-        res = expr_equiv(comp, rec.expr, n=n, seed=seed)
+        res = expr_equiv(rec.expr, ref, n=n, seed=seed)
         out.append(RawComparison(slot, True, matches_corrected=res.equal,
-                                 worst_rel_error=res.worst_rel_error,
-                                 note="as-displayed reading vs engine residual"))
+                                 worst_rel_error=res.worst_rel_error, note=note))
+    return out
+
+
+def _raw_target_comparisons(cat: Catalog, case_id: CaseId, kind: Kind,
+                            computed: tuple[Expr, Expr], n: int,
+                            seed: int) -> list[RawComparison]:
+    note = "as-displayed reading vs engine residual"
+    out = _raw_comparisons(cat, case_id, kind,
+                           (("Ru", computed[0], note), ("Rv", computed[1], note)), n, seed)
     # the case-1c energy block header carries the charge multipliers; applying
     # them reproduces the other block's target, which is the whole discrepancy
     raw_q1 = cat.raw_reading(case_id, kind, "Q1")
@@ -217,7 +230,7 @@ def check_residual(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-10
 
     # the residuals carry a factor eps, so the fitted exponent should be 1
     # to roundoff
-    slope, fit_res = _eps_slope((ru, rv), seed, max(ru.order, rv.order))
+    slope, fit_res = _eps_slope((ru, rv), seed)
 
     return ResidualReport(
         case_id=case_id, kind=kind,
@@ -245,36 +258,15 @@ def divergence_residual(case_id: CaseId, kind: Kind) -> tuple[Expr, Expr]:
     return divergence, _q_dot_e(mult.Q1, mult.Q2, cat.build_system(case_id))
 
 
-def _raw_vector_comparisons(cat: Catalog, case_id: CaseId, kind: Kind, n: int,
-                            seed: int) -> list[RawComparison]:
-    out = []
-    for slot in ("Tt", "Tx", "PhiT"):
-        rec = cat.raw_reading(case_id, kind, slot)
-        if rec is None:
-            continue
-        if rec.expr is None:
-            out.append(RawComparison(slot, False, error=rec.error,
-                                     note="as-displayed text is not grammatical"))
-            continue
-        corrected = cat.corrected_reading(case_id, kind, slot)
-        res = expr_equiv(rec.expr, corrected.expr, n=n, seed=seed)
-        out.append(RawComparison(slot, True, matches_corrected=res.equal,
-                                 worst_rel_error=res.worst_rel_error,
-                                 note="as-displayed reading vs corrected reading"))
-    return out
-
-
 def check_divergence(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-9,
                      seed: int = 0) -> DivergenceReport:
     """Measure D_t Tt + D_x Tx against +/- Q.E at eps=0, then fit the
     surviving residual's magnitude against eps."""
     cat = load_catalog()
     divergence, qe = divergence_residual(case_id, kind)
-    order = max(divergence.order, qe.order)
-    batch = JetSampler(seed).batch(n, order)
+    batch = JetSampler(seed).batch(n, max(divergence.order, qe.order))
 
-    p0 = ParamValues(eps=0.0)
-    dv, qv = eval_expr(divergence, batch, p0), eval_expr(qe, batch, p0)
+    dv, qv = eval_expr([divergence, qe], batch, ParamValues(eps=0.0))
     scale = np.maximum(1.0, np.maximum(np.abs(dv), np.abs(qv)))
     err_minus = np.abs(dv - qv) / scale
     err_plus = np.abs(dv + qv) / scale
@@ -291,14 +283,17 @@ def check_divergence(case_id: CaseId, kind: Kind, n: int = 100, tol: float = 1e-
         discrepancies = tuple((batch.point(int(i)), float(errs[int(i)])) for i in top)
 
     residual = sub(divergence, qe) if orientation == 1 else add(divergence, qe)
-    slope, fit_res = _eps_slope((residual,), seed, order)
+    slope, fit_res = _eps_slope((residual,), seed)
+    note = "as-displayed reading vs corrected reading"
+    refs = [(slot, rec.expr, note) for slot in ("Tt", "Tx", "PhiT")
+            if (rec := cat.corrected_reading(case_id, kind, slot)) is not None]
 
     return DivergenceReport(
         case_id=case_id, kind=kind, zero_at_eps0=zero_at_eps0,
         orientation=orientation, worst_rel_error=worst, n=n, tol=tol,
         leading_order=slope, slope_fit_residual=fit_res,
         discrepancy_terms=discrepancies,
-        raw_comparisons=tuple(_raw_vector_comparisons(cat, case_id, kind, n, seed)),
+        raw_comparisons=tuple(_raw_comparisons(cat, case_id, kind, refs, n, seed)),
     )
 
 
@@ -480,8 +475,8 @@ def independent_variational_check(e: Expr, p: JetBatch,
 
     engine_u, engine_v = euler_operator(e, max_order=2 * e.order if e.order else 2)
     point4 = complete_point(p, max(bg.degree, engine_u.order, engine_v.order, 1))
-    engine_vals = {dep: float(eval_expr(r, point4, params)[0])
-                   for dep, r in (("u", engine_u), ("v", engine_v))}
+    engine_vals = {dep: float(v[0]) for dep, v in
+                   zip(DEPENDENTS, eval_expr([engine_u, engine_v], point4, params))}
 
     quad = _gauss_legendre(quad_n)
     per_block = max(1, EVAL_BLOCK_POINTS // quad_n ** 2)

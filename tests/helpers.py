@@ -13,7 +13,7 @@ def with_params(system: PdeSystem, params: ParamValues) -> PdeSystem:
     """The system with the five model parameters substituted numerically
     (eps = 0 removes the b-terms outright, since they fold away with the
     zero factor)."""
-    binds = {f.name: params.get(f.name) for f in fields(ParamValues)}
+    binds = {f.name: getattr(params, f.name) for f in fields(ParamValues)}
     return PdeSystem(system.case_id, substitute(system.E1, binds),
                      substitute(system.E2, binds))
 
@@ -74,7 +74,7 @@ def eval_decimal(e: Expr, t: float, x: float, jets: dict, params: ParamValues) -
                 v = (Decimal(v) if isinstance(v, float)
                      else Decimal(v.numerator) / Decimal(v.denominator))
             elif kind is Sym:
-                v = +_PI if n.name == "pi" else Decimal(float(params.get(n.name)))
+                v = +_PI if n.name == "pi" else Decimal(float(getattr(params, n.name)))
             elif kind is Var:
                 v = Decimal(t if n.name == "t" else x)
             elif kind is Jet:

@@ -95,9 +95,10 @@ def test_stacked_density_matches_per_snapshot_loop(case_id, kind, form, n, t_fin
 @pytest.mark.parametrize("n,eps,t_final", [(512, [0.0, 0.01, 0.1], 0.07), (4096, [0.05], 0.01)],
                          ids=["N512-stacked", "N4096"])
 def test_grid_only_factors_are_taken_once_per_member(n, eps, t_final, monkeypatch):
-    # every coefficient of the normal form is evaluated once per member, not
-    # once per block, and a member's Q(t) from the stacked blocks of several
-    # members has the bits of each snapshot evaluated alone
+    # every coefficient of the normal form is evaluated once for all
+    # members, not once per member or block, and a member's Q(t) from the
+    # stacked blocks of several members has the bits of each snapshot
+    # evaluated alone
     erf_calls = []
     plain_erf = jetexpr._np_erf
     monkeypatch.setattr(jetexpr, "_np_erf", lambda a: erf_calls.append(a) or plain_erf(a))
@@ -116,17 +117,50 @@ def test_grid_only_factors_are_taken_once_per_member(n, eps, t_final, monkeypatc
         for sample in samples:
             densities.add(sample)
         series = densities.series(errors)
-        assert len(erf_calls) == len(eps) * erfs  # not once per block
-        for m, (params, [ts]) in enumerate(zip(densities.params, series)):
+        assert len(erf_calls) == erfs  # not once per member or block
+        for m, (eps_m, [ts]) in enumerate(zip(densities.eps, series)):
             alone = []
             for s in samples:
-                one = analysis.DensityAccumulator(cfg, [params.eps], [kind], form)
+                one = analysis.DensityAccumulator(cfg, [eps_m], [kind], form)
                 one.add(Sample(s.t, np.zeros(1, int), s.q[[m]]))
                 [[single]] = one.series([None])
                 alone.append(single.values)
             assert np.array_equal(ts.values.view(np.uint64),
                                   np.concatenate(alone).view(np.uint64))
     assert erf_densities >= 4
+
+
+@pytest.mark.parametrize("members", [1, 3, 8])
+def test_accumulator_walks_the_coefficients_once(members, monkeypatch):
+    calls = []
+    monkeypatch.setattr(analysis, "eval_expr",
+                        lambda *args: calls.append(args) or eval_expr(*args))
+    analysis.DensityAccumulator(default_scan_config(CaseId.CASE1B),
+                                np.linspace(0.0, 0.1, members), [Kind.ENERGY, Kind.CHARGE])
+    assert len(calls) == 1
+
+
+# the six blocks of the default all-blocks scan
+_SCAN_BLOCKS = [(c, k) for c in (CaseId.CASE1A, CaseId.CASE1B, CaseId.CASE2)
+                for k in (Kind.CHARGE, Kind.ENERGY)]
+
+
+@pytest.mark.parametrize("case_id,kind", _SCAN_BLOCKS,
+                         ids=[f"{c.value}-{k.value}" for c, k in _SCAN_BLOCKS])
+def test_accumulator_coefficient_rows_are_the_per_member_walks(case_id, kind):
+    # row m of the one walk on the eps column has the bits of a walk at
+    # member m's eps alone, on the default scan's eps = 0 and eps grid
+    cfg = default_scan_config(case_id)
+    eps = [0.0, *map(float, np.logspace(-3, -1, 7))]
+    densities = analysis.DensityAccumulator(cfg, eps, [kind])
+    coeffs = list(dict.fromkeys(analysis._density_poly(case_id, kind, "Tt").values()))
+    at_nodes = JetBatch(np.zeros(cfg.grid.N), cfg.grid.x.astype(np.longdouble), {})
+    assert densities.eps == eps and len(densities.coeffs) == len(eps)
+    for e, rows in zip(densities.eps, densities.coeffs):
+        alone = eval_expr(coeffs, at_nodes, cfg.params.replace(eps=e))
+        assert len(rows) == len(alone)
+        for row, walk in zip(rows, alone):
+            assert np.array_equal(row.view(np.uint64), walk.view(np.uint64))
 
 
 def _normal_form_density(densities, m, q, t):
@@ -174,7 +208,7 @@ def test_normal_form_density_is_as_accurate_as_the_walk(case_id, kind, n, stride
     for s in samples:
         for row, m in enumerate(s.members):
             q = s.q[[row]] if n == src.grid.N else resample(s.q[[row]], src.grid, grid)
-            params = densities.params[m]
+            params = cfg.params.replace(eps=densities.eps[m])
             jets = jet_values(q[0], grid)
             walk = eval_expr(e, JetBatch(np.full(n, s.t), grid.x, jets), params)
             normal = _normal_form_density(densities, m, q, s.t)
@@ -564,6 +598,22 @@ def test_every_output_is_utf8_whatever_the_locale(tmp_path):
                      "drift_slopes.csv", "trajectory.csv"]
     for name in names:
         assert b"out_dir=r\xc3\xa9sum\xc3\xa9" in (tmp_path / name).read_bytes(), name
+
+
+def test_config_file_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # the config file is UTF-8, as every file the package writes; under an
+    # ASCII locale it would not decode if opened without an encoding.  The
+    # non-ASCII text is a comment: an ASCII locale could not name a
+    # directory r\u00e9sum\u00e9 either
+    (tmp_path / "cfg.txt").write_bytes(b"# r\xc3\xa9sum\xc3\xa9\nout_dir=out\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0")
+    done = subprocess.run([sys.executable, "-m", "ptnls.cli", "simulate", "--config",
+                           "cfg.txt", "--N", "64", "--t-final", "0.01", "--sample-every", "5"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "trajectory.csv").exists()
 
 
 def test_drift_svg_is_well_formed(charge_scan, tmp_path):

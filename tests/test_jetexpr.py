@@ -392,7 +392,7 @@ def test_param_values_validation():
     with pytest.raises(ValueError):
         ParamValues(eps=-0.1)
     p = ParamValues(eps=0.2)
-    assert p.get("eps") == 0.2
+    assert p.eps == 0.2
     assert p.replace(mu=3.0).mu == 3.0
     assert p.replace(mu=3.0).eps == 0.2
 
@@ -411,7 +411,7 @@ def test_param_values_reject_a_negative_eps_entry():
     with pytest.raises(ValueError, match=r"^eps must be non-negative"):
         ParamValues(eps=np.array([0.0, 0.2, -1e-300]))
     p = ParamValues(eps=np.array([0.0, 0.2]), mu=np.array([-1.0, 2.0]))
-    assert p.get("eps") is p.eps
+    assert p.eps.shape == (2,) and p.shape == (2,)
     with pytest.raises(TypeError, match="unhashable"):
         hash(p)
 
@@ -917,6 +917,15 @@ def test_expr_equiv_scale_normalization():
     b = parse_expr("100000000.0001*u")
     assert expr_equiv(a, b, tol=1e-10)
     assert not expr_equiv(a, parse_expr("100000001*u"), tol=1e-10)
+
+
+def test_expr_equiv_evaluates_both_sides_in_one_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(jetexpr, "eval_expr",
+                        lambda *args: calls.append(args[0]) or eval_expr(*args))
+    e1, e2 = parse_expr("u*v_x"), parse_expr("u_x*v")
+    assert not expr_equiv(e1, e2, n=10)
+    assert calls == [[e1, e2]]
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def test_eps_sweep_is_the_per_eps_loop_bit_for_bit(residual_reports, divergence_
     assert len(inputs) == len(ALL_BLOCKS) + len(FLUX_BLOCKS)
     for exprs in inputs:
         order = max(e.order for e in exprs)
-        assert verify._eps_slope(exprs, seed, order) == _eps_slope_per_eps(exprs, seed, order)
+        assert verify._eps_slope(exprs, seed) == _eps_slope_per_eps(exprs, seed, order)
 
 
 def test_eps_sweep_evaluates_each_expression_once(residual_reports, divergence_reports,
@@ -192,8 +192,22 @@ def test_eps_sweep_evaluates_each_expression_once(residual_reports, divergence_r
     monkeypatch.setattr(verify, "eval_expr", counted)
     for exprs in _slope_inputs(residual_reports, divergence_reports):
         calls.clear()
-        verify._eps_slope(exprs, 0, max(e.order for e in exprs))
-        assert calls == list(exprs)
+        verify._eps_slope(exprs, 0)
+        assert calls == [exprs]  # one call per batch
+
+
+@pytest.mark.parametrize("case_id,kind", FLUX_BLOCKS)
+def test_divergence_evaluates_both_sides_in_one_call(case_id, kind, monkeypatch):
+    at_eps0 = []
+
+    def counted(e, point, params=None):
+        if params is not None and params.shape == () and params.eps == 0.0:
+            at_eps0.append(e)
+        return eval_expr(e, point, params)
+
+    monkeypatch.setattr(verify, "eval_expr", counted)
+    check_divergence(case_id, kind, n=20, seed=0)
+    assert at_eps0 == [list(divergence_residual(case_id, kind))]
 
 
 @pytest.mark.parametrize("quad_n", [1, 5, 24])
