@@ -225,6 +225,28 @@ def cmd_verify_divergence(settings: Settings) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _check_output_names(out_dir: str, header: list[str]) -> None:
+    """Raise ConfigError unless `out_dir` encodes in the filesystem encoding
+    and every header line in UTF-8, the encoding of every output file, so
+    that a command refuses them before it makes a directory or steps
+    anything.  An argument holding bytes that the locale cannot decode
+    reaches the header as lone surrogates, which UTF-8 cannot encode."""
+    encoding = sys.getfilesystemencoding()
+    try:
+        os.fsencode(out_dir)
+    except UnicodeEncodeError:
+        raise ConfigError(f"out_dir {out_dir!r} cannot be encoded in the filesystem "
+                          f"encoding ({encoding})") from None
+    for line in header:
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            key, _, value = line.partition("=")
+            raise ConfigError(f"{key} {value!r} cannot be written to the UTF-8 output "
+                              f"headers: it holds bytes that the filesystem encoding "
+                              f"({encoding}) does not decode") from None
+
+
 def cmd_simulate(settings: Settings) -> int:
     settings.seed()
     case_id = CaseId.parse(settings.get("case", "1a"))
@@ -233,9 +255,10 @@ def cmd_simulate(settings: Settings) -> int:
         case_id=case_id, initial=default_scan_config(case_id).initial))
     out_dir = settings.get("out_dir", "out")
     sample_every = settings.get("sample_every", 50)
+    header = [f"{k}={v}" for k, v in settings.resolved.items()] + [f"scheme={cfg.scheme}"]
+    _check_output_names(out_dir, header)
     os.makedirs(out_dir, exist_ok=True)
 
-    header = [f"{k}={v}" for k, v in settings.resolved.items()] + [f"scheme={cfg.scheme}"]
     cat = load_catalog()
     densities = DensityAccumulator(cfg, [cfg.params.eps], [
         kind for kind in Kind if cat.conserved_vector(case_id, kind) is not None])
@@ -280,6 +303,8 @@ def _parse_eps_grid(text: str) -> list[float]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad eps-grid {text!r}: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"eps-grid start and stop must be finite, got {text!r}")
     if start <= 0 or stop <= start or count < MIN_FIT_MEMBERS:
         raise ConfigError(f"eps-grid needs 0 < start < stop and count >= {MIN_FIT_MEMBERS}")
     return list(np.logspace(np.log10(start), np.log10(stop), count))
@@ -310,13 +335,15 @@ def cmd_drift_scan(settings: Settings) -> int:
     for case_id, kind in blocks:
         if (case_id, kind) not in skipped:
             kinds_of.setdefault(case_id, []).append(kind)
-    reports = {(r.case_id, r.kind): r
-               for case_id, kinds in kinds_of.items()
-               for r in drift_scan(case_id, kinds, eps_list,
-                                   cfg=_solver_config(settings, default_scan_config(case_id)),
-                                   form=form, sample_every=sample_every)}
+    cfgs = {case_id: _solver_config(settings, default_scan_config(case_id))
+            for case_id in kinds_of}
     # an unset sample_every is named by each report's config lines instead
     header = [f"{k}={v}" for k, v in settings.resolved.items() if v is not None]
+    _check_output_names(out_dir, header)
+    reports = {(r.case_id, r.kind): r
+               for case_id, kinds in kinds_of.items()
+               for r in drift_scan(case_id, kinds, eps_list, cfg=cfgs[case_id],
+                                   form=form, sample_every=sample_every)}
     paths = emit_report(list(reports.values()), out_dir, header_lines=header)
 
     for case_id, kind in blocks:

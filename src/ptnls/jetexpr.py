@@ -791,13 +791,14 @@ def complete_coords(order: int) -> tuple[Jet, ...]:
 _np_erf = np.vectorize(math.erf, otypes=[float])
 
 # Point budget of one stacked block, for its two users: the oracle's bump
-# blocks (`verify._bump_block`, one `eval_expr` per stencil point and block)
-# and `analysis.DensityAccumulator`'s sample blocks (one `jet_values` and one
-# set of monomials per block).  With one sample per block instead (x86-64,
-# 2 vCPUs, fastest of 7) the accumulator's consumers took 40-46 ms against
-# 24-29 ms for `simulate --case 2 --N 4096`, 4.6-5.2 against 2.0 ms for the
-# case1a/charge scan and 14.2-21.3 against 12.9-13.3 ms for case2/energy,
-# so the blocks still pay for themselves.
+# blocks (`verify._bump_block`, one `eval_expr` per stencil point, dependent
+# and block; one walk over all four stencil points would hold four times the
+# block's points) and `analysis.DensityAccumulator`'s sample blocks (one
+# `jet_values` and one set of monomials per block).  With one sample per
+# block instead (x86-64, 2 vCPUs, fastest of 7) the accumulator's consumers
+# took 40-46 ms against 24-29 ms for `simulate --case 2 --N 4096`, 4.6-5.2
+# against 2.0 ms for the case1a/charge scan and 14.2-21.3 against
+# 12.9-13.3 ms for case2/energy, so the blocks still pay for themselves.
 EVAL_BLOCK_POINTS = 16384
 
 

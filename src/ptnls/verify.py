@@ -12,9 +12,12 @@ Three layers, in increasing independence from the symbolic engine:
     surviving orientation is reported rather than assumed.
   * ``independent_variational_check``: a finite-difference variational
     derivative that never touches euler_operator or total_derivative: embed
-    u + s*phi for compactly supported bumps phi, differentiate the action
-    integral in s numerically, and recover the pointwise variational
-    derivative by polynomial collocation against many bumps.
+    u + s*phi, then v + s*phi, for one set of compactly supported bumps phi,
+    differentiate the action integral in s numerically, and recover both
+    pointwise variational derivatives by polynomial collocation against the
+    bumps, in one least-squares solve.  Bumps are separable, a t-factor
+    times an x-factor, so the collocation integrals are products of 1-D
+    quadrature sums.
 
 Raw-vs-corrected readings: every check consults the raw catalog for the
 slots it used and attaches a comparison (one loop over (slot, reference,
@@ -361,40 +364,53 @@ class _PolyBackground:
 
     def jets(self, t: np.ndarray, x: np.ndarray,
              coords: Iterable[Jet]) -> dict[Jet, np.ndarray]:
-        """(d/dt)^i (d/dx)^j of the field at each coordinate, exactly; the
+        """(d/dt)^i (d/dx)^j of the field at each coordinate, exactly.  The
         powers of t - t0 and x - x0 are taken once for all coordinates, each
-        at the shape of its own argument, so t and x given as broadcastable
-        factors (a column and a row of a tensor grid) give tables of that
-        size, and only the products are the broadcast shape."""
+        at the shape of its own argument, and a coordinate's terms are
+        grouped by their power of t: each group's x-factor is summed at the
+        shape of x.  So t and x given as broadcastable factors (a column and
+        a row of a tensor grid) give tables of that size, and each power of
+        t makes one product of the broadcast shape."""
         dt, dx = t - self.t0, x - self.x0
         tp = [dt ** k for k in range(self.degree + 1)]
         xp = [dx ** k for k in range(self.degree + 1)]
         out = {}
         for coord in coords:
             i, j = coord.t_order, coord.x_order
-            val = np.zeros_like(dt)
+            x_factors: dict[int, np.ndarray] = {}
             for (p, q), c in self.coeff[coord.dep].items():
                 if p < i or q < j:
                     continue
                 fac = (math.factorial(p) // math.factorial(p - i)
                        * math.factorial(q) // math.factorial(q - j))
-                val = val + c * fac * tp[p - i] * xp[q - j]
+                term = c * fac * xp[q - j]
+                x_factors[p] = x_factors[p] + term if p in x_factors else term
+            val = np.zeros_like(dt)
+            for p, fx in x_factors.items():
+                val = val + tp[p - i] * fx
             out[coord] = val
         return out
 
 
-def _bump_block(e: Expr, params: Optional[ParamValues], bg: _PolyBackground, dep: str,
+def _bump_block(e: Expr, params: Optional[ParamValues], bg: _PolyBackground,
                 p: JetBatch, draws: np.ndarray,
                 quad: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Collocation rows and stencil derivatives of the action for a block of
-    bumps on the (nodes, weights) Gauss-Legendre rule `quad`; row k of
-    `draws` is bump k's (t offset, x offset, t width factor, x width factor).
+    """Collocation rows, (bumps, len(_POWERS)), and stencil derivatives of
+    the action, (bumps, 2) with u's perturbation in column 0 and v's in
+    column 1, for a block of bumps on the (nodes, weights) Gauss-Legendre
+    rule `quad`; row k of `draws` is bump k's (t offset, x offset, t width
+    factor, x width factor).
 
     Bump k's tensor grid is slice k of (bumps, quad_n, quad_n) arrays, t
     along axis 1 and x along axis 2.  A factor of t alone is a
     (bumps, quad_n, 1) array and one of x alone a (bumps, 1, quad_n) array,
     so it is computed on quad_n points and broadcasting builds the products.
-    Integrals sum each bump's grid as one C-order row of quad_n^2 values."""
+    Each bump is a t-factor times an x-factor, and so is each of its jets:
+    a jet is kept as that pair and enters a perturbed field as
+    background + (s * f_t) * f_x.  A collocation row's integrand is
+    separable too, so each entry is the product of a t-sum and an x-sum.
+    The action's integrand is not: it sums each bump's grid as one C-order
+    row of quad_n^2 values, t-major."""
     quad_nodes, quad_weights = quad
     bumps = len(draws)
     t0, x0 = p.t[0], p.x[0]
@@ -409,32 +425,34 @@ def _bump_block(e: Expr, params: Optional[ParamValues], bg: _PolyBackground, dep
 
     zt, zx = (T - tc) / wt, (X - xc) / wx
     gt, gx = _bump(zt), _bump(zx)
+    d1t, d1x = _bump_d1(zt) / wt, _bump_d1(zx) / wx
     # float_power is the C library's pow, as Python's float `**` is; numpy's
     # `**` squares by multiplication, which rounds differently in the last bit
     wt2, wx2 = np.float_power(wt, 2), np.float_power(wx, 2)
-    phi_jets = {
-        (0, 0): gt * gx,
-        (1, 0): _bump_d1(zt) / wt * gx,
-        (0, 1): gt * _bump_d1(zx) / wx,
-        (2, 0): _bump_d2(zt) / wt2 * gx,
-        (1, 1): _bump_d1(zt) / wt * _bump_d1(zx) / wx,
-        (0, 2): gt * _bump_d2(zx) / wx2,
+    phi_factors = {
+        (0, 0): (gt, gx),
+        (1, 0): (d1t, gx),
+        (0, 1): (gt, d1x),
+        (2, 0): (_bump_d2(zt) / wt2, gx),
+        (1, 1): (d1t, d1x),
+        (0, 2): (gt, _bump_d2(zx) / wx2),
     }
     background = bg.jets(T, X, complete_coords(2))
 
-    def action(s: float) -> np.ndarray:
+    def action(dep: str, s: float) -> np.ndarray:
         values = dict(background)
-        for (i, j), phi in phi_jets.items():
+        for (i, j), (f_t, f_x) in phi_factors.items():
             c = Jet(dep, i, j)
-            values[c] = background[c] + s * phi
+            values[c] = background[c] + (s * f_t) * f_x
         return row_sums(w2d * eval_expr(e, JetBatch(T, X, values), params))
 
     h = _FD_STEP
-    rhs = (-action(2 * h) + 8 * action(h) - 8 * action(-h) + action(-2 * h)) / (12 * h)
-    tp = [(T - t0) ** i for i in range(5)]
-    xp = [(X - x0) ** j for j in range(5)]
-    rows = np.stack([row_sums(w2d * (tp[i] * xp[j]) * phi_jets[(0, 0)])
-                     for i, j in _POWERS], axis=-1)
+    rhs = np.stack([(-action(dep, 2 * h) + 8 * action(dep, h) - 8 * action(dep, -h)
+                     + action(dep, -2 * h)) / (12 * h) for dep in DEPENDENTS], axis=-1)
+    t_sums = [row_sums(quad_weights[:, None] * gt * (T - t0) ** i) for i in range(5)]
+    x_sums = [row_sums(quad_weights * gx * (X - x0) ** j) for j in range(5)]
+    widths = (wt * wx).ravel()
+    rows = np.stack([widths * t_sums[i] * x_sums[j] for i, j in _POWERS], axis=-1)
     return rows, rhs
 
 
@@ -456,16 +474,21 @@ def independent_variational_check(e: Expr, p: JetBatch,
     """Pointwise variational derivatives (delta e/delta u, delta e/delta v)
     at p, a batch of one, computed without the symbolic euler machinery.
 
-    Method: realize p as a polynomial background, perturb one field by
-    s*phi for compactly supported C^2 bumps phi, differentiate the action
-    integral over the bump support in s by a 5-point stencil, and recover
-    the value at (p.t, p.x) by least-squares collocation of a quartic model
-    of the variational derivative against the bump integrals.  The bumps
-    are stacked, up to EVAL_BLOCK_POINTS quadrature points per block, so e
-    is evaluated once per stencil point and block.  The t and x nodes stay
-    separate factors of each bump's tensor grid, (bumps, quad_n, 1) and
-    (bumps, 1, quad_n), so a subexpression of t or x alone is evaluated on
-    quad_n points per bump and only the products fill the grid; the
+    Method: realize p as a polynomial background, perturb one field at a
+    time by s*phi for compactly supported C^2 bumps phi, differentiate the
+    action integral over the bump support in s by a 5-point stencil, and
+    recover the value at (p.t, p.x) by least-squares collocation of a
+    quartic model of the variational derivative against the bump integrals.
+    One set of bumps serves both fields: one lstsq solves the collocation
+    rows for u's and v's stencil derivatives as two right-hand sides.  The
+    bumps are stacked, up to EVAL_BLOCK_POINTS quadrature points per block,
+    and each block builds its grids, background and bump jets once for both
+    fields, so e is evaluated once per stencil point, field and block.  The
+    t and x nodes stay separate factors of each bump's tensor grid,
+    (bumps, quad_n, 1) and (bumps, 1, quad_n), so a subexpression of t or x
+    alone is evaluated on quad_n points per bump and only the products fill
+    the grid; a bump, its jets and its collocation integrands are a t-factor
+    times an x-factor, so the rows are products of 1-D sums.  The
     Gauss-Legendre rule is computed once per quad_n and shared by every call.
     """
     if e.order > 2:
@@ -475,23 +498,18 @@ def independent_variational_check(e: Expr, p: JetBatch,
 
     engine_u, engine_v = euler_operator(e, max_order=2 * e.order if e.order else 2)
     point4 = complete_point(p, max(bg.degree, engine_u.order, engine_v.order, 1))
-    engine_vals = {dep: float(v[0]) for dep, v in
-                   zip(DEPENDENTS, eval_expr([engine_u, engine_v], point4, params))}
+    engine = [float(v[0]) for v in eval_expr([engine_u, engine_v], point4, params)]
 
     quad = _gauss_legendre(quad_n)
     per_block = max(1, EVAL_BLOCK_POINTS // quad_n ** 2)
-    results = {}
-    for dep in ("u", "v"):
-        # bump by bump: t offset, x offset, t width factor, x width factor
-        draws = rng.uniform(_DRAW_LOW, _DRAW_HIGH, size=(n_bumps, 4))
-        blocks = [_bump_block(e, params, bg, dep, p, draws[lo:lo + per_block], quad)
-                  for lo in range(0, n_bumps, per_block)]
-        rows, rhs = (np.concatenate(parts) for parts in zip(*blocks))
-        coeffs, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-        results[dep] = float(coeffs[0])
+    # bump by bump: t offset, x offset, t width factor, x width factor
+    draws = rng.uniform(_DRAW_LOW, _DRAW_HIGH, size=(n_bumps, 4))
+    blocks = [_bump_block(e, params, bg, p, draws[lo:lo + per_block], quad)
+              for lo in range(0, n_bumps, per_block)]
+    rows, rhs = (np.concatenate(parts) for parts in zip(*blocks))
+    coeffs, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+    oracle = coeffs[0].tolist()  # (delta e/delta u, delta e/delta v)
 
-    scale = max(1.0, abs(engine_vals["u"]), abs(engine_vals["v"]))
-    rel = max(abs(results["u"] - engine_vals["u"]),
-              abs(results["v"] - engine_vals["v"])) / scale
-    return OracleResult(results["u"], results["v"],
-                        engine_vals["u"], engine_vals["v"], rel)
+    scale = max(1.0, *(abs(g) for g in engine))
+    rel = max(abs(o - g) for o, g in zip(oracle, engine)) / scale
+    return OracleResult(*oracle, *engine, rel)

@@ -616,6 +616,38 @@ def test_config_file_is_read_as_utf8_whatever_the_locale(tmp_path):
     assert (tmp_path / "out" / "trajectory.csv").exists()
 
 
+_SHORT_RUNS = {
+    "simulate": ["simulate", "--case", "1a", "--N", "64", "--t-final", "0.01",
+                 "--sample-every", "5"],
+    "drift-scan": ["drift-scan", "--case", "1a", "--kind", "charge", "--eps-grid",
+                   "1e-3:1e-1:4", "--t-final", "0.5", "--dt", "2e-3", "--N", "256"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SHORT_RUNS))
+@pytest.mark.parametrize("source", ["config", "argument"])
+def test_unencodable_out_dir_is_refused_before_anything_is_made(tmp_path, command, source):
+    # under an ASCII locale a config's out_dir=r\u00e9sum\u00e9 names no
+    # file, and an argument's undecodable bytes reach the UTF-8 headers as
+    # lone surrogates; either is refused by name before a directory is made
+    # or a step is taken
+    args = [sys.executable, "-m", "ptnls.cli", *_SHORT_RUNS[command]]
+    if source == "config":
+        (tmp_path / "cfg.txt").write_bytes(b"out_dir=r\xc3\xa9sum\xc3\xa9\n")
+        args += ["--config", "cfg.txt"]
+    else:
+        args += ["--out-dir", b"r\xc3\xa9s2"]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0")
+    done = subprocess.run(args, cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "out_dir" in done.stderr and "(ascii)" in done.stderr, done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_drift_svg_is_well_formed(charge_scan, tmp_path):
     paths = emit_report([charge_scan], tmp_path, header_lines=["seed=0"])
     assert [p.rsplit("/", 1)[1] for p in paths] == [

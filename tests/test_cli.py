@@ -572,6 +572,16 @@ def test_eps_grid_needs_as_many_values_as_a_fit(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("grid", ["nan:0.1:5", "1e-3:inf:5"])
+def test_eps_grid_needs_a_finite_start_and_stop(tmp_path, capsys, grid):
+    out_dir = tmp_path / "scan"
+    assert main(["drift-scan", "--case", "1a", "--kind", "charge", "--eps-grid", grid,
+                 "--out-dir", str(out_dir)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: eps-grid start and stop must be finite, got {grid!r}\n")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", [["simulate", "--case", "1a"],
                                      ["drift-scan", "--case", "1a", "--kind", "charge"]],
                          ids=["simulate", "drift-scan"])
