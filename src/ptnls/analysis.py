@@ -5,8 +5,8 @@ trajectory.  The density is put on shell first: its t-jets are eliminated
 through the catalog's E1/E2 (`PdeSystem.on_shell`), so it needs only the
 x-jets the solver takes spectrally.  It is then evaluated through its
 polynomial normal form (`to_poly`): coefficients in x, computed for every
-member of a scan in one walk, times jet monomials and powers of t, formed
-per block of samples (`DensityAccumulator`).  The drift of Q over a run,
+member in one walk, times jet monomials and powers of t, formed per
+block of all members (`DensityAccumulator`).  The drift of Q over a run,
 normalized by max(|Q(0)|, 1e-12), is scanned over a grid of eps values;
 because every cataloged euler residual carries a factor eps, the drift
 should scale linearly, and the scan fits that exponent.  The eps = 0 run
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import CaseId, Kind, load_catalog
-from .jetexpr import EVAL_BLOCK_POINTS, Expr, Jet, JetBatch, Monomial, Var, eval_expr, to_poly
+from .jetexpr import EvalError, Expr, Jet, JetBatch, Monomial, Var, eval_expr, to_poly
 from .solver import (Gaussian, Grid, Sample, SolverConfig, Trajectory, fmt17, fmt17_array,
                      integrate, jet_values, stream_members)
 
@@ -46,6 +46,14 @@ TIMESERIES_CSV_HEADER = "case,kind,form,eps,t,Q"
 DRIFT_FLOOR_FACTOR = 10.0
 SCAN_SAMPLE_INTERVAL = 0.05  # time between a scan's snapshots unless sample_every is given
 MIN_FIT_MEMBERS = 4
+# Point budget of one block of `DensityAccumulator`, its one user: every
+# member's samples together, (members, EVAL_BLOCK_POINTS // (members * N), N).
+# A default scan (8 members, N = 256) evaluates 8 samples, 256 KiB, per block
+# and 13 blocks in all; `simulate --case 2 --N 4096` 4 samples per block.  One
+# sample per block instead (x86-64, 2 vCPUs, fastest of 7) took 40-46 ms
+# against 24-29 ms for that simulate, 4.6-5.2 against 2.0 ms for the
+# case1a/charge scan and 14.2-21.3 against 12.9-13.3 ms for case2/energy.
+EVAL_BLOCK_POINTS = 16384
 
 
 @dataclass
@@ -95,7 +103,7 @@ def _power(jets: dict, leaf: Jet, k: int, memo: dict) -> np.ndarray:
     return memo[leaf, k]
 
 
-def _monomial(jets: dict, mono: Monomial, memo: dict, shape: tuple[int, int]) -> np.ndarray:
+def _monomial(jets: dict, mono: Monomial, memo: dict, shape: tuple[int, ...]) -> np.ndarray:
     """The value of a jet monomial on the block's jets, ones for ()."""
     value = None
     for leaf, k in mono:
@@ -104,124 +112,116 @@ def _monomial(jets: dict, mono: Monomial, memo: dict, shape: tuple[int, int]) ->
     return np.ones(shape) if value is None else value
 
 
-def _integrands(jets: dict, classes, coeffs: list, shape: tuple[int, int]) -> dict:
+def _integrands(jets: dict, uses: dict, coeffs: list, shape: tuple[int, ...]) -> dict:
     """{(kind index, power of t): sum_m C_m M_m} on one block's jets: each
-    class of monomials, (monomials, uses), summed once and then multiplied
-    by the member's coefficient array, (N,), of each (kind, power,
-    coefficient index) in its uses.  Of the monomials, only the powers of
-    single jets (u^2, u^4, ...) are kept through the block."""
+    monomial formed once and multiplied by the coefficient of each (kind,
+    power, coefficient index) in its `uses`.  Of the monomials, only the
+    powers of single jets (u^2, u^4, ...) are kept through the block."""
     memo: dict = {}
     out: dict = {}
     tmp = None
-    for monos, uses in classes:
-        total = _monomial(jets, monos[0], memo, shape)
-        for mono in monos[1:]:
-            total = total + _monomial(jets, mono, memo, shape)
-        for k, p, j in uses:
+    for mono, mono_uses in uses.items():
+        value = _monomial(jets, mono, memo, shape)
+        for k, p, j in mono_uses:
             if (k, p) in out:
-                tmp = np.multiply(total, coeffs[j], out=tmp)
+                tmp = np.multiply(value, coeffs[j], out=tmp)
                 out[k, p] += tmp
             else:
-                out[k, p] = total * coeffs[j]
+                out[k, p] = value * coeffs[j]
     return out
 
 
 class DensityAccumulator:
     """Q(t_k) = dx * sum_j density(t_k, x_j, jets) of each kind's density for
-    each member of a `stream_members` stream, fed one Sample at a time.  Each
-    member's samples are buffered into blocks of EVAL_BLOCK_POINTS nodes; a
-    full block is evaluated for every kind at once and dropped.
+    each member of a `stream_members` stream, fed one Sample at a time, as
+    the stream yields it, into a (members, EVAL_BLOCK_POINTS // (members * N),
+    N) block; a full block is evaluated for every member and kind at once.
+    A member missing from a sample (it failed) holds zeros there.
 
     A density is evaluated through its normal form (`to_poly`): coefficients
     C_{m,p}(x), free of jets and t, times jet monomials M_m times t^p.  Every
     coefficient of every kind is evaluated for every member in one
-    `eval_expr` walk, on the grid's N nodes against an (members, 1) column
-    of eps, with x and eps in np.longdouble; each member's row has the bits
-    of a walk at its eps alone, and a coefficient whose 1/x^k terms cancel
-    near x = 0 is rounded to float64 once, not term by term.  A block then
-    takes only the x-orders the monomials read from `jet_values`, forms
-    each distinct monomial once across the kinds, and gives
-    Q_k = sum_p t_k^p integrate(sum_m C_{m,p} M_m), the monomials that
-    share every coefficient (u^4 and v^4, say) summed once before they are
-    multiplied, in elementwise products and sums (no BLAS call, whose
-    rounding would depend on its thread count), so a row's bits do not
-    depend on the block it is in.
-    Memory is one block and the coefficient arrays per member, whatever
-    T_final or the sample count, plus the Q values."""
+    `eval_expr` walk, on the grid's N nodes against a (members, 1, 1) column
+    of eps, with x and eps in np.longdouble, to a (members, 1, N) array whose
+    row m has the bits of a walk at member m's eps alone; a coefficient whose
+    1/x^k terms cancel near x = 0 is rounded to float64 once, not term by
+    term.  A block takes the x-orders the monomials read in one `jet_values`
+    call, forms each monomial once, and gives a (members, rows) array
+    Q_k = sum_p t_k^p integrate(sum_m C_{m,p} M_m) per kind, in elementwise
+    products and sums (no BLAS call, whose rounding would depend on its
+    thread count), so a member's bits depend neither on its block, nor on
+    the other members, nor on the other kinds.  Memory is one block and the
+    coefficients, whatever T_final or the sample count, plus the Q values."""
 
     def __init__(self, cfg: SolverConfig, eps_values: Sequence[float],
                  kinds: Sequence[Kind], form: str = "Tt"):
         self.cfg, self.kinds, self.form = cfg, list(kinds), form
-        # each jet monomial's uses over every kind, (kind, power of t,
-        # coefficient index); monomials with the same uses share every
-        # coefficient, so each such class is summed before it is multiplied
+        # each jet monomial's uses: (kind, power of t, coefficient index)
         coeffs: dict[Expr, int] = {}
-        uses: dict[Monomial, list[tuple[int, int, int]]] = {}
+        self.uses: dict[Monomial, list[tuple[int, int, int]]] = {}
         for k, kind in enumerate(self.kinds):
             for m, c in _density_poly(cfg.case_id, kind, form).items():
                 p = m[0][1] if m and type(m[0][0]) is Var else 0  # t comes first
-                uses.setdefault(m[1:] if p else m, []).append(
+                self.uses.setdefault(m[1:] if p else m, []).append(
                     (k, p, coeffs.setdefault(c, len(coeffs))))
-        classes: dict[tuple, list[Monomial]] = {}
-        for m, u in uses.items():
-            classes.setdefault(tuple(sorted(u)), []).append(m)
-        self.classes = [(monos, u) for u, monos in classes.items()]
         # each kind's powers of t, ascending
-        self.powers = [sorted({p for u in classes for kk, p, _ in u if kk == k})
+        self.powers = [sorted({p for u in self.uses.values() for kk, p, _ in u if kk == k})
                        for k in range(len(self.kinds))]
-        self.orders = sorted({leaf.x_order for m in uses for leaf, _ in m})
+        self.orders = sorted({leaf.x_order for m in self.uses for leaf, _ in m})
         self.eps = [float(e) for e in eps_values]
         grid = cfg.grid
         at_nodes = JetBatch(np.zeros(grid.N), grid.x.astype(np.longdouble), {})
-        column = cfg.params.replace(eps=np.array(self.eps, np.longdouble)[:, None])
-        # row m of each (members, N) coefficient array is member m's
-        walk = eval_expr(list(coeffs), at_nodes, column)
-        self.coeffs = [[c[m] for c in walk] for m in range(len(self.eps))]
-        rows = max(1, EVAL_BLOCK_POINTS // grid.N)
-        self.block = np.empty((len(eps_values), rows, grid.N), complex)
-        self.block_t = np.empty(rows)
+        column = cfg.params.replace(eps=np.array(self.eps, np.longdouble)[:, None, None])
+        try:
+            self.coeffs = eval_expr(list(coeffs), at_nodes, column)
+        except EvalError as exc:
+            blocks = ", ".join(f"{cfg.case_id.value}/{kind.value}" for kind in self.kinds)
+            raise ValueError(f"the {form} density of {blocks} is undefined at the given "
+                             f"parameters: {exc}") from None
+        rows = max(1, EVAL_BLOCK_POINTS // (len(self.eps) * grid.N))
+        self.block = np.zeros((len(self.eps), rows, grid.N), complex)
         self.fill = 0  # samples in the current block
-        self.members = ()  # the members of the last sample
         self.times: list[float] = []
-        # blocks[m]: member m's evaluated blocks, each a Q array per kind
-        self.blocks: list[list[list[np.ndarray]]] = [[] for _ in eps_values]
+        # each evaluated block's Q arrays, (members, rows), one per kind
+        self.blocks: list[list[np.ndarray]] = []
 
     def add(self, sample: Sample) -> None:
-        self.block[sample.members, self.fill] = sample.q
-        self.block_t[self.fill] = sample.t
+        q = self.block[:, self.fill]
+        if len(sample.members) < len(q):
+            q[...] = 0.0  # a failed member's rows
+        q[sample.members] = sample.q
         self.fill += 1
         self.times.append(sample.t)
-        self.members = sample.members
-        if self.fill == len(self.block_t):
-            self._evaluate(self.members)
+        if self.fill == self.block.shape[1]:
+            self._evaluate()
 
-    def _evaluate(self, members) -> None:
-        """Evaluate the current block of each of `members`, and empty it:
-        Q_k = sum_p t_k^p integrate(sum_m C_{m,p} M_m) of each kind."""
-        t, grid = self.block_t[:self.fill], self.cfg.grid
-        for m in members if self.kinds else ():  # no kinds: no jets to take
-            jets = jet_values(self.block[m, :self.fill], grid, self.orders)
-            integrands = _integrands(jets, self.classes, self.coeffs[m], (self.fill, grid.N))
-            out = []
-            for k, powers in enumerate(self.powers):
-                q, tp, power = np.zeros(self.fill), None, 0
-                for p in powers:
-                    while power < p:
-                        tp, power = t if tp is None else tp * t, power + 1
-                    s = integrate(grid, integrands[k, p])
-                    q += tp * s if p else s
-                out.append(q)
-            self.blocks[m].append(out)
+    def _evaluate(self) -> None:
+        """Evaluate the current block, every member and kind at once, and
+        empty it: Q_k = sum_p t_k^p integrate(sum_m C_{m,p} M_m)."""
+        grid, block = self.cfg.grid, self.block[:, :self.fill]
+        t = np.array(self.times[len(self.times) - self.fill:])
+        jets = jet_values(block, grid, self.orders)
+        integrands = _integrands(jets, self.uses, self.coeffs, block.shape)
+        out = []
+        for k, powers in enumerate(self.powers):
+            q, tp, power = np.zeros(block.shape[:2]), None, 0
+            for p in powers:
+                while power < p:
+                    tp, power = t if tp is None else tp * t, power + 1
+                s = integrate(grid, integrands[k, p])
+                q += tp * s if p else s
+            out.append(q)
+        self.blocks.append(out)
         self.fill = 0
 
     def series(self, errors: Sequence) -> list[Optional[list[DensityTimeseries]]]:
         """After the stream: for each member, one timeseries per kind, or
         None for a member whose slot in `errors` holds an error."""
-        self._evaluate([m for m in self.members if errors[m] is None])
+        self._evaluate()
         times = np.array(self.times)
         return [None if errors[m] is not None else
                 [DensityTimeseries(self.cfg.case_id, kind, self.form, eps, times,
-                                   np.concatenate([b[k] for b in self.blocks[m]]))
+                                   np.concatenate([b[k][m] for b in self.blocks]))
                  for k, kind in enumerate(self.kinds)]
                 for m, eps in enumerate(self.eps)]
 

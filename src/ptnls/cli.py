@@ -255,13 +255,16 @@ def cmd_simulate(settings: Settings) -> int:
         case_id=case_id, initial=default_scan_config(case_id).initial))
     out_dir = settings.get("out_dir", "out")
     sample_every = settings.get("sample_every", 50)
+    if sample_every < 1:
+        raise ConfigError(f"--sample-every must be at least 1, got {sample_every}")
     header = [f"{k}={v}" for k, v in settings.resolved.items()] + [f"scheme={cfg.scheme}"]
     _check_output_names(out_dir, header)
-    os.makedirs(out_dir, exist_ok=True)
-
     cat = load_catalog()
+    # built before out_dir is made: it refuses a parameter a density is undefined at
     densities = DensityAccumulator(cfg, [cfg.params.eps], [
         kind for kind in Kind if cat.conserved_vector(case_id, kind) is not None])
+    os.makedirs(out_dir, exist_ok=True)
+
     # the trajectory is written as it is stepped, and named only once complete
     traj_path = os.path.join(out_dir, "trajectory.csv")
     part_path = traj_path + ".tmp"

@@ -59,11 +59,12 @@ __all__ = [
     "euler_operator", "substitute", "to_poly", "from_poly", "Monomial",
     "collect_coords", "contains_t_derivative",
     "nodes", "expr_equiv", "EquivResult", "JetBatch", "JetSampler",
-    "ParamValues", "complete_coords", "random_polynomial", "EVAL_BLOCK_POINTS",
+    "ParamValues", "complete_coords", "random_polynomial",
 ]
 
 DEFAULT_MAX_JET_ORDER = 4
 DEPENDENTS = ("u", "v")
+_DEPENDENT_NAME = "|".join(DEPENDENTS)  # a dependent's name, as a regular expression
 PARAMETERS = ("eps", "mu", "sigma", "alpha", "g", "pi")
 INDEPENDENTS = ("t", "x")
 
@@ -253,7 +254,7 @@ def coord_from_name(name: str) -> Optional[Jet]:
     """Return the jet coordinate named by an identifier, or None if it is not one."""
     if name in DEPENDENTS:
         return Jet(name)
-    m = re.fullmatch(r"([uv])_(t*)(x*)", name)
+    m = re.fullmatch(rf"({_DEPENDENT_NAME})_(t*)(x*)", name)
     if m and (m.group(2) or m.group(3)):
         return Jet(m.group(1), len(m.group(2)), len(m.group(3)))
     return None
@@ -640,7 +641,7 @@ class _Parser:
             self.expect_op(")")
             return _UNARY_FNS[name](arg)
         hint = ""
-        if re.fullmatch(r"[uv]_[tx]+", name):
+        if re.fullmatch(rf"(?:{_DEPENDENT_NAME})_[tx]+", name):
             hint = " (derivative suffixes are written with all t's before all x's)"
         raise ParseError(f"unknown identifier {name!r}{hint}", off)
 
@@ -789,17 +790,6 @@ def complete_coords(order: int) -> tuple[Jet, ...]:
 # standard library's erf per element costs little and keeps SciPy off the
 # import path.
 _np_erf = np.vectorize(math.erf, otypes=[float])
-
-# Point budget of one stacked block, for its two users: the oracle's bump
-# blocks (`verify._bump_block`, one `eval_expr` per stencil point, dependent
-# and block; one walk over all four stencil points would hold four times the
-# block's points) and `analysis.DensityAccumulator`'s sample blocks (one
-# `jet_values` and one set of monomials per block).  With one sample per
-# block instead (x86-64, 2 vCPUs, fastest of 7) the accumulator's consumers
-# took 40-46 ms against 24-29 ms for `simulate --case 2 --N 4096`, 4.6-5.2
-# against 2.0 ms for the case1a/charge scan and 14.2-21.3 against
-# 12.9-13.3 ms for case2/energy, so the blocks still pay for themselves.
-EVAL_BLOCK_POINTS = 16384
 
 
 @dataclass

@@ -272,7 +272,10 @@ def make_stepper(cfg: SolverConfig, eps) -> Stepper:
     # the catalog keeps jet coordinates out of a, b and the coefficient
     batch = JetBatch(np.zeros(grid.N), grid.x, {})
     a, b, coeff = eval_expr((case.a, case.b, case.nonlinearity_coeff), batch, params)
-    return Stepper(grid, cfg.dt, a, b, -params.mu ** 2 * coeff, eps, SCHEMES[cfg.scheme])
+    # the C library's pow, as Python's float `**`, but an overflow is inf
+    # (and the field's blow-up), not an OverflowError
+    mu2 = np.float_power(params.mu, 2)
+    return Stepper(grid, cfg.dt, a, b, -mu2 * coeff, eps, SCHEMES[cfg.scheme])
 
 
 # the modules that step and reduce the stream; a solver warning names the
@@ -420,9 +423,9 @@ def jet_values(q: np.ndarray, grid: Grid, orders: Collection[int] = (0, 1, 2)
     inverse FFT each.  `DensityAccumulator` asks only for the orders its
     monomials read, so a charge block takes no FFT.  A density's t-jets are
     eliminated on shell through the catalog's E1/E2 (`PdeSystem.on_shell`)
-    before it is evaluated on these.  Each row of a stacked q, (rows, N),
-    gives the same row of every array, so a Sample's q, one-member ones
-    from a collected run included, goes in as it is."""
+    before it is evaluated on these.  Each row of a stacked q, (..., N),
+    gives the same row of every array, so a Sample's q, or a block of every
+    member's samples, (members, rows, N), goes in as it is."""
     if not set(orders) <= {0, 1, 2}:
         raise ValueError(f"jet orders must be 0, 1 or 2, got {sorted(orders)}")
     out = {Jet("u", 0, 0): q.real, Jet("v", 0, 0): q.imag} if 0 in orders else {}

@@ -37,9 +37,9 @@ import numpy as np
 
 from .analysis import fit_loglog_slope
 from .catalog import CaseId, Catalog, Kind, PdeSystem, load_catalog
-from .jetexpr import (DEPENDENTS, EVAL_BLOCK_POINTS, Expr, Jet, JetBatch, JetSampler,
-                      ParamValues, add, complete_coords, euler_operator, eval_expr,
-                      expr_equiv, mul, sub, total_derivative)
+from .jetexpr import (DEPENDENTS, Expr, Jet, JetBatch, JetSampler, ParamValues, add,
+                      complete_coords, euler_operator, eval_expr, expr_equiv, mul, sub,
+                      total_derivative)
 
 __all__ = [
     "FluxUnavailableError", "ResidualReport", "DivergenceReport", "RawComparison",
@@ -315,6 +315,7 @@ def complete_point(p: JetBatch, order: int) -> JetBatch:
     return JetBatch(p.t, p.x, values)
 
 
+_N_BUMPS, _QUAD_N = 20, 24  # bumps, Gauss-Legendre nodes per axis: 11520 points
 _BUMP_WIDTH = 0.15
 _FD_STEP = 1e-2  # step of the 5-point stencil in the perturbation size s
 _DRAW_LOW = (-0.05, -0.05, 0.7, 0.7)
@@ -397,7 +398,7 @@ def _bump_block(e: Expr, params: Optional[ParamValues], bg: _PolyBackground,
                 quad: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Collocation rows, (bumps, len(_POWERS)), and stencil derivatives of
     the action, (bumps, 2) with u's perturbation in column 0 and v's in
-    column 1, for a block of bumps on the (nodes, weights) Gauss-Legendre
+    column 1, for a batch of bumps on the (nodes, weights) Gauss-Legendre
     rule `quad`; row k of `draws` is bump k's (t offset, x offset, t width
     factor, x width factor).
 
@@ -469,7 +470,6 @@ def _gauss_legendre(quad_n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def independent_variational_check(e: Expr, p: JetBatch,
                                   params: Optional[ParamValues] = None,
-                                  n_bumps: int = 20, quad_n: int = 24,
                                   seed: int = 0) -> OracleResult:
     """Pointwise variational derivatives (delta e/delta u, delta e/delta v)
     at p, a batch of one, computed without the symbolic euler machinery.
@@ -481,15 +481,15 @@ def independent_variational_check(e: Expr, p: JetBatch,
     quartic model of the variational derivative against the bump integrals.
     One set of bumps serves both fields: one lstsq solves the collocation
     rows for u's and v's stencil derivatives as two right-hand sides.  The
-    bumps are stacked, up to EVAL_BLOCK_POINTS quadrature points per block,
-    and each block builds its grids, background and bump jets once for both
-    fields, so e is evaluated once per stencil point, field and block.  The
-    t and x nodes stay separate factors of each bump's tensor grid,
-    (bumps, quad_n, 1) and (bumps, 1, quad_n), so a subexpression of t or x
-    alone is evaluated on quad_n points per bump and only the products fill
-    the grid; a bump, its jets and its collocation integrands are a t-factor
-    times an x-factor, so the rows are products of 1-D sums.  The
-    Gauss-Legendre rule is computed once per quad_n and shared by every call.
+    _N_BUMPS bumps of _QUAD_N^2 quadrature points each, 11520 points in all,
+    are evaluated as one batch, which builds its grids, background and bump
+    jets once for both fields, so e is evaluated once per stencil point and
+    field.  The t and x nodes stay separate factors of each bump's tensor
+    grid, (bumps, _QUAD_N, 1) and (bumps, 1, _QUAD_N), so a subexpression
+    of t or x alone is evaluated on _QUAD_N points per bump and only the
+    products fill the grid; a bump, its jets and its collocation integrands
+    are a t-factor times an x-factor, so the rows are products of 1-D sums.
+    The Gauss-Legendre rule is computed once and shared by every call.
     """
     if e.order > 2:
         raise ValueError("oracle requires jet order <= 2")
@@ -500,13 +500,9 @@ def independent_variational_check(e: Expr, p: JetBatch,
     point4 = complete_point(p, max(bg.degree, engine_u.order, engine_v.order, 1))
     engine = [float(v[0]) for v in eval_expr([engine_u, engine_v], point4, params)]
 
-    quad = _gauss_legendre(quad_n)
-    per_block = max(1, EVAL_BLOCK_POINTS // quad_n ** 2)
     # bump by bump: t offset, x offset, t width factor, x width factor
-    draws = rng.uniform(_DRAW_LOW, _DRAW_HIGH, size=(n_bumps, 4))
-    blocks = [_bump_block(e, params, bg, p, draws[lo:lo + per_block], quad)
-              for lo in range(0, n_bumps, per_block)]
-    rows, rhs = (np.concatenate(parts) for parts in zip(*blocks))
+    draws = rng.uniform(_DRAW_LOW, _DRAW_HIGH, size=(_N_BUMPS, 4))
+    rows, rhs = _bump_block(e, params, bg, p, draws, _gauss_legendre(_QUAD_N))
     coeffs, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     oracle = coeffs[0].tolist()  # (delta e/delta u, delta e/delta v)
 

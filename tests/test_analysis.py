@@ -15,16 +15,15 @@ import numpy as np
 import pytest
 
 from ptnls import analysis, jetexpr
-from ptnls.analysis import (DRIFT_CSV_HEADER, SCAN_SAMPLE_INTERVAL, SLOPE_CSV_HEADER,
-                            TIMESERIES_CSV_HEADER, DensityTimeseries,
+from ptnls.analysis import (DRIFT_CSV_HEADER, EVAL_BLOCK_POINTS, SCAN_SAMPLE_INTERVAL,
+                            SLOPE_CSV_HEADER, TIMESERIES_CSV_HEADER, DensityTimeseries,
                             DensityUnavailableError,
                             default_scan_config, density_timeseries,
                             drift_from_timeseries, drift_scan, emit_report,
                             fit_loglog_slope, write_drift_csv,
                             write_timeseries_csv)
 from ptnls.catalog import CaseId, Kind, load_catalog
-from ptnls.jetexpr import (EVAL_BLOCK_POINTS, EvalError, JetBatch, ParamValues, Unary,
-                           eval_expr, nodes)
+from ptnls.jetexpr import EvalError, JetBatch, ParamValues, Unary, eval_expr, nodes
 from ptnls.solver import (BOUNDARY_WARN, BlowUpError, BoundaryContaminationError, Gaussian,
                           Grid, Sample, SolverConfig, Trajectory, initial_condition, jet_values,
                           resample, run, stream_members)
@@ -102,7 +101,7 @@ def test_grid_only_factors_are_taken_once_per_member(n, eps, t_final, monkeypatc
     erf_calls = []
     plain_erf = jetexpr._np_erf
     monkeypatch.setattr(jetexpr, "_np_erf", lambda a: erf_calls.append(a) or plain_erf(a))
-    rows = EVAL_BLOCK_POINTS // n
+    rows = EVAL_BLOCK_POINTS // (len(eps) * n)
     erf_densities = 0
     for case_id, kind, form in cataloged_densities():
         cfg = _short_cfg(case_id, T_final=t_final, grid=Grid(N=n))
@@ -155,20 +154,103 @@ def test_accumulator_coefficient_rows_are_the_per_member_walks(case_id, kind):
     densities = analysis.DensityAccumulator(cfg, eps, [kind])
     coeffs = list(dict.fromkeys(analysis._density_poly(case_id, kind, "Tt").values()))
     at_nodes = JetBatch(np.zeros(cfg.grid.N), cfg.grid.x.astype(np.longdouble), {})
-    assert densities.eps == eps and len(densities.coeffs) == len(eps)
-    for e, rows in zip(densities.eps, densities.coeffs):
+    assert densities.eps == eps and len(densities.coeffs) == len(coeffs)
+    assert all(c.shape == (len(eps), 1, cfg.grid.N) for c in densities.coeffs)
+    for m, e in enumerate(densities.eps):
         alone = eval_expr(coeffs, at_nodes, cfg.params.replace(eps=e))
-        assert len(rows) == len(alone)
-        for row, walk in zip(rows, alone):
-            assert np.array_equal(row.view(np.uint64), walk.view(np.uint64))
+        for c, walk in zip(densities.coeffs, alone):
+            assert np.array_equal(c[m, 0].view(np.uint64), walk.view(np.uint64))
+
+
+@pytest.mark.parametrize("members", [1, 3, 8])
+def test_a_block_is_one_jet_values_call_for_every_member(members, monkeypatch):
+    # a block holds every member's samples, (members, rows, N), so each
+    # block takes one jet_values call whatever the member count
+    cfg = _short_cfg(CaseId.CASE2, T_final=0.1)
+    eps = list(np.linspace(0.0, 0.1, members))
+    errors = [None] * members
+    samples = list(stream_members(cfg, eps, 1, errors))
+    rows = EVAL_BLOCK_POINTS // (members * cfg.grid.N)
+    assert len(samples) % rows  # the last block is a partial one
+    shapes = []
+    monkeypatch.setattr(analysis, "jet_values",
+                        lambda q, *args: shapes.append(q.shape) or jet_values(q, *args))
+    densities = analysis.DensityAccumulator(cfg, eps, [Kind.ENERGY, Kind.CHARGE])
+    for sample in samples:
+        densities.add(sample)
+    densities.series(errors)
+    assert len(shapes) == math.ceil(len(samples) / rows)
+    assert shapes[0] == (members, rows, cfg.grid.N)
+    assert shapes[-1] == (members, len(samples) % rows, cfg.grid.N)
+
+
+def _default_scan_samples(cfg, eps):
+    """The samples and errors of a scan's stream, at the default spacing."""
+    errors = [None] * len(eps)
+    samples = list(stream_members(cfg, eps, round(SCAN_SAMPLE_INTERVAL / cfg.dt), errors))
+    return samples, errors
+
+
+def _series(cfg, eps, kinds, samples, errors):
+    densities = analysis.DensityAccumulator(cfg, eps, kinds)
+    for sample in samples:
+        densities.add(sample)
+    return densities.series(errors)
+
+
+@pytest.mark.parametrize("case_id", [CaseId.CASE1A, CaseId.CASE1B, CaseId.CASE2],
+                         ids=lambda c: c.value)
+def test_charge_bits_do_not_depend_on_the_kinds_requested(case_id):
+    # each monomial is multiplied by its own coefficient, so a charge-only
+    # accumulator sums the same products as one that also takes the energy
+    cfg = default_scan_config(case_id)
+    eps = [0.0, *map(float, np.logspace(-3, -1, 7))]
+    samples, errors = _default_scan_samples(cfg, eps)
+    alone = _series(cfg, eps, [Kind.CHARGE], samples, errors)
+    both = _series(cfg, eps, [Kind.ENERGY, Kind.CHARGE], samples, errors)
+    for [charge], [_, with_energy] in zip(alone, both):
+        assert np.array_equal(charge.values.view(np.uint64),
+                              with_energy.values.view(np.uint64))
+
+
+# the six default scan blocks on the default eps grid, and the case1b scan
+# of both kinds in a small box whose largest gains fail
+_ENSEMBLES = ([(c, [k], 20.0, [0.0, *map(float, np.logspace(-3, -1, 7))])
+               for c, k in _SCAN_BLOCKS]
+              + [(CaseId.CASE1B, [Kind.ENERGY, Kind.CHARGE], 8.0,
+                  [0.0, *map(float, np.logspace(-2, np.log10(30.0), 6))])])
+
+
+@pytest.mark.filterwarnings("ignore:boundary amplitude at:RuntimeWarning")
+@pytest.mark.parametrize("case_id,kinds,L,eps", _ENSEMBLES,
+                         ids=[f"{c.value}-{'-'.join(k.value for k in ks)}-L{L:g}"
+                              for c, ks, L, _ in _ENSEMBLES])
+def test_each_member_has_the_bits_of_a_one_member_accumulator(case_id, kinds, L, eps):
+    # the members share each block, and a failed member's rows hold zeros,
+    # yet each surviving member's Q(t) is that of its samples fed alone
+    src = default_scan_config(case_id)
+    cfg = replace(src, grid=Grid(L, src.grid.N))
+    samples, errors = _default_scan_samples(cfg, eps)
+    survivors = [m for m, error in enumerate(errors) if error is None]
+    assert survivors[0] == 0 and (L == 20.0) == (len(survivors) == len(eps))
+    series = _series(cfg, eps, kinds, samples, errors)
+    for m in survivors:
+        fed = [Sample(s.t, np.zeros(1, int), s.q[s.members == m]) for s in samples]
+        alone = _series(cfg, [eps[m]], kinds, fed, [None])[0]
+        for ts, one in zip(series[m], alone):
+            assert np.array_equal(ts.values.view(np.uint64), one.values.view(np.uint64))
+    assert all(series[m] is None for m in range(len(eps)) if m not in survivors)
 
 
 def _normal_form_density(densities, m, q, t):
     """The per-node density of `densities`' one kind for member m at one
-    field q, (1, N), at time t, from its normal form: sum_p t^p sum_m C M."""
-    jets = jet_values(q, densities.cfg.grid, densities.orders)
-    integrands = analysis._integrands(jets, densities.classes, densities.coeffs[m], q.shape)
-    return sum(t ** p * integrands[0, p] for p in densities.powers[0])[0]
+    field q, (1, N), at time t, from its normal form: sum_p t^p sum_m C M,
+    on member m's rows of the coefficients."""
+    block = q[None]  # (members, rows, N), member m alone
+    jets = jet_values(block, densities.cfg.grid, densities.orders)
+    coeffs = [c[[m]] for c in densities.coeffs]
+    integrands = analysis._integrands(jets, densities.uses, coeffs, block.shape)
+    return sum(t ** p * integrands[0, p] for p in densities.powers[0])[0, 0]
 
 
 # the six default scans on their own grid, and the cancelling densities
@@ -457,9 +539,10 @@ def _traced_peak(fn) -> int:
 def test_scan_memory_does_not_grow_with_the_sample_count():
     # samples are reduced a block at a time as they are stepped, so 401 of
     # them per member take no more memory than 41; both runs fill a block
-    # (32 samples at N = 512), or the peaks would compare block sizes
+    # (5 samples of the 6 members at N = 512), or the peaks would compare
+    # block sizes
     cfg = _short_cfg(scheme="suzuki4", dt=5e-3, T_final=2.0, grid=Grid(N=512))
-    assert cfg.steps // 10 + 1 >= EVAL_BLOCK_POINTS // cfg.grid.N
+    assert cfg.steps // 10 + 1 >= EVAL_BLOCK_POINTS // ((1 + len(EPS_LIST)) * cfg.grid.N)
 
     def scan(sample_every, cfg=cfg):
         return lambda: drift_scan(CaseId.CASE1A, [Kind.CHARGE], EPS_LIST, cfg=cfg,

@@ -1,10 +1,14 @@
-"""End-to-end CLI tests, run in process through cli.main(argv)."""
+"""End-to-end CLI tests, run in process through cli.main(argv), except the
+few that read a whole process's exit code and stderr."""
 
 import io
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +194,45 @@ def test_simulate_failing_mid_run_leaves_no_trajectory(tmp_path, capsys):
                  "--t-final", "1", "--out-dir", str(out_dir)]) == EXIT_NUMERICAL
     assert "boundary amplitude reached" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
+
+
+def test_simulate_sample_every_below_one_makes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--sample-every", "0", "--out-dir", str(out_dir)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --sample-every must be at least 1, got 0\n"
+    assert not out_dir.exists()
+
+
+_CASE1B_RUNS = {
+    "simulate": ["simulate", "--case", "1b", "--N", "64", "--t-final", "0.01"],
+    "drift-scan": ["drift-scan", "--case", "1b", "--N", "64", "--t-final", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CASE1B_RUNS))
+@pytest.mark.parametrize("flag,value,code", [
+    ("--alpha", "-2", EXIT_CONFIG),  # sqrt(alpha + 1) in both case1b densities
+    ("--alpha", "-1", EXIT_CONFIG),  # 1 / (alpha + 1)^(5/2)
+    ("--mu", "1e200", EXIT_NUMERICAL),  # mu^2 overflows: the field is not finite
+])
+def test_parameters_outside_the_expressions_end_without_a_traceback(tmp_path, command,
+                                                                    flag, value, code):
+    # a value at which a case's expressions are undefined is refused before
+    # anything is made; an overflow of the field is a numerical failure
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    args = [sys.executable, "-m", "ptnls.cli", *_CASE1B_RUNS[command], flag, value,
+            "--out-dir", "out"]
+    done = subprocess.run(args, cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1].startswith("error: "), done.stderr
+    if code == EXIT_CONFIG:
+        assert done.stderr.startswith("error: the Tt density of case1b/energy, case1b/charge "
+                                      "is undefined"), done.stderr
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert "field blew up" in done.stderr
 
 
 def test_seed_comes_from_environment(tmp_path, capsys, monkeypatch):

@@ -9,9 +9,8 @@ import pytest
 from ptnls import verify
 from ptnls.analysis import fit_loglog_slope
 from ptnls.catalog import CaseId, Kind, load_catalog
-from ptnls.jetexpr import (EVAL_BLOCK_POINTS, JetBatch, JetSampler, ParamValues, add,
-                           complete_coords, eval_expr, expr_equiv, parse_expr, sub,
-                           total_derivative)
+from ptnls.jetexpr import (JetBatch, JetSampler, ParamValues, add, complete_coords,
+                           eval_expr, expr_equiv, parse_expr, sub, total_derivative)
 from ptnls.verify import (EPS_GRID, FluxUnavailableError, check_divergence,
                           check_residual, complete_point, divergence_residual,
                           euler_residual, independent_variational_check)
@@ -322,7 +321,7 @@ def _per_bump(e, p, params, bg, tc, xc, wt, wx, fd_step, quad_n, indexing="ij"):
     return row, rhs
 
 
-def _oracle_per_bump(e, p, params, n_bumps=20, quad_n=24, fd_step=1e-2, seed=0):
+def _oracle_per_bump(e, p, params, seed):
     """Reference for the stacked oracle: one bump at a time, one set of
     bumps for both fields, its scalars drawn and computed as Python floats,
     one eval_expr call per stencil point and field, one 1-D sum per factor
@@ -330,12 +329,12 @@ def _oracle_per_bump(e, p, params, n_bumps=20, quad_n=24, fd_step=1e-2, seed=0):
     rng = np.random.default_rng(seed)
     bg = verify._PolyBackground(p)
     rows, rhs = [], []
-    for _ in range(n_bumps):
+    for _ in range(20):
         tc = p.t + rng.uniform(-0.05, 0.05)
         xc = p.x + rng.uniform(-0.05, 0.05)
         wt = 0.15 * rng.uniform(0.7, 1.3)
         wx = 0.15 * rng.uniform(0.7, 1.3)
-        row, r = _per_bump(e, p, params, bg, tc, xc, wt, wx, fd_step, quad_n)
+        row, r = _per_bump(e, p, params, bg, tc, xc, wt, wx, 1e-2, 24)
         rows.append(row)
         rhs.append(r)
     coeffs, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
@@ -359,16 +358,6 @@ def test_stacked_oracle_matches_per_bump_loop(index, block):
     seed = 48 + index
     res = independent_variational_check(e, p, ParamValues(), seed=seed)
     assert (res.du, res.dv) == _oracle_per_bump(e, p, ParamValues(), seed=seed)
-
-
-def test_oracle_splits_bumps_into_blocks_of_the_point_budget():
-    quad_n = 24
-    n_bumps = EVAL_BLOCK_POINTS // quad_n ** 2 + 2  # one full block and two bumps
-    p = JetSampler(seed=5).batch(1, 2).point(0)
-    e = _q_dot_e(CaseId.CASE1A, Kind.CHARGE)
-    res = independent_variational_check(e, p, ParamValues(), n_bumps=n_bumps, quad_n=quad_n)
-    assert (res.du, res.dv) == _oracle_per_bump(e, p, ParamValues(), n_bumps=n_bumps,
-                                                quad_n=quad_n)
 
 
 @pytest.mark.parametrize("index,block", list(enumerate(ALL_BLOCKS)),
@@ -474,9 +463,7 @@ def test_each_block_builds_its_background_once_for_both_fields(monkeypatch):
 
     monkeypatch.setattr(verify._PolyBackground, "jets", counted_jets)
     monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-    quad_n = 24
-    n_bumps = EVAL_BLOCK_POINTS // quad_n ** 2 + 2  # one full block and two bumps
+    # the bumps are one batch: one background and one solve for both fields
     p = JetSampler(seed=6).batch(1, 2).point(0)
-    independent_variational_check(_q_dot_e(CaseId.CASE2, Kind.ENERGY), p, ParamValues(),
-                                  n_bumps=n_bumps, quad_n=quad_n)
-    assert calls == {"jets": 2, "lstsq": 1}
+    independent_variational_check(_q_dot_e(CaseId.CASE2, Kind.ENERGY), p, ParamValues())
+    assert calls == {"jets": 1, "lstsq": 1}
