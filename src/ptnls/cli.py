@@ -17,10 +17,13 @@ Exit codes: 0 pass, 1 verification failure, 2 configuration error (a
 requested density not cataloged included), 3 requested flux not cataloged,
 4 numerical failure (blow-up or boundary contamination).
 
-Configuration may come from a flat key=value file (--config); command-line
-flags override file entries.  Reports are printed as JSON lines embedding
-the resolved configuration and the package version.  PTNLS_SEED serves as
-the seed fallback when --seed is absent.
+Configuration may come from a flat key=value file (--config) whose keys are
+the command's flag names, with underscores or hyphens (t_final, t-final);
+command-line flags override file entries.  A key the command has no flag
+for exits 2, as does an abbreviated flag (t for --t-final), in the file or
+on the command line.  Reports are printed as JSON lines embedding the
+resolved configuration and the package version.  PTNLS_SEED serves as the
+seed fallback when --seed is absent.
 """
 
 from __future__ import annotations
@@ -56,68 +59,63 @@ class ConfigError(Exception):
     pass
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _config_flags(path: str) -> tuple[list[str], list[str]]:
+    """The keys of the config file at `path`, and its key=value lines as the
+    flags --key=value (underscores made hyphens) for the command's parser."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    out: dict[str, str] = {}
+    keys, flags = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, value = (part.strip() for part in line.partition("="))
+            # a key with a space in it would be read as a positional argument
+            if not eq or len(key.split()) != 1:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
+            keys.append(key)
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return keys, flags
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """`argv` parsed by `parser`; with --config, parsed again after the file's
+    lines as flags, so that the command line wins and a key the command has
+    no flag for is refused."""
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        keys, flags = _config_flags(args.config)
+        args, extra = parser.parse_known_args(argv[:1] + flags + argv[1:])
+        if extra:  # argv parsed alone, so what is left came from the file
+            key = keys[flags.index(extra[0])]
+            raise ConfigError(f"unknown config key {key!r} for {args.command}")
+    return args
 
 
 class Settings:
-    """Merged view of defaults, config file and flags (flags win).  Records
-    every value actually consumed, for embedding into reports."""
+    """The parsed flags, recording every value consumed, for embedding into
+    reports."""
 
-    _CONVERTERS = {
-        "case": str, "kind": str, "form": str, "initial": str,
-        "eps": float, "mu": float, "sigma": float, "alpha": float, "g": float,
-        "L": float, "dt": float, "t_final": float, "amplitude": float,
-        "width": float, "center": float, "tol": float,
-        "N": int, "n": int, "seed": int, "sample_every": int,
-        "eps_grid": str, "out_dir": str,
-    }
-
-    def __init__(self, args: argparse.Namespace, file_values: dict[str, str]):
+    def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.file_values = dict(file_values)
-        for key in self.file_values:
-            if key not in self._CONVERTERS:
-                raise ConfigError(f"unknown config key {key!r}")
         self.resolved: dict = {"version": __version__}
 
     def get(self, key: str, default=None):
-        value = getattr(self.args, key, None)
-        if value is None and key in self.file_values:
-            try:
-                value = self._CONVERTERS[key](self.file_values[key])
-            except ValueError as exc:
-                raise ConfigError(f"config key {key}: {exc}") from None
+        value = getattr(self.args, key)
         if value is None:
             value = default
         self.resolved[key] = value
         return value
 
-    @staticmethod
-    def _int(source: str, text: str) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"{source}: expected an integer, got {text!r}") from None
-
     def seed(self) -> int:
-        value = getattr(self.args, "seed", None)
-        if value is None and "seed" in self.file_values:
-            value = self._int("config key seed", self.file_values["seed"])
+        value = self.args.seed
         if value is None:
-            value = self._int("PTNLS_SEED", os.environ.get("PTNLS_SEED", "0"))
+            text = os.environ.get("PTNLS_SEED", "0")
+            try:
+                value = int(text)
+            except ValueError:
+                raise ConfigError(f"PTNLS_SEED: expected an integer, got {text!r}") from None
         self.resolved["seed"] = value
         return value
 
@@ -133,32 +131,28 @@ def _emit(record: dict, settings: Settings, **chosen) -> None:
 
 
 def _requested_blocks(settings: Settings) -> list[tuple[CaseId, Kind]]:
-    case = settings.get("case", "all")
-    kind = settings.get("kind", "both")
+    case = settings.get("case")
+    kind = settings.get("kind")
     cases = list(CaseId) if case == "all" else [CaseId.parse(case)]
     kinds = list(Kind) if kind == "both" else [Kind.parse(kind)]
     return [(c, k) for c in cases for k in kinds]
 
 
 def _solver_config(settings: Settings, base: SolverConfig) -> SolverConfig:
-    """`base` with every value given by a flag or the config file put in its
-    place."""
+    """`base` with every value given by a flag put in its place."""
     params = ParamValues(**{f.name: settings.get(f.name, getattr(base.params, f.name))
                             for f in fields(ParamValues)})
     grid = Grid(L=settings.get("L", base.grid.L), N=settings.get("N", base.grid.N))
-    name = settings.get("initial", "gaussian")
-    if name == "gaussian":
+    if settings.get("initial") == "gaussian":
         initial = Gaussian(settings.get("amplitude", base.initial.amplitude),
                            settings.get("width", base.initial.width),
                            settings.get("center", base.initial.center))
-    elif name == "ground":
-        # a flag or config key that is given must not go unread
+    else:
+        # a flag that is given must not go unread
         for key in ("amplitude", "width", "center"):
-            if getattr(settings.args, key, None) is not None or key in settings.file_values:
+            if getattr(settings.args, key) is not None:
                 raise ConfigError(f"--{key} does not apply to initial=ground")
         initial = SolverConfig().initial  # the harmonic ground state
-    else:
-        raise ConfigError(f"initial must be 'gaussian' or 'ground', got {name!r}")
     return replace(base, params=params, dt=settings.get("dt", base.dt),
                    T_final=settings.get("t_final", base.T_final),
                    grid=grid, initial=initial)
@@ -172,11 +166,11 @@ def _print_raw_notes(comparisons) -> None:
             print(f"  note: raw {rc.slot} does not parse ({rc.error})")
 
 
-def _sample_settings(settings: Settings, default_tol: float) -> tuple[int, float]:
+def _sample_settings(settings: Settings) -> tuple[int, float]:
     """--n and --tol of a verify command, rejected unless n >= 1 and tol is
     positive and finite."""
-    n = settings.get("n", 100)
-    tol = settings.get("tol", default_tol)
+    n = settings.get("n")
+    tol = settings.get("tol")
     if n < 1:
         raise ConfigError(f"--n must be at least 1, got {n}")
     if not (math.isfinite(tol) and tol > 0):
@@ -186,7 +180,7 @@ def _sample_settings(settings: Settings, default_tol: float) -> tuple[int, float
 
 def cmd_verify_euler(settings: Settings) -> int:
     seed = settings.seed()
-    n, tol = _sample_settings(settings, 1e-10)
+    n, tol = _sample_settings(settings)
     ok = True
     for case_id, kind in _requested_blocks(settings):
         rep = check_residual(case_id, kind, n=n, tol=tol, seed=seed)
@@ -202,8 +196,8 @@ def cmd_verify_euler(settings: Settings) -> int:
 
 def cmd_verify_divergence(settings: Settings) -> int:
     seed = settings.seed()
-    n, tol = _sample_settings(settings, 1e-9)
-    explicit = settings.get("case", "all") != "all"
+    n, tol = _sample_settings(settings)
+    explicit = settings.get("case") != "all"
     ok = True
     for case_id, kind in _requested_blocks(settings):
         try:
@@ -247,16 +241,22 @@ def _check_output_names(out_dir: str, header: list[str]) -> None:
                               f"({encoding}) does not decode") from None
 
 
+def _sample_every(settings: Settings) -> int | None:
+    """--sample-every, rejected below 1; None leaves the spacing to the scan."""
+    sample_every = settings.get("sample_every")
+    if sample_every is not None and sample_every < 1:
+        raise ConfigError(f"--sample-every must be at least 1, got {sample_every}")
+    return sample_every
+
+
 def cmd_simulate(settings: Settings) -> int:
     settings.seed()
-    case_id = CaseId.parse(settings.get("case", "1a"))
+    case_id = CaseId.parse(settings.get("case"))
     # the solver's own scheme and dt, with the scans' initial data
     cfg = _solver_config(settings, SolverConfig(
         case_id=case_id, initial=default_scan_config(case_id).initial))
-    out_dir = settings.get("out_dir", "out")
-    sample_every = settings.get("sample_every", 50)
-    if sample_every < 1:
-        raise ConfigError(f"--sample-every must be at least 1, got {sample_every}")
+    out_dir = settings.get("out_dir")
+    sample_every = _sample_every(settings)
     header = [f"{k}={v}" for k, v in settings.resolved.items()] + [f"scheme={cfg.scheme}"]
     _check_output_names(out_dir, header)
     cat = load_catalog()
@@ -318,11 +318,11 @@ def cmd_drift_scan(settings: Settings) -> int:
     each block's record and verdict in block order."""
     settings.seed()
     blocks = _requested_blocks(settings)
-    explicit = settings.get("case", "all") != "all"
-    form = settings.get("form", "Tt")
-    eps_list = _parse_eps_grid(settings.get("eps_grid", "1e-3:1e-1:7"))
-    out_dir = settings.get("out_dir", "out")
-    sample_every = settings.get("sample_every")  # None: drift_scan's own spacing
+    explicit = settings.get("case") != "all"
+    form = settings.get("form")
+    eps_list = _parse_eps_grid(settings.get("eps_grid"))
+    out_dir = settings.get("out_dir")
+    sample_every = _sample_every(settings)  # None: drift_scan's own spacing
 
     # every block's density is looked up before any block is stepped
     skipped = {}
@@ -398,16 +398,15 @@ def cmd_parse_expr(settings: Settings) -> int:
     e = parse_expr(args.expr)
     print(f"canonical: {to_text(e)}")
     print(f"jet order: {e.order}")
-    point_spec = getattr(args, "point", None)
-    if point_spec is None:
+    if args.point is None:
         return EXIT_OK
     values = {}
-    for name, value in _parse_assignments(point_spec, "--point").items():
+    for name, value in _parse_assignments(args.point, "--point").items():
         coord = coord_from_name(name)
         if coord is None:
             raise ConfigError(f"--point: {name!r} is not a jet coordinate")
         values[coord] = value
-    pvals = _parse_assignments(getattr(args, "params", "") or "", "--params")
+    pvals = _parse_assignments(args.params or "", "--params")
     names = [f.name for f in fields(ParamValues)]
     for name in pvals:
         if name not in names:
@@ -433,23 +432,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ptnls {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="flat key=value file; flags override")
+    def command(name: str, summary: str):
+        # no abbreviations: a config key "t" must not be read as --t-final
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.add_argument("--config", help="key=value file of this command's flags; flags override")
         p.add_argument("--seed", type=int, help="RNG seed (fallback: PTNLS_SEED, then 0)")
+        return p
 
-    def verify_flags(p, tol: str):
-        common(p)
-        p.add_argument("--case", help="1a, 1b, 1c, 2 or all (default all)")
-        p.add_argument("--kind", choices=["energy", "charge", "both"], default=None)
-        p.add_argument("--n", type=int, help="sample count (default 100)")
-        p.add_argument("--tol", type=float, help=f"relative tolerance (default {tol})")
+    def block_flags(p, case: str):
+        p.add_argument("--case", default=case,
+                       help="1a, 1b, 1c, 2 or all (default %(default)s)")
+        p.add_argument("--kind", choices=["energy", "charge", "both"], default="both")
 
-    verify_flags(sub.add_parser("verify-euler", help="euler residuals vs cataloged targets"),
-                 "1e-10")
-    verify_flags(sub.add_parser("verify-divergence", help="D_t Tt + D_x Tx vs Q.E"), "1e-9")
+    for name, summary, tol in [("verify-euler", "euler residuals vs cataloged targets", 1e-10),
+                               ("verify-divergence", "D_t Tt + D_x Tx vs Q.E", 1e-9)]:
+        p = command(name, summary)
+        block_flags(p, "all")
+        p.add_argument("--n", type=int, default=100, help="sample count (default %(default)s)")
+        p.add_argument("--tol", type=float, default=tol,
+                       help="relative tolerance (default %(default)s)")
 
-    def solver_flags(p, case_help: str):
-        p.add_argument("--case", help=case_help)
+    def solver_flags(p, sample_every):
         p.add_argument("--eps", type=float)
         p.add_argument("--mu", type=float)
         p.add_argument("--sigma", type=float)
@@ -459,27 +462,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--L", type=float)
         p.add_argument("--dt", type=float)
         p.add_argument("--t-final", dest="t_final", type=float)
-        p.add_argument("--initial", choices=["gaussian", "ground"])
+        p.add_argument("--initial", choices=["gaussian", "ground"], default="gaussian")
         p.add_argument("--amplitude", type=float)
         p.add_argument("--width", type=float)
         p.add_argument("--center", type=float)
-        p.add_argument("--sample-every", dest="sample_every", type=int)
-        p.add_argument("--out-dir", dest="out_dir")
+        p.add_argument("--sample-every", dest="sample_every", type=int, default=sample_every)
+        p.add_argument("--out-dir", dest="out_dir", default="out")
 
-    p = sub.add_parser("simulate", help="integrate one configuration")
-    common(p)
-    solver_flags(p, "1a, 1b, 1c or 2")
+    p = command("simulate", "integrate one configuration")
+    p.add_argument("--case", default="1a", help="1a, 1b, 1c or 2 (default %(default)s)")
+    solver_flags(p, 50)
 
-    p = sub.add_parser("drift-scan", help="drift vs eps power-law scan")
-    common(p)
-    solver_flags(p, "1a, 1b, 1c, 2 or all (default all)")
-    p.add_argument("--kind", choices=["energy", "charge", "both"], default=None)
-    p.add_argument("--form", choices=["Tt", "PhiT"], default=None)
-    p.add_argument("--eps-grid", dest="eps_grid",
-                   help="start:stop:count, log spaced (default 1e-3:1e-1:7)")
+    p = command("drift-scan", "drift vs eps power-law scan")
+    block_flags(p, "all")
+    solver_flags(p, None)
+    p.add_argument("--form", choices=["Tt", "PhiT"], default="Tt")
+    p.add_argument("--eps-grid", dest="eps_grid", default="1e-3:1e-1:7",
+                   help="start:stop:count, log spaced (default %(default)s)")
 
-    p = sub.add_parser("parse-expr", help="parse, print, optionally evaluate")
-    common(p)
+    p = command("parse-expr", "parse, print, optionally evaluate")
     p.add_argument("expr")
     p.add_argument("--point", help="jet values, e.g. u=1,v=0.5,u_x=-2")
     p.add_argument("--params", help="parameter values, e.g. eps=0.1,mu=2")
@@ -499,16 +500,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _parse_args(build_parser(), argv)
+        return _COMMANDS[args.command](Settings(args))
+    except SystemExit as exc:  # argparse has printed its message
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-
-    try:
-        file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-        settings = Settings(args, file_values)
-        return _COMMANDS[args.command](settings)
     except (ConfigError, ValueError, ParseError, JetOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

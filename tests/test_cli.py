@@ -1,6 +1,7 @@
 """End-to-end CLI tests, run in process through cli.main(argv), except the
 few that read a whole process's exit code and stderr."""
 
+import argparse
 import io
 import json
 import os
@@ -285,14 +286,115 @@ def test_malformed_config_line(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+def test_config_key_with_a_space_is_malformed(tmp_path, capsys):
+    # as the flag "--my key=u" it would be taken for parse-expr's expression
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("my key = u\n")
+    assert main(["parse-expr", "v", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}:1: expected key=value, got 'my key = u'\n"
+    assert captured.out == ""
+
+
 def test_non_integer_seed_names_its_source(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed = abc\n")
     assert main(["verify-euler", "--config", str(cfg)]) == EXIT_CONFIG
-    assert "error: config key seed: expected an integer, got 'abc'" in capsys.readouterr().err
+    err = capsys.readouterr().err  # argparse's message for the flag
+    assert "--seed" in err and "'abc'" in err
     monkeypatch.setenv("PTNLS_SEED", "1.5")
     assert main(["verify-euler"]) == EXIT_CONFIG
     assert "error: PTNLS_SEED: expected an integer, got '1.5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["simulate"], "form=PhiT"), (["simulate"], "tol=1e-3"), (["verify-euler"], "N=64"),
+    (["drift-scan"], "n=5"), (["parse-expr", "u"], "case=1a")])
+def test_config_key_of_another_command_is_refused(tmp_path, capsys, monkeypatch, argv, line):
+    # a key is refused as the command's parser refuses the flag, not only
+    # when no command at all has it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(line + "\n")
+    assert main(argv + ["--config", "run.cfg"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    key = line.split("=")[0]
+    assert captured.err == f"error: unknown config key {key!r} for {argv[0]}\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_abbreviated_flags_are_refused(tmp_path, capsys, monkeypatch):
+    # "t" is not read as --t-final, in a config file or on the command line
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("t=1\n")
+    assert main(["simulate", "--config", "run.cfg"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: unknown config key 't' for simulate\n"
+    assert main(["simulate", "--t-fin", "1"]) == EXIT_CONFIG
+    assert "unrecognized arguments: --t-fin 1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+# per command: quick flags, then a value for every option its parser defines
+# (--config and -h aside), other than what the quick flags give; {out} is a
+# scratch directory.  center=-0.5 and point=u=1,v=2 hold "-" and "=".
+QUICK_VERIFY = (["--case", "1a", "--kind", "charge", "--n", "5"],
+                {"seed": "3", "case": "2", "kind": "energy", "n": "7", "tol": "1e-6"})
+SOLVER_VALUES = {"seed": "3", "case": "2", "eps": "0.1", "mu": "1.5", "sigma": "0.5",
+                 "alpha": "0.3", "g": "2", "N": "128", "L": "30", "dt": "0.025",
+                 "t_final": "0.1", "initial": "ground", "amplitude": "0.8", "width": "1.5",
+                 "center": "-0.5", "sample_every": "2", "out_dir": "{out}/other"}
+OPTION_VALUES = {
+    "verify-euler": QUICK_VERIFY,
+    "verify-divergence": QUICK_VERIFY,
+    "simulate": (["--N", "256", "--t-final", "0.05", "--out-dir", "{out}/run"],
+                 SOLVER_VALUES),
+    "drift-scan": (["--case", "1a", "--kind", "charge", "--N", "256", "--t-final", "0.05",
+                    "--eps-grid", "1e-3:1e-1:4", "--out-dir", "{out}/run"],
+                   {**SOLVER_VALUES, "kind": "energy", "form": "PhiT",
+                    "eps_grid": "1e-2:1e-1:5"}),
+    "parse-expr": (["eps*u + x*v + t", "--point", "u=2,v=3"],
+                   {"seed": "3", "point": "u=1,v=2", "params": "eps=0.25,mu=4",
+                    "t": "2", "x": "-0.5"}),
+}
+
+
+def _options(command: str) -> dict[str, str]:
+    """dest -> flag for every option of `command` but --config and -h."""
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a.option_strings[0] for a in sub.choices[command]._actions
+            if a.option_strings and a.dest not in ("config", "help")}
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_VALUES))
+def test_config_line_reads_as_its_flag(tmp_path, capsys, command):
+    quick, values = OPTION_VALUES[command]
+    options = _options(command)
+    assert set(values) == set(options)
+    for key, value in values.items():
+        value = value.format(out=tmp_path)
+        flag = options[key]
+        argv = [command] + [a.format(out=tmp_path) for a in quick]
+        if flag in argv:  # the value under test replaces the quick one
+            i = argv.index(flag)
+            del argv[i:i + 2]
+        as_flag = main(argv + [flag, value]), capsys.readouterr().out
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        as_line = main(argv + ["--config", str(cfg)]), capsys.readouterr().out
+        assert as_line == as_flag, key
+        assert as_flag[0] in (EXIT_OK, EXIT_CHECK_FAILED), key
+        if command != "parse-expr":
+            assert _json_records(as_flag[1]), key
+
+
+@pytest.mark.parametrize("command,tol", [("verify-euler", 1e-10), ("verify-divergence", 1e-9)])
+def test_help_names_the_tol_a_run_records(capsys, command, tol):
+    assert main([command, "--help"]) == EXIT_OK
+    assert f"relative tolerance (default {tol})" in " ".join(capsys.readouterr().out.split())
+    assert main([command, "--case", "2", "--kind", "energy", "--n", "5"]) == EXIT_OK
+    recs = _json_records(capsys.readouterr().out)
+    assert recs and all(r["config"]["tol"] == tol for r in recs)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +696,18 @@ def test_drift_scan_has_no_jobs_option(tmp_path, capsys):
     cfg.write_text("jobs=2\n")
     assert main(SCAN_ARGS + ["--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert "unknown config key 'jobs'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_drift_scan_refuses_sample_every_below_one(tmp_path, capsys, value):
+    # the check and the message of simulate, before anything is stepped or made
+    out_dir = tmp_path / "scan"
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(f"sample_every = {value}\n")
+    for extra in (["--sample-every", value], ["--config", str(cfg)]):
+        assert main(SCAN_ARGS + extra + ["--out-dir", str(out_dir)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --sample-every must be at least 1, got {value}\n"
+        assert not out_dir.exists()
 
 
 def test_drift_scan_rejects_bad_eps_grid(tmp_path, capsys):
