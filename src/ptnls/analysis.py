@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from html import escape
 from typing import Optional, Sequence, Union
@@ -35,7 +36,7 @@ __all__ = [
     "DriftReport",
     "density_expr", "density_timeseries", "drift_from_timeseries", "drift_scan",
     "default_scan_config", "fit_loglog_slope", "emit_report",
-    "write_drift_csv", "write_slope_csv", "write_timeseries_csv",
+    "write_drift_csv", "write_slope_csv", "write_timeseries_csv", "write_timeseries_svg",
     "DRIFT_CSV_HEADER", "SLOPE_CSV_HEADER",
 ]
 
@@ -388,12 +389,13 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, f
 
 
 def _config_lines(cfg: SolverConfig, extra: Sequence[str] = ()) -> list[str]:
+    """A scan's configuration; its eps is left out, since every member
+    takes its own."""
     p = cfg.params
     return [
         f"version={__version__}",
         f"case={cfg.case_id.value}",
-        f"eps={fmt17(p.eps)} mu={fmt17(p.mu)} sigma={fmt17(p.sigma)} alpha={fmt17(p.alpha)}"
-        f" g={fmt17(p.g)}",
+        f"mu={fmt17(p.mu)} sigma={fmt17(p.sigma)} alpha={fmt17(p.alpha)} g={fmt17(p.g)}",
         f"N={cfg.grid.N} L={fmt17(cfg.grid.L)} dt={fmt17(cfg.dt)} T_final={fmt17(cfg.T_final)}"
         f" scheme={cfg.scheme}",
         f"initial={cfg.initial!r}",
@@ -621,34 +623,17 @@ def write_timeseries_svg(series: Sequence[DensityTimeseries], path,
         fh.write("\n".join(parts) + "\n")
 
 
-def emit_report(reports: Sequence, out_dir, stem: str = "drift",
+def emit_report(reports: Sequence[DriftReport], out_dir,
                 header_lines: Sequence[str] = ()) -> list[str]:
-    """Write DriftReports (drift + slope tables, one chart per report) or
-    DensityTimeseries (a long table and one chart) as CSV, then SVG.
-    Returns the written paths."""
-    import os
-
+    """Write DriftReports into `out_dir`: the drift and slope tables,
+    drift.csv and drift_slopes.csv, then one chart per report,
+    drift_<case>_<kind>.svg.  Returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    timeseries = [r for r in reports if isinstance(r, DensityTimeseries)]
-    drifts = [r for r in reports if isinstance(r, DriftReport)]
-    if timeseries:
-        p = os.path.join(out_dir, f"{stem}_timeseries.csv")
-        write_timeseries_csv(timeseries, p, header_lines)
-        paths.append(p)
-    if drifts or not timeseries:
-        p = os.path.join(out_dir, f"{stem}.csv")
-        write_drift_csv(drifts, p, header_lines)
-        paths.append(p)
-        p = os.path.join(out_dir, f"{stem}_slopes.csv")
-        write_slope_csv(drifts, p, header_lines)
-        paths.append(p)
-    if timeseries:
-        p = os.path.join(out_dir, f"{stem}_timeseries.svg")
-        write_timeseries_svg(timeseries, p, header_lines)
-        paths.append(p)
-    for rep in drifts:
-        p = os.path.join(out_dir, f"{stem}_{rep.case_id.value}_{rep.kind.value}.svg")
+    paths = [os.path.join(out_dir, "drift.csv"), os.path.join(out_dir, "drift_slopes.csv")]
+    write_drift_csv(reports, paths[0], header_lines)
+    write_slope_csv(reports, paths[1], header_lines)
+    for rep in reports:
+        p = os.path.join(out_dir, f"drift_{rep.case_id.value}_{rep.kind.value}.svg")
         write_drift_svg(rep, p, header_lines)
         paths.append(p)
     return paths

@@ -17,13 +17,18 @@ Exit codes: 0 pass, 1 verification failure, 2 configuration error (a
 requested density not cataloged included), 3 requested flux not cataloged,
 4 numerical failure (blow-up or boundary contamination).
 
+A command takes only the flags it reads: drift-scan's members take their
+eps from --eps-grid alone, so it has no --eps, and parse-expr, which draws
+nothing at random, has no --seed.
+
 Configuration may come from a flat key=value file (--config) whose keys are
 the command's flag names, with underscores or hyphens (t_final, t-final);
 command-line flags override file entries.  A key the command has no flag
-for exits 2, as does an abbreviated flag (t for --t-final), in the file or
-on the command line.  Reports are printed as JSON lines embedding the
-resolved configuration and the package version.  PTNLS_SEED serves as the
-seed fallback when --seed is absent.
+for exits 2, as does a config key (a file names no other file) and an
+abbreviated flag (t for --t-final), in the file or on the command line.
+Reports are printed as JSON lines embedding the resolved configuration and
+the package version.  PTNLS_SEED serves as the seed fallback when --seed is
+absent.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ import numpy as np
 from . import __version__
 from .analysis import (DRIFT_FLOOR_FACTOR, MIN_FIT_MEMBERS, DensityAccumulator,
                        DensityUnavailableError, default_scan_config, density_expr,
-                       drift_from_timeseries, drift_scan, emit_report)
+                       drift_from_timeseries, drift_scan, emit_report,
+                       write_timeseries_csv, write_timeseries_svg)
 from .catalog import CaseId, Kind, load_catalog
 from .jetexpr import (EvalError, JetBatch, JetOrderError, ParamValues, ParseError,
                       coord_from_name, eval_expr, parse_expr, to_text)
@@ -82,13 +88,16 @@ def _config_flags(path: str) -> tuple[list[str], list[str]]:
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """`argv` parsed by `parser`; with --config, parsed again after the file's
     lines as flags, so that the command line wins and a key the command has
-    no flag for is refused."""
+    no flag for, or a config key, is refused."""
     args = parser.parse_args(argv)
     if args.config is not None:
         keys, flags = _config_flags(args.config)
         args, extra = parser.parse_known_args(argv[:1] + flags + argv[1:])
-        if extra:  # argv parsed alone, so what is left came from the file
-            key = keys[flags.index(extra[0])]
+        # argv parsed alone, so what is left came from the file; the file's
+        # own --config would be overridden by the command line's, unread
+        unread = [f for f in flags if f in extra or f.startswith("--config=")]
+        if unread:
+            key = keys[flags.index(unread[0])]
             raise ConfigError(f"unknown config key {key!r} for {args.command}")
     return args
 
@@ -139,9 +148,10 @@ def _requested_blocks(settings: Settings) -> list[tuple[CaseId, Kind]]:
 
 
 def _solver_config(settings: Settings, base: SolverConfig) -> SolverConfig:
-    """`base` with every value given by a flag put in its place."""
+    """`base` with every value given by a flag put in its place; a model
+    parameter the command has no flag for keeps `base`'s value."""
     params = ParamValues(**{f.name: settings.get(f.name, getattr(base.params, f.name))
-                            for f in fields(ParamValues)})
+                            for f in fields(ParamValues) if hasattr(settings.args, f.name)})
     grid = Grid(L=settings.get("L", base.grid.L), N=settings.get("N", base.grid.N))
     if settings.get("initial") == "gaussian":
         initial = Gaussian(settings.get("amplitude", base.initial.amplitude),
@@ -293,7 +303,10 @@ def cmd_simulate(settings: Settings) -> int:
               f"drift {drift_abs:.3e} (rel {drift_rel:.3e})")
     paths = [traj_path]
     if series:
-        paths += emit_report(series, out_dir, stem="density", header_lines=header)
+        paths += [os.path.join(out_dir, "density_timeseries.csv"),
+                  os.path.join(out_dir, "density_timeseries.svg")]
+        write_timeseries_csv(series, paths[1], header)
+        write_timeseries_svg(series, paths[2], header)
     print("wrote: " + ", ".join(paths))
     return EXIT_OK
 
@@ -432,11 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ptnls {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str):
+    def command(name: str, summary: str, seed: bool = True):
         # no abbreviations: a config key "t" must not be read as --t-final
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="key=value file of this command's flags; flags override")
-        p.add_argument("--seed", type=int, help="RNG seed (fallback: PTNLS_SEED, then 0)")
+        if seed:
+            p.add_argument("--seed", type=int, help="RNG seed (fallback: PTNLS_SEED, then 0)")
         return p
 
     def block_flags(p, case: str):
@@ -453,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relative tolerance (default %(default)s)")
 
     def solver_flags(p, sample_every):
-        p.add_argument("--eps", type=float)
         p.add_argument("--mu", type=float)
         p.add_argument("--sigma", type=float)
         p.add_argument("--alpha", type=float)
@@ -471,6 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("simulate", "integrate one configuration")
     p.add_argument("--case", default="1a", help="1a, 1b, 1c or 2 (default %(default)s)")
+    p.add_argument("--eps", type=float)
     solver_flags(p, 50)
 
     p = command("drift-scan", "drift vs eps power-law scan")
@@ -480,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-grid", dest="eps_grid", default="1e-3:1e-1:7",
                    help="start:stop:count, log spaced (default %(default)s)")
 
-    p = command("parse-expr", "parse, print, optionally evaluate")
+    p = command("parse-expr", "parse, print, optionally evaluate", seed=False)
     p.add_argument("expr")
     p.add_argument("--point", help="jet values, e.g. u=1,v=0.5,u_x=-2")
     p.add_argument("--params", help="parameter values, e.g. eps=0.1,mu=2")

@@ -357,7 +357,7 @@ def stream_members(cfg: SolverConfig, eps_values: Sequence[float], sample_every:
             if errors[m] is None and level[row] > BOUNDARY_WARN and not warned[m]:
                 warned[m] = True
                 _warn(f"boundary amplitude at {level[row]:.3e} of the field maximum "
-                      f"at t = {t:.6g}")
+                      f"at t = {t:.6g} (eps = {eps_values[m]:.6g})")
         keep = [row for row, m in enumerate(alive) if errors[m] is None]
         if not keep:
             return

@@ -1,6 +1,7 @@
 """Tests for density timeseries, drift scans, the log-log fit, and the CSV
 and SVG emitters."""
 
+import inspect
 import math
 import os
 import subprocess
@@ -21,7 +22,7 @@ from ptnls.analysis import (DRIFT_CSV_HEADER, EVAL_BLOCK_POINTS, SCAN_SAMPLE_INT
                             default_scan_config, density_timeseries,
                             drift_from_timeseries, drift_scan, emit_report,
                             fit_loglog_slope, write_drift_csv,
-                            write_timeseries_csv)
+                            write_timeseries_csv, write_timeseries_svg)
 from ptnls.catalog import CaseId, Kind, load_catalog
 from ptnls.jetexpr import EvalError, JetBatch, ParamValues, Unary, eval_expr, nodes
 from ptnls.solver import (BOUNDARY_WARN, BlowUpError, BoundaryContaminationError, Gaussian,
@@ -525,6 +526,9 @@ def test_scan_boundary_proximity_warns_once_per_member():
     boundary = [w for w in rec if "boundary" in str(w.message)]
     assert len(boundary) == len(rep.members) and not any(m.failed for m in rep.members)
     assert all(w.filename == __file__ for w in boundary)  # the caller of drift_scan
+    # each warning names its member, and each member is named once
+    named = sorted(str(w.message).rsplit("(eps = ", 1)[1] for w in boundary)
+    assert named == sorted(f"{m.eps:.6g})" for m in rep.members)
 
 
 def _traced_peak(fn) -> int:
@@ -659,14 +663,16 @@ def test_every_output_is_utf8_whatever_the_locale(tmp_path):
     code = """if True:
         import sys
         import numpy as np
-        from ptnls.analysis import DensityTimeseries, emit_report
+        from ptnls.analysis import (DensityTimeseries, emit_report,
+                                    write_timeseries_csv, write_timeseries_svg)
         from ptnls.catalog import CaseId, Kind
         from ptnls.solver import SolverConfig, TrajectoryWriter
         out, header = sys.argv[1], ["out_dir=r\\u00e9sum\\u00e9"]
         ts = DensityTimeseries(CaseId.CASE2, Kind.CHARGE, "PhiT", 0.02,
                                np.array([0.0]), np.array([1.0]))
-        emit_report([ts], out, stem="density", header_lines=header)
         emit_report([], out, header_lines=header)
+        write_timeseries_csv([ts], out + "/density_timeseries.csv", header)
+        write_timeseries_svg([ts], out + "/density_timeseries.svg", header)
         with open(out + "/trajectory.csv", "wb") as fh:
             TrajectoryWriter(fh, SolverConfig(), header)
     """
@@ -747,11 +753,29 @@ def test_drift_svg_is_well_formed(charge_scan, tmp_path):
 def test_timeseries_svg_is_well_formed(tmp_path):
     traj = run(_short_cfg(T_final=0.2))
     ts = density_timeseries(traj, CaseId.CASE1A, Kind.CHARGE)
-    csv_path, path = emit_report([ts], tmp_path, stem="density")
-    assert csv_path.endswith("density_timeseries.csv")
-    assert path.endswith("density_timeseries.svg")
+    path = tmp_path / "density_timeseries.svg"
+    write_timeseries_svg([ts], path, header_lines=["seed=0"])
     root = ET.parse(path).getroot()
-    assert root.get("width") == "800"
+    assert root.tag.endswith("svg") and root.get("width") == "800"
+    assert "seed=0" in path.read_text()
+
+
+def test_emit_report_writes_the_drift_tables_and_one_chart_per_report(tmp_path):
+    reports = drift_scan(CaseId.CASE1A, [Kind.ENERGY, Kind.CHARGE], EPS_LIST[:4],
+                         cfg=_short_cfg(T_final=0.1, dt=2e-3))
+    paths = emit_report(reports, tmp_path / "out")
+    names = ["drift.csv", "drift_slopes.csv", "drift_case1a_energy.svg",
+             "drift_case1a_charge.svg"]
+    assert [os.path.basename(p) for p in paths] == names
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(names)
+    # a report writes drift reports only, under these fixed names
+    assert list(inspect.signature(emit_report).parameters) == [
+        "reports", "out_dir", "header_lines"]
+    # the params line states no eps: every member takes its own
+    for path in paths:
+        text = Path(path).read_text()
+        assert "mu=1 sigma=1 alpha=0.5 g=1" in text, path
+        assert "eps=0.05" not in text, path
 
 
 def test_scan_outputs_are_reproducible(tmp_path):

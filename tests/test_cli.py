@@ -309,7 +309,10 @@ def test_non_integer_seed_names_its_source(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv,line", [
     (["simulate"], "form=PhiT"), (["simulate"], "tol=1e-3"), (["verify-euler"], "N=64"),
-    (["drift-scan"], "n=5"), (["parse-expr", "u"], "case=1a")])
+    (["drift-scan"], "n=5"), (["parse-expr", "u"], "case=1a"),
+    # a scan's members take their eps from --eps-grid, and parse-expr
+    # draws nothing at random
+    (["drift-scan"], "eps=0.3"), (["parse-expr", "u"], "seed=3")])
 def test_config_key_of_another_command_is_refused(tmp_path, capsys, monkeypatch, argv, line):
     # a key is refused as the command's parser refuses the flag, not only
     # when no command at all has it
@@ -339,7 +342,7 @@ def test_abbreviated_flags_are_refused(tmp_path, capsys, monkeypatch):
 # scratch directory.  center=-0.5 and point=u=1,v=2 hold "-" and "=".
 QUICK_VERIFY = (["--case", "1a", "--kind", "charge", "--n", "5"],
                 {"seed": "3", "case": "2", "kind": "energy", "n": "7", "tol": "1e-6"})
-SOLVER_VALUES = {"seed": "3", "case": "2", "eps": "0.1", "mu": "1.5", "sigma": "0.5",
+SOLVER_VALUES = {"seed": "3", "case": "2", "mu": "1.5", "sigma": "0.5",
                  "alpha": "0.3", "g": "2", "N": "128", "L": "30", "dt": "0.025",
                  "t_final": "0.1", "initial": "ground", "amplitude": "0.8", "width": "1.5",
                  "center": "-0.5", "sample_every": "2", "out_dir": "{out}/other"}
@@ -347,13 +350,13 @@ OPTION_VALUES = {
     "verify-euler": QUICK_VERIFY,
     "verify-divergence": QUICK_VERIFY,
     "simulate": (["--N", "256", "--t-final", "0.05", "--out-dir", "{out}/run"],
-                 SOLVER_VALUES),
+                 {**SOLVER_VALUES, "eps": "0.1"}),
     "drift-scan": (["--case", "1a", "--kind", "charge", "--N", "256", "--t-final", "0.05",
                     "--eps-grid", "1e-3:1e-1:4", "--out-dir", "{out}/run"],
                    {**SOLVER_VALUES, "kind": "energy", "form": "PhiT",
                     "eps_grid": "1e-2:1e-1:5"}),
     "parse-expr": (["eps*u + x*v + t", "--point", "u=2,v=3"],
-                   {"seed": "3", "point": "u=1,v=2", "params": "eps=0.25,mu=4",
+                   {"point": "u=1,v=2", "params": "eps=0.25,mu=4",
                     "t": "2", "x": "-0.5"}),
 }
 
@@ -386,6 +389,34 @@ def test_config_line_reads_as_its_flag(tmp_path, capsys, command):
         assert as_flag[0] in (EXIT_OK, EXIT_CHECK_FAILED), key
         if command != "parse-expr":
             assert _json_records(as_flag[1]), key
+
+
+@pytest.mark.parametrize("argv", [["drift-scan", "--eps", "0.3"],
+                                  ["parse-expr", "u", "--seed", "3"]],
+                         ids=["drift-scan", "parse-expr"])
+def test_a_flag_the_command_never_reads_is_refused(tmp_path, capsys, monkeypatch, argv):
+    # a scan's members take their eps from --eps-grid, and parse-expr draws
+    # nothing at random
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_VALUES))
+def test_config_line_in_a_config_file_is_refused(tmp_path, capsys, monkeypatch, command):
+    # it would be overridden, unread, by the command line's --config
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "other.cfg").write_text("# nothing\n")
+    (tmp_path / "run.cfg").write_text("config = other.cfg\n")
+    argv = [command] + ["u"] * (command == "parse-expr") + ["--config", "run.cfg"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown config key 'config' for {command}\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["other.cfg", "run.cfg"]
 
 
 @pytest.mark.parametrize("command,tol", [("verify-euler", 1e-10), ("verify-divergence", 1e-9)])
@@ -739,17 +770,23 @@ def test_eps_grid_needs_a_finite_start_and_stop(tmp_path, capsys, grid):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command", [["simulate", "--case", "1a"],
-                                     ["drift-scan", "--case", "1a", "--kind", "charge"]],
-                         ids=["simulate", "drift-scan"])
-@pytest.mark.parametrize("flag,value,field", [
+NON_FINITE = [
     ("--eps", "nan", "eps"), ("--mu", "nan", "mu"), ("--sigma", "inf", "sigma"),
     ("--alpha", "nan", "alpha"), ("--g", "-inf", "g"), ("--L", "nan", "L"),
     ("--L", "inf", "L"), ("--dt", "nan", "dt"), ("--t-final", "inf", "T_final"),
     ("--t-final", "nan", "T_final"), ("--amplitude", "inf", "amplitude"),
     ("--width", "nan", "width"), ("--center", "nan", "center"),
     ("--width", "0", "width"), ("--width", "-1", "width"),
-])
+]
+
+
+# every flag of NON_FINITE on each command that has it: drift-scan has no --eps
+@pytest.mark.parametrize("command,flag,value,field", [
+    pytest.param(command, *case, id="-".join([*case, command[0]]))
+    for case in NON_FINITE
+    for command in (["simulate", "--case", "1a"],
+                    ["drift-scan", "--case", "1a", "--kind", "charge"])
+    if not (command[0] == "drift-scan" and case[0] == "--eps")])
 def test_non_finite_input_is_config_error(tmp_path, capsys, command, flag, value, field):
     flags = {"--N": "256", "--t-final": "0.1", "--out-dir": str(tmp_path), flag: value}
     assert main(command + [f"{k}={v}" for k, v in flags.items()]) == EXIT_CONFIG
