@@ -15,11 +15,12 @@ flux (verify-divergence) or density (drift-scan) is skipped; a block that
 
 Exit codes: 0 pass, 1 verification failure, 2 configuration error (a
 requested density not cataloged included), 3 requested flux not cataloged,
-4 numerical failure (blow-up or boundary contamination).
+4 numerical failure (blow-up or boundary contamination).  A failure prints
+one "error:" line on stderr and a warning one "warning:" line.
 
-A command takes only the flags it reads: drift-scan's members take their
-eps from --eps-grid alone, so it has no --eps, and parse-expr, which draws
-nothing at random, has no --seed.
+A command takes only the flags it reads, and refuses any other with its own
+usage: drift-scan's members take their eps from --eps-grid alone, so it has
+no --eps, and parse-expr, which draws nothing at random, has no --seed.
 
 Configuration may come from a flat key=value file (--config) whose keys are
 the command's flag names, with underscores or hyphens (t_final, t-final);
@@ -38,6 +39,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -48,8 +50,8 @@ from .analysis import (DRIFT_FLOOR_FACTOR, MIN_FIT_MEMBERS, DensityAccumulator,
                        drift_from_timeseries, drift_scan, emit_report,
                        write_timeseries_csv, write_timeseries_svg)
 from .catalog import CaseId, Kind, load_catalog
-from .jetexpr import (EvalError, JetBatch, JetOrderError, ParamValues, ParseError,
-                      coord_from_name, eval_expr, parse_expr, to_text)
+from .jetexpr import (ExprError, JetBatch, ParamValues, coord_from_name, eval_expr,
+                      parse_expr, to_text)
 from .solver import (BlowUpError, BoundaryContaminationError, Gaussian, Grid,
                      SolverConfig, TrajectoryWriter, stream_members)
 from .verify import FluxUnavailableError, check_divergence, check_residual
@@ -86,10 +88,13 @@ def _config_flags(path: str) -> tuple[list[str], list[str]]:
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """`argv` parsed by `parser`; with --config, parsed again after the file's
+    """`argv` parsed by `parser`, what the command's parser leaves refused by
+    it, with its own usage; with --config, parsed again after the file's
     lines as flags, so that the command line wins and a key the command has
     no flag for, or a config key, is refused."""
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.config is not None:
         keys, flags = _config_flags(args.config)
         args, extra = parser.parse_known_args(argv[:1] + flags + argv[1:])
@@ -139,12 +144,14 @@ def _emit(record: dict, settings: Settings, **chosen) -> None:
     print(json.dumps(record))
 
 
-def _requested_blocks(settings: Settings) -> list[tuple[CaseId, Kind]]:
+def _requested_blocks(settings: Settings) -> tuple[list[tuple[CaseId, Kind]], bool]:
+    """The blocks --case and --kind request, and whether --case named the
+    case: a block it names fails where one of --case all is skipped."""
     case = settings.get("case")
     kind = settings.get("kind")
     cases = list(CaseId) if case == "all" else [CaseId.parse(case)]
     kinds = list(Kind) if kind == "both" else [Kind.parse(kind)]
-    return [(c, k) for c in cases for k in kinds]
+    return [(c, k) for c in cases for k in kinds], case != "all"
 
 
 def _solver_config(settings: Settings, base: SolverConfig) -> SolverConfig:
@@ -168,65 +175,52 @@ def _solver_config(settings: Settings, base: SolverConfig) -> SolverConfig:
                    grid=grid, initial=initial)
 
 
-def _print_raw_notes(comparisons) -> None:
-    for rc in comparisons:
-        if rc.matches_corrected is False:
-            print(f"  note: raw {rc.slot} differs from the corrected reading; {rc.note}")
-        elif not rc.parses:
-            print(f"  note: raw {rc.slot} does not parse ({rc.error})")
-
-
-def _sample_settings(settings: Settings) -> tuple[int, float]:
-    """--n and --tol of a verify command, rejected unless n >= 1 and tol is
-    positive and finite."""
+def _verify(settings: Settings, name: str, check, verdict) -> int:
+    """`check` each requested block at --n and --tol (n >= 1, tol positive
+    and finite) and print its record, its `verdict(report)` (passed, text)
+    as an [ok] or [FAIL] line and its raw-reading notes; exit 1 if any
+    failed.  Under --case all a block without a flux is skipped."""
+    seed = settings.seed()
     n = settings.get("n")
     tol = settings.get("tol")
     if n < 1:
         raise ConfigError(f"--n must be at least 1, got {n}")
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"--tol must be positive and finite, got {tol}")
-    return n, tol
+    blocks, explicit = _requested_blocks(settings)
+    ok = True
+    for case_id, kind in blocks:
+        block = f"{name} {case_id.value}/{kind.value}"
+        try:
+            rep = check(case_id, kind, n=n, tol=tol, seed=seed)
+        except FluxUnavailableError as exc:
+            if explicit:
+                raise
+            print(f"[skip] {block}: {exc}")
+            continue
+        _emit(rep.as_record(), settings)
+        passed, text = verdict(rep)
+        print(f"[{'ok' if passed else 'FAIL'}] {block}: {text}")
+        for rc in rep.raw_comparisons:
+            if rc.matches_corrected is False:
+                print(f"  note: raw {rc.slot} differs from the corrected reading; {rc.note}")
+            elif not rc.parses:
+                print(f"  note: raw {rc.slot} does not parse ({rc.error})")
+        ok = ok and passed
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_verify_euler(settings: Settings) -> int:
-    seed = settings.seed()
-    n, tol = _sample_settings(settings)
-    ok = True
-    for case_id, kind in _requested_blocks(settings):
-        rep = check_residual(case_id, kind, n=n, tol=tol, seed=seed)
-        _emit(rep.as_record(), settings)
-        status = "ok" if rep.match else "FAIL"
-        tag = " (derived target)" if rep.target_derived else ""
-        print(f"[{status}] euler residual {case_id.value}/{kind.value}: "
-              f"worst {rep.worst_rel_error:.3e}, eps-slope {rep.epsilon_slope:.3f}{tag}")
-        _print_raw_notes(rep.raw_comparisons)
-        ok = ok and rep.match
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _verify(settings, "euler residual", check_residual, lambda rep: (
+        rep.match, f"worst {rep.worst_rel_error:.3e}, eps-slope {rep.epsilon_slope:.3f}"
+                   + (" (derived target)" if rep.target_derived else "")))
 
 
 def cmd_verify_divergence(settings: Settings) -> int:
-    seed = settings.seed()
-    n, tol = _sample_settings(settings)
-    explicit = settings.get("case") != "all"
-    ok = True
-    for case_id, kind in _requested_blocks(settings):
-        try:
-            rep = check_divergence(case_id, kind, n=n, tol=tol, seed=seed)
-        except FluxUnavailableError as exc:
-            if explicit:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_FLUX_UNAVAILABLE
-            print(f"[skip] divergence {case_id.value}/{kind.value}: {exc}")
-            continue
-        _emit(rep.as_record(), settings)
-        status = "ok" if rep.zero_at_eps0 else "FAIL"
-        sign = "+" if rep.orientation > 0 else "-"
-        print(f"[{status}] divergence {case_id.value}/{kind.value}: "
-              f"D_t Tt + D_x Tx = {sign}Q.E at eps=0 (worst {rep.worst_rel_error:.3e}, "
-              f"leading order {rep.leading_order:.3f})")
-        _print_raw_notes(rep.raw_comparisons)
-        ok = ok and rep.zero_at_eps0
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _verify(settings, "divergence", check_divergence, lambda rep: (
+        rep.zero_at_eps0,
+        f"D_t Tt + D_x Tx = {'+' if rep.orientation > 0 else '-'}Q.E at eps=0 "
+        f"(worst {rep.worst_rel_error:.3e}, leading order {rep.leading_order:.3f})"))
 
 
 def _check_output_names(out_dir: str, header: list[str]) -> None:
@@ -330,26 +324,23 @@ def cmd_drift_scan(settings: Settings) -> int:
     """Scan every requested block, write them all in one report, then print
     each block's record and verdict in block order."""
     settings.seed()
-    blocks = _requested_blocks(settings)
-    explicit = settings.get("case") != "all"
+    blocks, explicit = _requested_blocks(settings)
     form = settings.get("form")
     eps_list = _parse_eps_grid(settings.get("eps_grid"))
     out_dir = settings.get("out_dir")
     sample_every = _sample_every(settings)  # None: drift_scan's own spacing
 
-    # every block's density is looked up before any block is stepped
-    skipped = {}
-    for block in blocks:
+    # every block's density is looked up before any block is stepped; each
+    # case is stepped once, and every requested kind evaluated on its trajectories
+    skipped, kinds_of = {}, {}
+    for case_id, kind in blocks:
         try:
-            density_expr(*block, form)
+            density_expr(case_id, kind, form)
         except DensityUnavailableError as exc:
             if explicit:
                 raise
-            skipped[block] = exc
-    # each case is stepped once; every requested kind is evaluated on its trajectories
-    kinds_of: dict[CaseId, list[Kind]] = {}
-    for case_id, kind in blocks:
-        if (case_id, kind) not in skipped:
+            skipped[case_id, kind] = exc
+        else:
             kinds_of.setdefault(case_id, []).append(kind)
     cfgs = {case_id: _solver_config(settings, default_scan_config(case_id))
             for case_id in kinds_of}
@@ -428,11 +419,7 @@ def cmd_parse_expr(settings: Settings) -> int:
     params = ParamValues(**pvals)
     batch = JetBatch(np.array([args.t]), np.array([args.x]),
                      {c: np.array([v]) for c, v in values.items()})
-    try:
-        value = float(eval_expr(e, batch, params)[0])
-    except EvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    value = float(eval_expr(e, batch, params)[0])
     print(f"value at (t={args.t:g}, x={args.x:g}): {value!r}")
     return EXIT_OK
 
@@ -448,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, summary: str, seed: bool = True):
         # no abbreviations: a config key "t" must not be read as --t-final
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(parser=p)  # refuses what it leaves unparsed (_parse_args)
         p.add_argument("--config", help="key=value file of this command's flags; flags override")
         if seed:
             p.add_argument("--seed", type=int, help="RNG seed (fallback: PTNLS_SEED, then 0)")
@@ -512,23 +500,29 @@ _COMMANDS = {
     "parse-expr": cmd_parse_expr,
 }
 
+# each failure main reports in one error: line, with its exit code
+_EXIT_CODES = {ConfigError: EXIT_CONFIG, ValueError: EXIT_CONFIG, ExprError: EXIT_CONFIG,
+               FluxUnavailableError: EXIT_FLUX_UNAVAILABLE, BlowUpError: EXIT_NUMERICAL,
+               BoundaryContaminationError: EXIT_NUMERICAL}
+
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # a warning prints as one line naming no source line; restored on return
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
-        args = _parse_args(build_parser(), argv)
-        return _COMMANDS[args.command](Settings(args))
+        # numpy's overflow and invalid-value warnings would repeat the typed error
+        with np.errstate(over="ignore", invalid="ignore"):
+            args = _parse_args(build_parser(), argv)
+            return _COMMANDS[args.command](Settings(args))
     except SystemExit as exc:  # argparse has printed its message
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    except (ConfigError, ValueError, ParseError, JetOrderError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FluxUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FLUX_UNAVAILABLE
-    except (BlowUpError, BoundaryContaminationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -5,8 +5,10 @@ import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -73,7 +75,9 @@ def test_version_flag_exits_cleanly(capsys):
 def test_divergence_unavailable_flux_is_exit_3(capsys):
     assert main(["verify-divergence", "--case", "1b",
                  "--kind", "energy"]) == EXIT_FLUX_UNAVAILABLE
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "error: no complete (Tt, Tx) pair is cataloged for case1b/energy\n"
+    assert captured.out == ""
 
 
 def test_divergence_case2_energy_orientation(capsys):
@@ -204,6 +208,13 @@ def test_simulate_sample_every_below_one_makes_nothing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def _run_cli(cwd, *argv):
+    """`python -m ptnls.cli argv` in `cwd`, for its exit code and whole stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "ptnls.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 _CASE1B_RUNS = {
     "simulate": ["simulate", "--case", "1b", "--N", "64", "--t-final", "0.01"],
     "drift-scan": ["drift-scan", "--case", "1b", "--N", "64", "--t-final", "0.5"],
@@ -215,25 +226,45 @@ _CASE1B_RUNS = {
     ("--alpha", "-2", EXIT_CONFIG),  # sqrt(alpha + 1) in both case1b densities
     ("--alpha", "-1", EXIT_CONFIG),  # 1 / (alpha + 1)^(5/2)
     ("--mu", "1e200", EXIT_NUMERICAL),  # mu^2 overflows: the field is not finite
+    ("--sigma", "1e308", EXIT_NUMERICAL),  # the pointwise flow's phase is not finite
 ])
 def test_parameters_outside_the_expressions_end_without_a_traceback(tmp_path, command,
                                                                     flag, value, code):
     # a value at which a case's expressions are undefined is refused before
-    # anything is made; an overflow of the field is a numerical failure
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    args = [sys.executable, "-m", "ptnls.cli", *_CASE1B_RUNS[command], flag, value,
-            "--out-dir", "out"]
-    done = subprocess.run(args, cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=120)
+    # anything is made; an overflow of the field is a numerical failure.
+    # Either prints one error line: no traceback, and no numpy warning
+    # repeating what the error says
+    done = _run_cli(tmp_path, *_CASE1B_RUNS[command], flag, value, "--out-dir", "out")
     assert done.returncode == code, done.stderr
-    assert "Traceback" not in done.stderr
-    assert done.stderr.splitlines()[-1].startswith("error: "), done.stderr
+    [line] = done.stderr.splitlines()
     if code == EXIT_CONFIG:
-        assert done.stderr.startswith("error: the Tt density of case1b/energy, case1b/charge "
-                                      "is undefined"), done.stderr
+        assert line.startswith("error: the Tt density of case1b/energy, case1b/charge "
+                               "is undefined"), line
         assert list(tmp_path.iterdir()) == []
     else:
-        assert "field blew up" in done.stderr
+        assert line.startswith("error: field blew up at t = "), line
+
+
+def test_cli_warnings_print_one_line_each(tmp_path):
+    # six members cross the boundary bound; each warning is one line that
+    # names no source file
+    done = _run_cli(tmp_path, "drift-scan", "--case", "1b", "--kind", "both",
+                    "--eps-grid", "1e-2:30:6", "--L", "8", "--out-dir", "out")
+    assert done.returncode == EXIT_CHECK_FAILED
+    lines = done.stderr.splitlines()
+    assert len(lines) == 6, done.stderr
+    assert all(re.fullmatch(r"warning: boundary amplitude at \S+ of the field maximum "
+                            r"at t = \S+ \(eps = \S+\)", line) for line in lines), lines
+    assert ".py" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [["parse-expr", "u"], ["parse-expr", "u +"],
+                                  ["verify-euler", "--bogus"], ["--version"]],
+                         ids=["ok", "error", "refused", "version"])
+def test_main_leaves_warning_format_and_numpy_errors_as_found(capsys, argv):
+    before = warnings.formatwarning, np.geterr()
+    main(argv)
+    assert (warnings.formatwarning, np.geterr()) == before
 
 
 def test_seed_comes_from_environment(tmp_path, capsys, monkeypatch):
@@ -333,7 +364,9 @@ def test_abbreviated_flags_are_refused(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", "run.cfg"]) == EXIT_CONFIG
     assert capsys.readouterr().err == "error: unknown config key 't' for simulate\n"
     assert main(["simulate", "--t-fin", "1"]) == EXIT_CONFIG
-    assert "unrecognized arguments: --t-fin 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ptnls simulate ")
+    assert err.endswith("ptnls simulate: error: unrecognized arguments: --t-fin 1\n")
     assert os.listdir(tmp_path) == ["run.cfg"]
 
 
@@ -391,16 +424,19 @@ def test_config_line_reads_as_its_flag(tmp_path, capsys, command):
             assert _json_records(as_flag[1]), key
 
 
-@pytest.mark.parametrize("argv", [["drift-scan", "--eps", "0.3"],
-                                  ["parse-expr", "u", "--seed", "3"]],
-                         ids=["drift-scan", "parse-expr"])
-def test_a_flag_the_command_never_reads_is_refused(tmp_path, capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv,unread", [(["drift-scan", "--eps", "0.3"], "--eps 0.3"),
+                                         (["parse-expr", "u", "--seed", "3"], "--seed 3"),
+                                         (["verify-euler", "--bogus"], "--bogus")],
+                         ids=["drift-scan", "parse-expr", "verify-euler"])
+def test_a_flag_the_command_never_reads_is_refused(tmp_path, capsys, monkeypatch, argv,
+                                                   unread):
     # a scan's members take their eps from --eps-grid, and parse-expr draws
-    # nothing at random
+    # nothing at random; the command's own parser refuses it, with its usage
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+    assert captured.err.startswith(f"usage: ptnls {argv[0]} ")
+    assert captured.err.endswith(f"ptnls {argv[0]}: error: unrecognized arguments: {unread}\n")
     assert captured.out == ""
     assert os.listdir(tmp_path) == []
 
@@ -829,6 +865,13 @@ def test_parse_expr_over_the_jet_order_limit_is_config_error(capsys):
     assert main(["parse-expr", "u_xxxxx"]) == EXIT_CONFIG
     assert capsys.readouterr().err == (
         "error: jet order 5 of 'u_xxxxx' exceeds the limit 4 at offset 0\n")
+
+
+def test_parse_expr_undefined_value_prints_one_error_line(capsys):
+    assert main(["parse-expr", "1/x", "--point", "u=1", "--x", "0"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "error: division by zero\n"
+    assert captured.out.startswith("canonical: ")
 
 
 def test_parse_expr_missing_jet_value(capsys):

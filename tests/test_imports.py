@@ -4,7 +4,9 @@ may), every name in an `__all__` is defined at its module's top level,
 every module-level definition is exported or referenced somewhere in the
 package, no package module passes an `eval_expr` result through a numpy
 reshaper (it is already a float array of the batch's shape), the
-17-digit format appears only in `solver`'s two formatters, and every
+17-digit format appears only in `solver`'s two formatters, only `cli.main`
+writes to stderr with `file=sys.stderr` (every failure leaves by its one
+handler), and every
 defaulted parameter of an exported function is set by some call in the
 source, the tests or the benchmark.  Read from the source with `ast`, so
 nothing is imported, except by the check that a fresh interpreter leaves
@@ -96,6 +98,24 @@ def literal_owners(source: str, literal: str) -> list[str]:
     return [f"line {n}: " + next((name for first, last, name in spans if first <= n <= last),
                                  "<module>")
             for n, line in enumerate(source.splitlines(), 1) if literal in line]
+
+
+def stderr_writers(source: str) -> list[str]:
+    """`line n: name` for each call passing `file=sys.stderr`, name the
+    innermost function whose body makes it (`<module>` outside any)."""
+    out = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and any(
+                    k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                    for k in child.keywords):
+                out.append(f"line {child.lineno}: {owner}")
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return out
 
 
 def _defined_names(stmt: ast.stmt) -> list[str]:
@@ -262,6 +282,20 @@ def test_17_digit_format_lives_in_the_two_formatters():
     found = {p.stem: literal_owners(p.read_text("utf-8"), ".17g") for p in SOURCES}
     assert {name.split(": ")[1] for name in found.pop("solver")} <= {"fmt17", "fmt17_array"}
     assert all(not owners for owners in found.values()), found
+
+
+def test_lint_names_the_function_that_writes_to_stderr():
+    src = ("import sys\nprint('x', file=sys.stderr)\ndef f():\n    def g():\n"
+           "        print('y', file=sys.stderr)\n    print('z', file=sys.stdout)\n"
+           "class C:\n    def h(self):\n        log(file=sys.stderr, end='')\n")
+    assert stderr_writers(src) == ["line 2: <module>", "line 5: g", "line 9: h"]
+
+
+def test_only_main_writes_to_stderr():
+    # a failure is reported once, by main's handler, with its exit code
+    found = {f"{p.stem}.{owner.split(': ')[1]}" for p in SOURCES
+             for owner in stderr_writers(p.read_text("utf-8"))}
+    assert found == {"cli.main"}
 
 
 def test_no_unreferenced_definitions():
